@@ -1,8 +1,8 @@
 """Tiny exact linear algebra helpers over the rationals.
 
-Matrices are tuples of row tuples.  Everything stays in ``Fraction``
-arithmetic; callers that expect integer results assert integrality
-themselves.
+Matrices are tuples of row tuples.  ``mat_vec`` and ``invert`` work in
+``Fraction`` arithmetic; ``to_int_matrix`` casts a result that must be
+integral, such as the inverse of a Weyl group element, back to plain ints.
 """
 
 from __future__ import annotations
@@ -10,20 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
-        for i in range(n)
-    )
 
 
 def mat_vec(a: Matrix, v: tuple) -> tuple:

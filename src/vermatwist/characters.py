@@ -149,7 +149,7 @@ class BlockContext:
             if cur is None or (w.length, w.word) < (cur.length, cur.word):
                 best[mu] = w
         self.params = tuple(sorted(best.values(), key=lambda w: (w.length, w.word)))
-        self._param_by_weight = {dot_action(rs, w, lam): w for w in self.params}
+        self._param_by_weight = best
         self._param_set = frozenset(self.params)
         self._default_decomp: DecompositionMatrix | None = None
 

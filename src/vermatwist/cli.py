@@ -15,24 +15,14 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .characters import (
-    SIMPLE,
-    BlockContext,
-    CharVector,
-    DecompositionMatrix,
-    change_basis,
-    decomposition_matrix,
-    load_decomposition_file,
-    make_block,
-)
-from .errors import VermatwistError
+from .characters import SIMPLE, CharVector, load_decomposition_file, make_block
+from .errors import UnsupportedBlock, VermatwistError
 from .jantzen import (
     LayerTable,
     SumFormulaInput,
     SumFormulaResult,
     layers_multiplicity_free,
     sum_formula,
-    sum_formula_xy,
 )
 from .rootsystem import Root, RootSystem, Weight, build_root_system
 from .sl2lab import (
@@ -130,111 +120,96 @@ def _resolve_element(rs: RootSystem, text: str) -> WeylElement:
     return element_from_word(rs, parse_word_text(rs, text))
 
 
-def _load_decomp(block: BlockContext, path: str | None) -> DecompositionMatrix | None:
-    if path is None:
-        return None
-    return load_decomposition_file(block, path)
+def _resolve_input(args, parser) -> SumFormulaInput:
+    """The module named on the command line.
 
-
-def _full_report(
-    block: BlockContext,
-    result: SumFormulaResult,
-    w: WeylElement,
-    y: WeylElement,
-    decomp: DecompositionMatrix | None,
-):
-    """Simple-basis vector and layer table, or the error that blocks them."""
-    try:
-        # layer extraction first: its block requirements are stricter and
-        # its refusal message names the real obstruction
-        table = layers_multiplicity_free(
-            SumFormulaInput(block=block, w=w, y=y), decomposition=decomp
-        )
-        dm = decomp if decomp is not None else decomposition_matrix(block)
-        simple_vec = change_basis(block, result.vector, SIMPLE, dm)
-        return simple_vec, table, None
-    except VermatwistError as exc:
-        return None, None, exc
-
-
-def _sum_formula_data(args, parser):
+    With ``--xy`` the words are x and y of the two-letter form, which names
+    the module at twist x * w0 and orbit parameter x * y.
+    """
     rs = _resolve_system(args, parser)
-    lam = _resolve_lambda(rs, args.lam)
-    block = make_block(rs, lam)
-    w_in = _resolve_element(rs, args.w)
-    y_in = _resolve_element(rs, args.y)
+    block = make_block(rs, _resolve_lambda(rs, args.lam))
+    w = _resolve_element(rs, args.w)
+    y = _resolve_element(rs, args.y)
     if getattr(args, "xy", False):
-        result = sum_formula_xy(block, w_in, y_in)
-        w_eff = w_in * longest_element(rs)
-        y_eff = block.param_for_weight(block.weight_of(w_in * y_in))
-    else:
-        result = sum_formula(SumFormulaInput(block=block, w=w_in, y=y_in))
-        w_eff = w_in
-        y_eff = block.param_for_weight(block.weight_of(y_in))
-    decomp = _load_decomp(block, args.decomp_file)
-    return block, result, w_eff, y_eff, decomp
+        if not (block.regular and block.integral):
+            raise UnsupportedBlock("the two-letter form needs a regular integral block")
+        w, y = w * longest_element(rs), w * y
+    return SumFormulaInput(block=block, w=w, y=y)
+
+
+def _orbit_param(inp: SumFormulaInput) -> WeylElement:
+    return inp.block.param_for_weight(inp.block.weight_of(inp.y))
+
+
+def _simple_vector(table: LayerTable) -> CharVector:
+    # layers_multiplicity_free checks that the sum vector's simple basis
+    # coefficients are exactly the depths it reports
+    return CharVector(SIMPLE, table.layers)
+
+
+def _payload(inp: SumFormulaInput, result: SumFormulaResult, table: LayerTable | None) -> dict:
+    return {
+        "w": word_text(inp.w),
+        "y": word_text(_orbit_param(inp)),
+        "verma": _vector_json(result.vector),
+        "simple": _vector_json(_simple_vector(table)) if table is not None else None,
+        "layers": _layers_json(table) if table is not None else None,
+        "zero_top": table.zero_top if table is not None else None,
+    }
+
+
+def _table_lines(table: LayerTable) -> list[str]:
+    return _layer_lines(table) + [f"zero top: {'yes' if table.zero_top else 'no'}"]
 
 
 def cmd_sum_formula(args, parser) -> int:
-    block, result, w, y, decomp = _sum_formula_data(args, parser)
-    simple_vec, table, blocked = _full_report(block, result, w, y, decomp)
+    inp = _resolve_input(args, parser)
+    # evaluated before the decomposition file is read: a y outside the
+    # block's orbit is reported as such whatever the file holds
+    result = sum_formula(inp)
+    block = inp.block
+    decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
+    try:
+        table, blocked = layers_multiplicity_free(inp, decomposition=decomp), None
+    except VermatwistError as exc:
+        table, blocked = None, exc
     if args.format == "json":
-        payload = {
-            "w": word_text(w),
-            "y": word_text(y),
-            "verma": _vector_json(result.vector),
-            "simple": _vector_json(simple_vec) if simple_vec is not None else None,
-            "layers": _layers_json(table) if table is not None else None,
-            "zero_top": table.zero_top if table is not None else None,
-        }
-        print(_dumps(payload))
+        print(_dumps(_payload(inp, result, table)))
         return 0
+    y = _orbit_param(inp)
     lines = ["sum formula"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")
-    lines.append(f"w = {word_text(w)}")
+    lines.append(f"w = {word_text(inp.w)}")
     lines.append(f"y = {word_text(y)}  (mu = {_weight_text(block.weight_of(y))})")
     lines.append("R+(mu): " + (" ".join(_root_text(b) for b in result.rplus_mu) or "-"))
     lines.append("R+(w): " + (" ".join(_root_text(b) for b in result.rplus_w) or "-"))
     lines.append(f"verma vector: {_vector_text(result.vector)}")
-    if blocked is None:
-        lines.append(f"simple vector: {_vector_text(simple_vec)}")
-        lines.append("layers:")
-        lines.extend(_layer_lines(table))
-        lines.append(f"zero top: {'yes' if table.zero_top else 'no'}")
-    else:
+    if table is None:
         lines.append(f"layers: unavailable ({type(blocked).__name__}: {blocked})")
+    else:
+        lines.append(f"simple vector: {_vector_text(_simple_vector(table))}")
+        lines.append("layers:")
+        lines.extend(_table_lines(table))
     print("\n".join(lines))
     return 0
 
 
 def cmd_layers(args, parser) -> int:
-    rs = _resolve_system(args, parser)
-    lam = _resolve_lambda(rs, args.lam)
-    block = make_block(rs, lam)
-    w = _resolve_element(rs, args.w)
-    y = _resolve_element(rs, args.y)
-    decomp = _load_decomp(block, args.decomp_file)
-    inp = SumFormulaInput(block=block, w=w, y=y)
+    inp = _resolve_input(args, parser)
+    block = inp.block
+    decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
+    # raises before the orbit parameter is resolved, so a nonintegral block
+    # is refused as such even when y lies outside its integral orbit
     table = layers_multiplicity_free(inp, decomposition=decomp)
-    result = sum_formula(inp)
-    y_param = block.param_for_weight(block.weight_of(y))
     if args.format == "json":
-        dm = decomp if decomp is not None else decomposition_matrix(block)
-        simple_vec = change_basis(block, result.vector, SIMPLE, dm)
-        payload = {
-            "w": word_text(w),
-            "y": word_text(y_param),
-            "verma": _vector_json(result.vector),
-            "simple": _vector_json(simple_vec),
-            "layers": _layers_json(table),
-            "zero_top": table.zero_top,
-        }
-        print(_dumps(payload))
+        print(_dumps(_payload(inp, sum_formula(inp), table)))
         return 0
-    lines = [f"layers of the twisted module at w = {word_text(w)}, y = {word_text(y_param)}"]
+    lines = [
+        f"layers of the twisted module at w = {word_text(inp.w)}, "
+        f"y = {word_text(_orbit_param(inp))}"
+    ]
     lines.append(f"block: lambda = {_weight_text(block.base)}")
-    lines.extend(_layer_lines(table))
-    lines.append(f"zero top: {'yes' if table.zero_top else 'no'}")
+    lines.extend(_table_lines(table))
     print("\n".join(lines))
     return 0
 

@@ -17,11 +17,22 @@ formula aligned with the simplicity dichotomy for the untwisted module.
 For w = e this is the classical Verma module sum formula; for w = w0 the
 two branches swap roles, which is the complementarity identity tested in
 the suite.
+
+Each reflected weight has a closed form: with n = <mu + rho, beta^vee>,
+the integer found while collecting R+(mu),
+
+    s_beta . mu = mu - n * beta,
+
+so :func:`sum_formula` builds no reflection matrix.  The two-letter form
+:func:`sum_formula_xy` keeps the literal route through the reflection
+matrix of each root and the dot action; it is the independent oracle that
+:func:`check_xy_consistency` and the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .characters import (
     SIMPLE,
@@ -32,8 +43,13 @@ from .characters import (
     change_basis,
     decomposition_matrix,
 )
-from .errors import MixedRootSystems, NotMultiplicityFree, UnsupportedBlock
-from .rootsystem import Root, Weight, pairing
+from .errors import (
+    BadDecompositionFile,
+    MixedRootSystems,
+    NotMultiplicityFree,
+    UnsupportedBlock,
+)
+from .rootsystem import Root, RootSystem, Weight, pairing
 from .weyl import WeylElement, dot_action, longest_element, reflection_through, word_text
 
 
@@ -102,16 +118,27 @@ class LayerTable:
         )
 
 
-def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
-    """Positive roots pairing to a strictly positive integer with mu + rho."""
-    rs = block.rs
+def _r_plus_pairings(rs: RootSystem, mu: Weight) -> list[tuple[Root, int]]:
+    """R+(mu) in root order, each root with its pairing against mu + rho."""
     shifted = mu + rs.rho
     out = []
     for beta in rs.positive_roots:
         value = pairing(rs, shifted, beta)
         if value.denominator == 1 and value > 0:
-            out.append(beta)
-    return tuple(out)
+            out.append((beta, int(value)))
+    return out
+
+
+def _dot_reflect(rs: RootSystem, mu: Weight, beta: Root, n: int | Fraction) -> Weight:
+    """s_beta . mu, given n = <mu + rho, beta^vee>."""
+    return Weight(
+        tuple(m - n * b for m, b in zip(mu.coords, rs.root_to_weight(beta).coords))
+    )
+
+
+def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
+    """Positive roots pairing to a strictly positive integer with mu + rho."""
+    return tuple(beta for beta, _ in _r_plus_pairings(block.rs, mu))
 
 
 def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
@@ -132,7 +159,7 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     block = inp.block
     rs = block.rs
     mu, y_param = _resolve_orbit_weight(inp)
-    rplus_mu = r_plus_of_weight(block, mu)
+    pairings = _r_plus_pairings(rs, mu)
     inversions = set(b.coords for b in inp.w.inversions)
 
     coeffs: dict[WeylElement, int] = {}
@@ -140,9 +167,8 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     def bump(param: WeylElement, c: int) -> None:
         coeffs[param] = coeffs.get(param, 0) + c
 
-    for beta in rplus_mu:
-        reflected = dot_action(rs, reflection_through(rs, beta), mu)
-        lower = block.param_for_weight(reflected)
+    for beta, n in pairings:
+        lower = block.param_for_weight(_dot_reflect(rs, mu, beta, n))
         if beta.coords in inversions:
             bump(y_param, 1)
             bump(lower, -1)
@@ -150,7 +176,7 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
             bump(lower, 1)
     return SumFormulaResult(
         vector=CharVector(VERMA, coeffs),
-        rplus_mu=rplus_mu,
+        rplus_mu=tuple(beta for beta, _ in pairings),
         rplus_w=inp.w.inversions,
     )
 
@@ -211,7 +237,9 @@ def layers_multiplicity_free(
     vector is exactly the filtration depth of that factor.  Raises
     ``NotMultiplicityFree`` otherwise, and ``UnsupportedBlock`` for
     singular or nonintegral blocks, where parameters merge and depths are
-    no longer attributable.
+    no longer attributable.  Raises ``BadDecompositionFile`` when the
+    decomposition matrix contradicts the sum formula: a simple factor
+    outside the composition series, or a negative depth.
     """
     block = inp.block
     if not (block.regular and block.integral):
@@ -237,11 +265,13 @@ def layers_multiplicity_free(
     simple_vec = change_basis(block, result.vector, SIMPLE, dm)
     support_set = set(support)
     for x in simple_vec.support():
-        assert x in support_set, (
-            f"sum formula hit {word_text(x)} outside the composition series"
-        )
+        if x not in support_set:
+            raise BadDecompositionFile(
+                f"sum formula hit {word_text(x)} outside the composition series"
+            )
     depths = {x: simple_vec.coeff(x) for x in support}
-    assert all(d >= 0 for d in depths.values()), "negative filtration depth"
+    if any(d < 0 for d in depths.values()):
+        raise BadDecompositionFile("negative filtration depth")
     return LayerTable(layers=depths, zero_top=all(d > 0 for d in depths.values()))
 
 

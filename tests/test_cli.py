@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vermatwist
+from vermatwist import build_root_system, longest_element, make_block, weight, word_text
 from vermatwist.cli import golden_b2_text, main, render_b2_table
 
 
@@ -248,6 +252,81 @@ def test_xy_route():
     assert data["w"] == "ts"
     assert data["y"] == "sts"
     assert data["verma"] == {"e": 1, "st": -1, "ts": 1, "sts": 1}
+
+
+def test_xy_is_the_direct_form_at_x_w0_and_xy():
+    rs = build_root_system("B2")
+    w0 = longest_element(rs)
+    params = make_block(rs, weight(-2, -2)).params
+    for x in params:
+        for y in params:
+            for fmt in ("table", "json"):
+                two_letter = run_cli(
+                    "sum-formula", "--type", "B2", "--xy",
+                    "--w", word_text(x), "--y", word_text(y), "--format", fmt,
+                )
+                direct = run_cli(
+                    "sum-formula", "--type", "B2",
+                    "--w", word_text(x * w0), "--y", word_text(x * y), "--format", fmt,
+                )
+                assert two_letter == direct, (word_text(x), word_text(y), fmt)
+
+
+def test_xy_refuses_a_singular_block():
+    code, out, err = run_cli(
+        "sum-formula", "--type", "B2", "--lambda", "-1,-2", "--w", "s", "--y", "t", "--xy"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: UnsupportedBlock: the two-letter form needs a regular integral block\n"
+
+
+def test_layers_refuses_a_nonintegral_block_before_resolving_y():
+    # s . lambda lies outside the integral orbit of this block; the block
+    # itself is the first thing refused
+    code, out, err = run_cli("layers", "--type", "A2", "--lambda=-1/2,-2", "--w", "e", "--y", "s")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: UnsupportedBlock: layer extraction is only supported in regular integral blocks\n"
+    )
+
+
+def _subprocess_cli(flags, *argv):
+    src = str(Path(vermatwist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "vermatwist.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_wrong_decomposition_matrix_is_refused(tmp_path, flags):
+    # the identity matrix passes the loader's own checks, but the B2
+    # Verma module of sts has six composition factors, not one
+    rs = build_root_system("B2")
+    params = [word_text(w) for w in make_block(rs, weight(-2, -2)).params]
+    n = len(params)
+    path = tmp_path / "identity.json"
+    path.write_text(
+        json.dumps({"params": params, "matrix": [[int(i == j) for j in range(n)] for i in range(n)]})
+    )
+    message = "BadDecompositionFile: sum formula hit e outside the composition series"
+    argv = ("--type", "B2", "--w", "st", "--y", "sts", "--decomp-file", str(path))
+    proc = _subprocess_cli(flags, "layers", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message}\n"
+    proc = _subprocess_cli(flags, "sum-formula", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == f"layers: unavailable ({message})"
+
+
+def test_b2_table_under_optimized_python():
+    proc = _subprocess_cli(("-O",), "b2-table")
+    assert proc.returncode == 0
+    assert proc.stdout == golden_b2_text()
 
 
 def test_output_is_deterministic():

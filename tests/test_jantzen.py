@@ -10,6 +10,7 @@ import pytest
 from fractions import Fraction
 
 from vermatwist import (
+    BadDecompositionFile,
     CharVector,
     DecompositionMatrix,
     LayerTable,
@@ -360,6 +361,26 @@ def test_layers_with_multiplicity_raise():
     with pytest.raises(NotMultiplicityFree):
         layers_multiplicity_free(
             SumFormulaInput(block=B2, w=B2.params[0], y=w0), decomposition=fake
+        )
+
+
+def test_layers_refuse_a_wrong_decomposition_matrix():
+    # both matrices pass the loader's checks but contradict the sum formula
+    dm = decomposition_matrix(B2)
+    n = len(dm.params)
+    identity = DecompositionMatrix(
+        dm.params, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    )
+    with pytest.raises(BadDecompositionFile, match="hit e outside the composition series"):
+        layers_multiplicity_free(
+            SumFormulaInput(block=B2, w=el(B2, "st"), y=el(B2, "sts")), decomposition=identity
+        )
+    rows = [list(r) for r in dm.rows]
+    rows[1][0] = 2  # [M(s) : L(e)] = 2 drives a depth below zero
+    doubled = DecompositionMatrix(dm.params, tuple(tuple(r) for r in rows))
+    with pytest.raises(BadDecompositionFile, match="negative filtration depth"):
+        layers_multiplicity_free(
+            SumFormulaInput(block=B2, w=el(B2, "st"), y=el(B2, "st")), decomposition=doubled
         )
 
 

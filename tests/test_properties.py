@@ -1,0 +1,95 @@
+"""Property tests: the closed-form reflections of the sum formula.
+
+``sum_formula`` reflects each orbit weight as s_beta . mu = mu - n * beta
+with n = <mu + rho, beta^vee>.  These tests compare it with the literal
+route, the reflection matrix of beta pushed through the dot action, on
+random weights and on random (w, y) in rank 3 and rank 4 blocks.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vermatwist import (
+    CARTAN_BY_LABEL,
+    VERMA,
+    CharVector,
+    SumFormulaInput,
+    Weight,
+    all_elements,
+    build_root_system,
+    dot_action,
+    make_block,
+    pairing,
+    r_plus_of_weight,
+    reflection_through,
+    sum_formula,
+    weight,
+)
+from vermatwist.jantzen import _dot_reflect
+
+
+@st.composite
+def weights(draw, rank):
+    """Integral, half-integral, or integral and singular (a coordinate of -1)."""
+    kind = draw(st.sampled_from(("integral", "half", "singular")))
+    coords = [draw(st.integers(-6, 6)) for _ in range(rank)]
+    if kind == "half":
+        return Weight(tuple(Fraction(2 * c + 1, 2) for c in coords))
+    if kind == "singular":
+        coords[draw(st.integers(0, rank - 1))] = -1
+    return Weight(tuple(Fraction(c) for c in coords))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_form_reflection_is_the_dot_action(data):
+    rs = build_root_system(data.draw(st.sampled_from(sorted(CARTAN_BY_LABEL))))
+    mu = data.draw(weights(rs.rank))
+    beta = data.draw(st.sampled_from(rs.positive_roots))
+    n = pairing(rs, mu + rs.rho, beta)
+    assert _dot_reflect(rs, mu, beta, n) == dot_action(rs, reflection_through(rs, beta), mu)
+
+
+# regular integral, singular integral and regular nonintegral base weights
+BASES = {
+    "B3": ((-2, -2, -2), (-1, -2, -2), (Fraction(-1, 2), -2, -2)),
+    "F4": ((-2, -2, -2, -2), (-2, -2, -2, -1), (Fraction(-1, 2), -2, -2, -2)),
+}
+
+
+@cache
+def block(label, index):
+    return make_block(build_root_system(label), weight(*BASES[label][index]))
+
+
+def reflection_matrix_sum(blk, w, y):
+    """The sum formula with every reflected weight taken through a reflection matrix."""
+    rs = blk.rs
+    mu = blk.weight_of(y)
+    top = blk.param_for_weight(mu)
+    inversions = {b.coords for b in w.inversions}
+    out = CharVector(VERMA)
+    for beta in r_plus_of_weight(blk, mu):
+        lower = blk.param_for_weight(dot_action(rs, reflection_through(rs, beta), mu))
+        if beta.coords in inversions:
+            out = out + CharVector(VERMA, {top: 1}) - CharVector(VERMA, {lower: 1})
+        else:
+            out = out + CharVector(VERMA, {lower: 1})
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_formula_matches_reflection_matrices(data):
+    label = data.draw(st.sampled_from(sorted(BASES)))
+    blk = block(label, data.draw(st.integers(0, len(BASES[label]) - 1)))
+    group = all_elements(blk.rs)
+    w = group[data.draw(st.integers(0, len(group) - 1))]
+    # y must lie in the integral Weyl group for its weight to be in the orbit
+    y = blk.group[data.draw(st.integers(0, len(blk.group) - 1))]
+    got = sum_formula(SumFormulaInput(block=blk, w=w, y=y))
+    assert got.vector == reflection_matrix_sum(blk, w, y)
+    assert got.rplus_mu == r_plus_of_weight(blk, blk.weight_of(y))
