@@ -25,11 +25,13 @@ from .errors import (
     BadDecompositionFile,
     GroupTooLarge,
     IndexOutOfRange,
+    InvariantViolated,
     MixedRootSystems,
     NeedsUserMatrix,
     NotAntidominant,
     NotARoot,
     NotFiniteType,
+    NotInBlockOrbit,
     NotMultiplicityFree,
     TruncationTooSmall,
     UnsupportedBlock,

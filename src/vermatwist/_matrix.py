@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantViolated
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -43,7 +45,8 @@ def to_int_matrix(a: Matrix) -> tuple[tuple[int, ...], ...]:
     for row in a:
         int_row = []
         for x in row:
-            assert Fraction(x).denominator == 1, f"expected integer entry, got {x}"
+            if Fraction(x).denominator != 1:
+                raise InvariantViolated(f"expected integer entry, got {x}")
             int_row.append(int(x))
         out.append(tuple(int_row))
     return tuple(out)

@@ -24,6 +24,7 @@ from .errors import (
     BadDecompositionFile,
     NeedsUserMatrix,
     NotAntidominant,
+    NotInBlockOrbit,
     UnsupportedBlock,
 )
 from .rootsystem import (
@@ -165,7 +166,7 @@ class BlockContext:
         try:
             return self._param_by_weight[mu]
         except KeyError:
-            raise ValueError(f"{mu!r} is not in the block orbit") from None
+            raise NotInBlockOrbit(f"{mu!r} is not in the block orbit") from None
 
     def contains_param(self, w: WeylElement) -> bool:
         return w in self._param_set

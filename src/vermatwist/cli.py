@@ -38,10 +38,10 @@ from .sl2lab import (
 from .weyl import (
     WeylElement,
     all_elements,
-    bruhat_leq,
     element_from_word,
     longest_element,
     parse_word_text,
+    reflection_through,
     word_text,
 )
 
@@ -264,11 +264,13 @@ def cmd_weyl(args, parser) -> int:
     rs = _resolve_system(args, parser)
     elements = all_elements(rs)
     w0 = longest_element(rs)
+    # x is covered by y iff x = y * t for a reflection t and l(x) = l(y) - 1
+    reflections = [reflection_through(rs, beta) for beta in rs.positive_roots]
+    index = {w: k for k, w in enumerate(elements)}
     covers = []
     for y in elements:
-        for x in elements:
-            if x.length + 1 == y.length and bruhat_leq(x, y):
-                covers.append((x, y))
+        below = sorted(index[y * t] for t in reflections)
+        covers.extend((elements[k], y) for k in below if elements[k].length + 1 == y.length)
     if args.format == "json":
         payload = {
             "type": rs.label,

@@ -54,3 +54,11 @@ class UnsupportedBlock(VermatwistError):
 
 class TruncationTooSmall(VermatwistError):
     """The truncation order is too small to certify the requested check."""
+
+
+class NotInBlockOrbit(VermatwistError, ValueError):
+    """A weight or parameter lies outside the block's integral Weyl orbit."""
+
+
+class InvariantViolated(VermatwistError):
+    """An internal invariant failed; checked by a raise so ``python -O`` keeps it."""

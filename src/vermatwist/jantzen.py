@@ -46,6 +46,7 @@ from .characters import (
 from .errors import (
     BadDecompositionFile,
     MixedRootSystems,
+    NotInBlockOrbit,
     NotMultiplicityFree,
     UnsupportedBlock,
 )
@@ -146,7 +147,12 @@ def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
     if inp.mu is not None:
         return inp.mu, block.param_for_weight(inp.mu)
     mu = block.weight_of(inp.y)
-    return mu, block.param_for_weight(mu)
+    try:
+        return mu, block.param_for_weight(mu)
+    except NotInBlockOrbit:
+        raise NotInBlockOrbit(
+            f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
+        ) from None
 
 
 def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantViolated
+
 Poly = tuple[Fraction, ...]
 
 
@@ -48,7 +50,8 @@ def _p_scale(a: Poly, c: Fraction) -> Poly:
 
 
 def _p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    assert b, "polynomial division by zero"
+    if not b:
+        raise InvariantViolated("polynomial division by zero")
     quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     rest = list(a)
     inv_lead = 1 / b[-1]

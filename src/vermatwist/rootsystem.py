@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _matrix
-from .errors import NotARoot, NotFiniteType
+from .errors import InvariantViolated, NotARoot, NotFiniteType
 
 #: Cartan matrices for the built-in type labels.  Indexing follows the
 #: module convention above.  For B2 the first simple root is the short one.
@@ -220,7 +220,6 @@ class RootSystem:
         )
         # internal caches filled lazily by this module and by weyl.py
         self._kostant_memo: dict = {}
-        self._bruhat_memo: dict = {}
         self._elements_cache = None
         self._longest_cache = None
 
@@ -327,7 +326,8 @@ def coroot_pairing_roots(rs: RootSystem, gamma: Root, beta: Root) -> int:
     """Pairing of the root ``gamma`` against the coroot of ``beta``."""
     _check_root(rs, beta)
     value = 2 * rs.form(gamma.coords, beta.coords) / rs.form(beta.coords, beta.coords)
-    assert value.denominator == 1, "root paired against a coroot must be integral"
+    if value.denominator != 1:
+        raise InvariantViolated("root paired against a coroot must be integral")
     return int(value)
 
 

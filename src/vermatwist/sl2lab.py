@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TruncationTooSmall
+from .errors import InvariantViolated, TruncationTooSmall
 from .localring import LocalRingElem, constant, one, variable
 
 VERMA_TO_DUAL = "verma_to_dual"
@@ -58,7 +58,8 @@ class WeightMap:
         vals = []
         for entry in self.entries:
             v = entry.valuation()
-            assert v != float("inf"), "weight map entries must be nonzero"
+            if v == float("inf"):
+                raise InvariantViolated("weight map entries must be nonzero")
             vals.append(int(v))
         return tuple(vals)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _matrix
-from .errors import GroupTooLarge, IndexOutOfRange, MixedRootSystems
+from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
 from .rootsystem import Root, RootSystem, Weight, coroot_pairing_roots
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -82,21 +82,14 @@ class WeylElement:
 
         Peeling off the smallest left descent at every step yields the
         lexicographically smallest reduced word; all reduced words share
-        the same length, so this is also the ShortLex minimum.
+        the same length, so this is also the ShortLex minimum.  The left
+        descents of w are the right descents of w^{-1}.
         """
-        n = self.rs.rank
-        inv = self.inv_mat
-        ident = _int_identity(n)
         letters: list[int] = []
-        while inv != ident:
-            for i in range(n):
-                # column i of inv is w^{-1}(a_i); negative iff coordinate sum < 0
-                if sum(inv[r][i] for r in range(n)) < 0:
-                    letters.append(i + 1)
-                    inv = _int_mul(inv, _simple_matrix(self.rs, i))
-                    break
-            else:
-                raise AssertionError("no left descent found for a non-identity element")
+        rest = self.inverse()
+        while descents := rest.right_descents():
+            letters.append(descents[0])
+            rest = rest * simple_reflection(self.rs, descents[0])
         return tuple(letters)
 
     @cached_property
@@ -121,12 +114,9 @@ class WeylElement:
         return self.length == 0
 
     def right_descents(self) -> tuple[int, ...]:
-        """1-based indices i with l(w s_i) < l(w)."""
-        out = []
-        for i in range(self.rs.rank):
-            if sum(self.mat[r][i] for r in range(self.rs.rank)) < 0:
-                out.append(i + 1)
-        return tuple(out)
+        """1-based indices i with l(w s_i) < l(w), i.e. w(a_i) negative."""
+        n = self.rs.rank
+        return tuple(i + 1 for i in range(n) if sum(self.mat[r][i] for r in range(n)) < 0)
 
 
 def _same_system(a: WeylElement, b: WeylElement) -> None:
@@ -181,15 +171,9 @@ def longest_element(rs: RootSystem) -> WeylElement:
     """The longest element, by greedy ascent through right multiplication."""
     if rs._longest_cache is None:
         w = identity_element(rs)
-        n = rs.rank
-        while True:
-            for i in range(n):
-                # ascent iff w(a_i) stays positive
-                if sum(w.mat[r][i] for r in range(n)) > 0:
-                    w = w * simple_reflection(rs, i + 1)
-                    break
-            else:
-                break
+        while len(descents := w.right_descents()) < rs.rank:
+            ascent = next(i for i in range(1, rs.rank + 1) if i not in descents)
+            w = w * simple_reflection(rs, ascent)
         rs._longest_cache = w
     return rs._longest_cache
 
@@ -222,32 +206,23 @@ def all_elements(rs: RootSystem, bound: int = 1_000_000) -> tuple[WeylElement, .
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
-    """Bruhat order test via the standard lifting recursion, memoized.
+    """Bruhat order test by the lifting property, with no cache.
 
-    With s the smallest left descent of y: if sx < x then x <= y iff
-    sx <= sy, otherwise x <= y iff x <= sy.
+    With s the smallest right descent of y: if xs < x then x <= y iff
+    xs <= ys, otherwise x <= y iff x <= ys.  Each step shortens y by one,
+    so a call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
     """
     _same_system(x, y)
-    rs = x.rs
-    memo = rs._bruhat_memo
-
-    def rec(a: WeylElement, b: WeylElement) -> bool:
-        if a.length > b.length:
-            return False
-        if a.length == 0 or a == b:
-            return True
-        key = (a.mat, b.mat)
-        if key not in memo:
-            s = simple_reflection(rs, b.word[0])
-            sb = s * b
-            sa = s * a
-            if sa.length < a.length:
-                memo[key] = rec(sa, sb)
-            else:
-                memo[key] = rec(a, sb)
-        return memo[key]
-
-    return rec(x, y)
+    gap = y.length - x.length
+    while gap > 0:
+        i = y.right_descents()[0]
+        s = simple_reflection(y.rs, i)
+        y = y * s
+        if i in x.right_descents():
+            x = x * s
+        else:
+            gap -= 1
+    return gap == 0 and x == y
 
 
 def reflection_through(rs: RootSystem, beta: Root) -> WeylElement:
@@ -319,7 +294,8 @@ def root_sequence_through(rs: RootSystem, w: WeylElement) -> RootSequence:
     tail = (w * w0).word
     letters = head + tail
     n = w.length
-    assert len(letters) == w0.length, "length additivity failed for the w0 word"
+    if len(letters) != w0.length:
+        raise InvariantViolated("length additivity failed for the w0 word")
 
     betas: list[Root] = []
     prefix = identity_element(rs)
@@ -331,12 +307,10 @@ def root_sequence_through(rs: RootSystem, w: WeylElement) -> RootSequence:
         betas.append(Root(image))
         prefix = prefix * simple_reflection(rs, letter)
 
-    assert {b.coords for b in betas} == {b.coords for b in rs.positive_roots}, (
-        "root sequence does not enumerate the positive roots"
-    )
-    assert {b.coords for b in betas[:n]} == {b.coords for b in w.inversions}, (
-        "root sequence prefix does not match the inversion set"
-    )
+    if {b.coords for b in betas} != {b.coords for b in rs.positive_roots}:
+        raise InvariantViolated("root sequence does not enumerate the positive roots")
+    if {b.coords for b in betas[:n]} != {b.coords for b in w.inversions}:
+        raise InvariantViolated("root sequence prefix does not match the inversion set")
     return RootSequence(word=letters, betas=tuple(betas), split=n)
 
 

@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import vermatwist
-from vermatwist import build_root_system, longest_element, make_block, weight, word_text
+from vermatwist import (
+    all_elements,
+    bruhat_leq,
+    build_root_system,
+    longest_element,
+    make_block,
+    weight,
+    word_text,
+)
 from vermatwist.cli import golden_b2_text, main, render_b2_table
 
 
@@ -361,3 +369,50 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden_b2_text()
+
+
+def test_sum_formula_names_a_y_outside_the_integral_weyl_group():
+    # s is not in the integral Weyl group of this nonintegral A2 block
+    code, out, err = run_cli(
+        "sum-formula", "--type", "A2", "--lambda=-1/2,-2", "--w", "e", "--y", "s"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: NotInBlockOrbit: y = s lies outside the block's integral Weyl group\n"
+
+
+def _pairwise_covers(rs):
+    elements = all_elements(rs)
+    return [
+        [word_text(x), word_text(y)]
+        for y in elements
+        for x in elements
+        if x.length + 1 == y.length and bruhat_leq(x, y)
+    ]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        "A1", "A2", "B2", "G2", "A3", "B3", "C3",
+        [[2, 0], [0, 2]],
+        [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+    ],
+    ids=["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1", "A1xB2"],
+)
+def test_weyl_covers_match_the_pairwise_definition(tmp_path, system):
+    if isinstance(system, str):
+        flags = ("--type", system)
+    else:
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"rank": len(system), "matrix": system}))
+        flags = ("--cartan-file", str(path))
+    code, out, err = run_cli("weyl", *flags, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["covers"] == _pairwise_covers(build_root_system(system))
+
+
+def test_weyl_cover_counts_rank_4():
+    for label, count in (("D4", 790), ("B4", 1740)):
+        code, out, err = run_cli("weyl", "--type", label, "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["covers"]) == count, label

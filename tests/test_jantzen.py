@@ -15,6 +15,7 @@ from vermatwist import (
     DecompositionMatrix,
     LayerTable,
     MixedRootSystems,
+    NotInBlockOrbit,
     NotMultiplicityFree,
     SumFormulaInput,
     UnsupportedBlock,
@@ -410,3 +411,12 @@ def test_layer_table_equality_and_lookup():
     with pytest.raises(KeyError):
         a.depth_of(el(B2, "w0"))
     assert isinstance(a, LayerTable)
+
+
+def test_y_outside_the_integral_weyl_group_is_named():
+    rs = build_root_system("A2")
+    block = make_block(rs, weight(Fraction(-1, 2), -2))
+    inp = SumFormulaInput(block=block, w=element_from_word(rs, ()), y=element_from_word(rs, (1,)))
+    with pytest.raises(NotInBlockOrbit, match=r"^y = s lies outside") as info:
+        sum_formula(inp)
+    assert isinstance(info.value, ValueError)

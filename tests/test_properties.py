@@ -1,9 +1,13 @@
-"""Property tests: the closed-form reflections of the sum formula.
+"""Property tests: the closed-form reflections of the sum formula, and
+the symmetries of the Bruhat order.
 
 ``sum_formula`` reflects each orbit weight as s_beta . mu = mu - n * beta
 with n = <mu + rho, beta^vee>.  These tests compare it with the literal
 route, the reflection matrix of beta pushed through the dot action, on
 random weights and on random (w, y) in rank 3 and rank 4 blocks.
+
+``bruhat_leq`` must respect inversion, x <= y iff x^{-1} <= y^{-1}, and
+reverse under right multiplication by w0, x <= y iff y w0 <= x w0.
 """
 
 from fractions import Fraction
@@ -19,8 +23,11 @@ from vermatwist import (
     SumFormulaInput,
     Weight,
     all_elements,
+    bruhat_leq,
     build_root_system,
     dot_action,
+    element_from_word,
+    longest_element,
     make_block,
     pairing,
     r_plus_of_weight,
@@ -93,3 +100,22 @@ def test_sum_formula_matches_reflection_matrices(data):
     got = sum_formula(SumFormulaInput(block=blk, w=w, y=y))
     assert got.vector == reflection_matrix_sum(blk, w, y)
     assert got.rplus_mu == r_plus_of_weight(blk, blk.weight_of(y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bruhat_order_symmetries(data):
+    rs = build_root_system(data.draw(st.sampled_from(("B4", "F4"))))
+    group = all_elements(rs)
+    y = group[data.draw(st.integers(0, len(group) - 1))]
+    if data.draw(st.booleans()):
+        x = group[data.draw(st.integers(0, len(group) - 1))]
+    else:
+        # a product of a subword of a reduced word of y lies below y
+        keep = data.draw(st.lists(st.booleans(), min_size=y.length, max_size=y.length))
+        x = element_from_word(rs, tuple(i for i, k in zip(y.word, keep) if k))
+        assert bruhat_leq(x, y)
+    w0 = longest_element(rs)
+    below = bruhat_leq(x, y)
+    assert bruhat_leq(x.inverse(), y.inverse()) == below
+    assert bruhat_leq(y * w0, x * w0) == below

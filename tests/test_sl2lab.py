@@ -1,8 +1,14 @@
 """Deformed rank 1 laboratory: the two canonical maps and their checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import vermatwist
 
 from vermatwist import (
     DUAL_TO_VERMA,
@@ -150,3 +156,27 @@ def test_truncated_window_equivariance():
     # that are equivariant everywhere
     p = phi(2, 10)
     assert check_equivariance(p, truncation=5)
+
+
+ZERO_ENTRY_VALUATIONS = """
+from vermatwist import VERMA_TO_DUAL, WeightMap, zero
+try:
+    WeightMap(0, 0, VERMA_TO_DUAL, (zero(),)).valuations()
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])
+def test_zero_entry_valuations_refused_under_both_interpreter_modes(flags):
+    src = str(Path(vermatwist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", ZERO_ENTRY_VALUATIONS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "InvariantViolated: weight map entries must be nonzero\n"

@@ -220,6 +220,26 @@ def test_bruhat_basic_properties():
         assert bruhat_leq(w, w)
 
 
+def test_bruhat_is_the_closure_of_reflection_covers_d4():
+    # x is covered by y iff x = y t for a reflection t and l(x) = l(y) - 1;
+    # the Bruhat order is the reflexive transitive closure of that relation
+    rs = build_root_system("D4")
+    elems = all_elements(rs)
+    index = {w: k for k, w in enumerate(elems)}
+    reflections = [reflection_through(rs, beta) for beta in rs.positive_roots]
+    down = []  # bit k of down[j] is set iff elems[k] <= elems[j]
+    for j, y in enumerate(elems):
+        below = 1 << j
+        for t in reflections:
+            k = index[y * t]
+            if elems[k].length + 1 == y.length:
+                below |= down[k]
+        down.append(below)
+    for j, y in enumerate(elems):
+        for k, x in enumerate(elems):
+            assert bruhat_leq(x, y) == bool(down[j] >> k & 1), (x.word, y.word)
+
+
 def test_root_sequence_through_all_elements():
     for label in ("A2", "B2", "G2"):
         rs = build_root_system(label)
