@@ -21,12 +21,15 @@ from .jantzen import (
     LayerTable,
     SumFormulaInput,
     SumFormulaResult,
+    _layer_matrix,
+    _layer_table,
     layers_multiplicity_free,
     sum_formula,
 )
 from .rootsystem import Root, RootSystem, Weight, build_root_system
 from .sl2lab import (
     DEFAULT_TRUNCATION,
+    MAX_TRUNCATION,
     check_equivariance,
     coker_check_over_A,
     four_term_rank_check,
@@ -142,7 +145,7 @@ def _orbit_param(inp: SumFormulaInput) -> WeylElement:
 
 
 def _simple_vector(table: LayerTable) -> CharVector:
-    # layers_multiplicity_free checks that the sum vector's simple basis
+    # _layer_table checks that the sum vector's simple basis
     # coefficients are exactly the depths it reports
     return CharVector(SIMPLE, table.layers)
 
@@ -170,7 +173,7 @@ def cmd_sum_formula(args, parser) -> int:
     block = inp.block
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
     try:
-        table, blocked = layers_multiplicity_free(inp, decomposition=decomp), None
+        table, blocked = _layer_table(inp, result, _layer_matrix(block, decomp)), None
     except VermatwistError as exc:
         table, blocked = None, exc
     if args.format == "json":
@@ -200,9 +203,11 @@ def cmd_layers(args, parser) -> int:
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
     # raises before the orbit parameter is resolved, so a nonintegral block
     # is refused as such even when y lies outside its integral orbit
-    table = layers_multiplicity_free(inp, decomposition=decomp)
+    dm = _layer_matrix(block, decomp)
+    result = sum_formula(inp)
+    table = _layer_table(inp, result, dm)
     if args.format == "json":
-        print(_dumps(_payload(inp, sum_formula(inp), table)))
+        print(_dumps(_payload(inp, result, table)))
         return 0
     lines = [
         f"layers of the twisted module at w = {word_text(inp.w)}, "
@@ -312,6 +317,8 @@ def cmd_sl2(args, parser) -> int:
     trunc = args.trunc
     if trunc < 1:
         parser.error("--trunc must be at least 1")
+    if trunc > MAX_TRUNCATION:
+        parser.error(f"--trunc must be at most {MAX_TRUNCATION}")
     which = args.check
     natural = is_natural(lam)
 

@@ -247,12 +247,26 @@ def layers_multiplicity_free(
     decomposition matrix contradicts the sum formula: a simple factor
     outside the composition series, or a negative depth.
     """
-    block = inp.block
+    dm = _layer_matrix(inp.block, decomposition)
+    return _layer_table(inp, sum_formula(inp), dm)
+
+
+def _layer_matrix(
+    block: BlockContext, decomposition: DecompositionMatrix | None
+) -> DecompositionMatrix:
+    """The refusals that come before the sum formula: the block, then the matrix."""
     if not (block.regular and block.integral):
         raise UnsupportedBlock(
             "layer extraction is only supported in regular integral blocks"
         )
-    dm = decomposition if decomposition is not None else decomposition_matrix(block)
+    return decomposition if decomposition is not None else decomposition_matrix(block)
+
+
+def _layer_table(
+    inp: SumFormulaInput, result: SumFormulaResult, dm: DecompositionMatrix
+) -> LayerTable:
+    """The layer table of ``layers_multiplicity_free``, from its sum formula ``result``."""
+    block = inp.block
     _, y_param = _resolve_orbit_weight(inp)
 
     support = []
@@ -267,7 +281,6 @@ def layers_multiplicity_free(
             )
         support.append(x)
 
-    result = sum_formula(inp)
     simple_vec = change_basis(block, result.vector, SIMPLE, dm)
     support_set = set(support)
     for x in simple_vec.support():

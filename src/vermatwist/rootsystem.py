@@ -10,6 +10,9 @@ Conventions used throughout the package:
   basis, so ``lam.coords[i]`` equals the pairing of ``lam`` against the
   i-th simple coroot.
 * ``rho`` is the weight with every coordinate equal to 1.
+* ``rs.coroot(b)`` is the coroot ``2 b / (b, b)`` of the root with simple
+  root coordinates b, in integer simple coroot coordinates c, so that
+  ``<lam, b^vee> = sum(c_i * lam.coords[i])``.
 
 Root systems are interned: building twice from equal Cartan data returns
 the same object, so identity comparison is meaningful and cheap.
@@ -214,7 +217,15 @@ class RootSystem:
         self.symmetrizer = _symmetrizer(cartan)
         self.positive_roots = _generate_positive_roots(cartan)
         self.rho = Weight(tuple(Fraction(1) for _ in range(self.rank)))
-        self._positive_set = frozenset(r.coords for r in self.positive_roots)
+        # a_i^vee = a_i / d_i, so beta^vee = sum 2 d_i beta_i / (beta, beta) a_i^vee
+        self._coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for beta in self.positive_roots:
+            norm = self.form(beta.coords, beta.coords)
+            coroot = [2 * d * b / norm for d, b in zip(self.symmetrizer, beta.coords)]
+            if any(c.denominator != 1 for c in coroot):
+                raise InvariantViolated(f"coroot of {beta!r} is not integral: {coroot}")
+            self._coroots[beta.coords] = tuple(int(c) for c in coroot)
+            self._coroots[(-beta).coords] = tuple(-int(c) for c in coroot)
         self._cartan_inv = _matrix.invert(
             tuple(tuple(Fraction(x) for x in row) for row in cartan)
         )
@@ -228,7 +239,14 @@ class RootSystem:
         return f"RootSystem({name}, {len(self.positive_roots)} positive roots)"
 
     def is_root(self, coords: tuple[int, ...]) -> bool:
-        return coords in self._positive_set or tuple(-c for c in coords) in self._positive_set
+        return coords in self._coroots
+
+    def coroot(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """Simple coroot coordinates of the coroot of ``coords``; ``NotARoot`` if no root."""
+        try:
+            return self._coroots[coords]
+        except (KeyError, TypeError):
+            raise NotARoot(f"{coords!r} is not a root of {self!r}") from None
 
     def form(self, x: tuple, y: tuple) -> Fraction:
         """Invariant symmetric form on root coordinates.
@@ -297,11 +315,10 @@ def build_root_system(cartan) -> RootSystem:
     return _REGISTRY[matrix]
 
 
-def _check_root(rs: RootSystem, beta: Root) -> None:
+def _coroot_of(rs: RootSystem, beta: Root) -> tuple[int, ...]:
     if not isinstance(beta, Root):
         raise NotARoot(f"expected a Root, got {beta!r}")
-    if len(beta.coords) != rs.rank or not rs.is_root(beta.coords):
-        raise NotARoot(f"{beta!r} is not a root of {rs!r}")
+    return rs.coroot(beta.coords)
 
 
 def pairing(rs: RootSystem, lam: Weight, beta: Root) -> Fraction:
@@ -314,21 +331,12 @@ def pairing(rs: RootSystem, lam: Weight, beta: Root) -> Fraction:
     >>> pairing(rs, rs.rho, Root((2, 1)))
     Fraction(2, 1)
     """
-    _check_root(rs, beta)
-    d = rs.symmetrizer
-    numerator = sum(
-        Fraction(beta.coords[i] * d[i]) * lam.coords[i] for i in range(rs.rank)
-    )
-    return 2 * numerator / rs.form(beta.coords, beta.coords)
+    return sum(c * m for c, m in zip(_coroot_of(rs, beta), lam.coords, strict=True) if c)
 
 
 def coroot_pairing_roots(rs: RootSystem, gamma: Root, beta: Root) -> int:
     """Pairing of the root ``gamma`` against the coroot of ``beta``."""
-    _check_root(rs, beta)
-    value = 2 * rs.form(gamma.coords, beta.coords) / rs.form(beta.coords, beta.coords)
-    if value.denominator != 1:
-        raise InvariantViolated("root paired against a coroot must be integral")
-    return int(value)
+    return int(pairing(rs, rs.root_to_weight(gamma), beta))
 
 
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightClassification:

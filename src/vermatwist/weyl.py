@@ -12,12 +12,10 @@ words are tuples like ``(1, 2, 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from . import _matrix
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import Root, RootSystem, Weight, coroot_pairing_roots
+from .rootsystem import Root, RootSystem, Weight, _coroot_of
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -66,8 +64,16 @@ class WeylElement:
 
     @cached_property
     def inv_mat(self) -> IntMatrix:
-        frac = _matrix.invert(tuple(tuple(Fraction(x) for x in row) for row in self.mat))
-        return _matrix.to_int_matrix(frac)
+        # column i is the positive root that w sends to +-a_i, times that sign
+        columns = {}
+        for beta in self.rs.positive_roots:
+            image = _act(self.mat, beta.coords)
+            if sum(map(abs, image)) == 1:
+                sign = sum(image)
+                columns[image.index(sign)] = tuple(sign * c for c in beta.coords)
+        if len(columns) != self.rs.rank:
+            raise InvariantViolated("some simple root is not the image of a root")
+        return tuple(zip(*(columns[i] for i in range(self.rs.rank))))
 
     @cached_property
     def length(self) -> int:
@@ -227,32 +233,30 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
 
 def reflection_through(rs: RootSystem, beta: Root) -> WeylElement:
     """The reflection attached to the (positive or negative) root beta."""
+    # column j is a_j - <a_j, beta^vee> beta
     n = rs.rank
-    columns = []
-    for j in range(n):
-        alpha_j = Root(tuple(1 if k == j else 0 for k in range(n)))
-        c = coroot_pairing_roots(rs, alpha_j, beta)
-        columns.append(tuple((1 if r == j else 0) - c * beta.coords[r] for r in range(n)))
-    mat = tuple(tuple(columns[j][r] for j in range(n)) for r in range(n))
+    c = _coroot_of(rs, beta)
+    shift = [sum(c[i] * rs.cartan[i][j] for i in range(n)) for j in range(n)]
+    mat = tuple(
+        tuple((1 if r == j else 0) - shift[j] * beta.coords[r] for j in range(n)) for r in range(n)
+    )
     return WeylElement(rs, mat)
 
 
 def weight_action(w: WeylElement, lam: Weight) -> Weight:
     """Natural (unshifted) action of w on a weight, exactly.
 
-    Derived from the action on root coordinates by transport through the
-    invariant form; for a simple reflection it reduces to
-    ``s_i(lam) = lam - lam.coords[i] * a_i``.
+    Coordinate i is <w(lam), a_i^vee> = <lam, (w^{-1} a_i)^vee>, the
+    pairing of lam with the coroot of column i of ``inv_mat``; for a
+    simple reflection it reduces to ``s_i(lam) = lam - lam.coords[i] * a_i``.
     """
-    rs = w.rs
-    d = rs.symmetrizer
-    inv = w.inv_mat
     m = lam.coords
-    coords = tuple(
-        sum((Fraction(d[j], d[i]) * inv[j][i] * m[j] for j in range(rs.rank)), Fraction(0))
-        for i in range(rs.rank)
+    return Weight(
+        tuple(
+            sum(c * x for c, x in zip(w.rs.coroot(column), m, strict=True) if c)
+            for column in zip(*w.inv_mat)
+        )
     )
-    return Weight(coords)
 
 
 def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:

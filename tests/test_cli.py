@@ -416,3 +416,41 @@ def test_weyl_cover_counts_rank_4():
         code, out, err = run_cli("weyl", "--type", label, "--format", "json")
         assert code == 0
         assert len(json.loads(out)["covers"]) == count, label
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sum-formula", "--type", "B2", "--w", "st", "--y", "sts"),
+        ("sum-formula", "--type", "B2", "--w", "st", "--y", "sts", "--format", "json"),
+        ("layers", "--type", "B2", "--w", "st", "--y", "sts", "--format", "json"),
+        ("layers", "--type", "B2", "--w", "st", "--y", "sts"),
+    ],
+    ids=["sum-formula", "sum-formula-json", "layers-json", "layers"],
+)
+def test_one_sum_formula_evaluation_per_run(monkeypatch, argv):
+    from vermatwist import cli, jantzen
+
+    calls = []
+    real = jantzen.sum_formula
+
+    def counted(inp):
+        calls.append(inp)
+        return real(inp)
+
+    monkeypatch.setattr(jantzen, "sum_formula", counted)
+    monkeypatch.setattr(cli, "sum_formula", counted)
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
+def test_sl2_truncation_bound():
+    from vermatwist.sl2lab import MAX_TRUNCATION
+
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sl2", "--lambda", "3", "--trunc", str(MAX_TRUNCATION + 1))
+    assert exc.value.code == 2
+    code, out, err = run_cli("sl2", "--lambda", "-1/2", "--check", "phi", "--trunc", str(MAX_TRUNCATION))
+    assert (code, err) == (0, "")
+    assert "phi equivariance: pass" in out

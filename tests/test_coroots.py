@@ -1,0 +1,171 @@
+"""The integer coroot table against the invariant form it replaces.
+
+Every root system keeps one table of coroots in simple coroot coordinates,
+and pairings, reflections, the weight action and Weyl inverses are read
+off it.  The oracles here are the rational formulas the table replaced:
+``2 (x, beta) / (beta, beta)`` through ``rs.form``, the transport of the
+root action through the symmetrizer, and Gaussian elimination.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vermatwist import (
+    CARTAN_BY_LABEL,
+    InvariantViolated,
+    NotARoot,
+    Root,
+    Weight,
+    WeylElement,
+    all_elements,
+    build_root_system,
+    coroot_pairing_roots,
+    pairing,
+    reflection_through,
+    weight_action,
+)
+from vermatwist import _matrix, rootsystem
+
+PRODUCTS = {
+    "A1xA1": ((2, 0), (0, 2)),
+    "A1xB2": ((2, 0, 0), (0, 2, -2), (0, -1, 2)),
+    "A1xG2": ((2, 0, 0), (0, 2, -3), (0, -1, 2)),
+}
+SYSTEMS = sorted(CARTAN_BY_LABEL) + sorted(PRODUCTS)
+
+
+def system(name):
+    return build_root_system(PRODUCTS.get(name, name))
+
+
+def all_roots(rs):
+    return [b for beta in rs.positive_roots for b in (beta, -beta)]
+
+
+def form_pairing(rs, x, beta):
+    """<x, beta^vee> = 2 (x, beta) / (beta, beta), x in simple root coordinates."""
+    return 2 * rs.form(x, beta.coords) / rs.form(beta.coords, beta.coords)
+
+
+def form_weight_action(w, lam):
+    """The weight action transported through the symmetrizer ratios d_j / d_i."""
+    rs = w.rs
+    d = rs.symmetrizer
+    inv = w.inv_mat
+    return Weight(
+        tuple(
+            sum(Fraction(d[j], d[i]) * inv[j][i] * lam.coords[j] for j in range(rs.rank))
+            for i in range(rs.rank)
+        )
+    )
+
+
+def column_reflection(rs, beta):
+    """The reflection built column by column: a_j - <a_j, beta^vee> beta."""
+    n = rs.rank
+    columns = []
+    for j in range(n):
+        alpha_j = tuple(1 if k == j else 0 for k in range(n))
+        c = form_pairing(rs, alpha_j, beta)
+        columns.append(tuple(alpha_j[r] - c * beta.coords[r] for r in range(n)))
+    return tuple(tuple(int(columns[j][r]) for j in range(n)) for r in range(n))
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairing_matches_the_form(data):
+    rs = system(data.draw(st.sampled_from(SYSTEMS)))
+    lam = Weight(tuple(data.draw(rationals) for _ in range(rs.rank)))
+    lam_root = rs.weight_to_root_coords(lam)
+    for beta in all_roots(rs):
+        got = pairing(rs, lam, beta)
+        assert isinstance(got, Fraction)
+        assert got == form_pairing(rs, lam_root, beta)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_root_pairings_and_reflections_match_the_form(name):
+    rs = system(name)
+    roots = all_roots(rs)
+    for beta in roots:
+        for gamma in roots:
+            got = coroot_pairing_roots(rs, gamma, beta)
+            assert type(got) is int
+            assert got == form_pairing(rs, gamma.coords, beta)
+        assert reflection_through(rs, beta).mat == column_reflection(rs, beta)
+        # the coroot of a simple root is the simple coroot
+        if sum(map(abs, beta.coords)) == 1:
+            assert rs.coroot(beta.coords) == beta.coords
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3", "A1xB2", "A1xG2"])
+def test_weight_action_matches_the_symmetrizer_transport(name):
+    rs = system(name)
+    lams = [
+        Weight(tuple(Fraction(3 * i - 2 * k + 1, 1 + k % 3) for i in range(rs.rank)))
+        for k in range(4)
+    ]
+    for w in all_elements(rs):
+        for lam in lams:
+            assert weight_action(w, lam) == form_weight_action(w, lam)
+
+
+@pytest.mark.parametrize("label", ["B4", "F4"])
+def test_integer_inverse_matches_gaussian_elimination(label):
+    rs = build_root_system(label)
+    identity = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    for w in all_elements(rs):
+        inv = w.inv_mat
+        assert inv == _matrix.invert(w.mat)
+        assert (w.inverse() * w).mat == identity
+        assert all(type(x) is int for row in inv for x in row)
+
+
+def test_inverse_refuses_a_matrix_that_misses_a_simple_root():
+    rs = build_root_system("B2")
+    doubled = WeylElement(rs, ((2, 0), (0, 2)))
+    with pytest.raises(InvariantViolated):
+        doubled.inv_mat
+
+
+def test_non_roots_are_refused():
+    rs = build_root_system("B2")
+    for bad in ((1, 1), [1, 1], None):
+        with pytest.raises(NotARoot):
+            pairing(rs, rs.rho, bad)
+        with pytest.raises(NotARoot):
+            coroot_pairing_roots(rs, Root((1, 0)), bad)
+        with pytest.raises(NotARoot):
+            reflection_through(rs, bad)
+    for bad in (Root((1, 1, 0)), Root((1,)), Root((3, 1)), Root((1, 2))):
+        with pytest.raises(NotARoot):
+            pairing(rs, rs.rho, bad)
+        with pytest.raises(NotARoot):
+            coroot_pairing_roots(rs, Root((1, 0)), bad)
+        with pytest.raises(NotARoot):
+            reflection_through(rs, bad)
+    for bad in ((3, 1), (1, 1, 0), [1, 1], "ab"):
+        with pytest.raises(NotARoot):
+            rs.coroot(bad)
+
+
+def test_coroot_table_refuses_a_wrong_form(monkeypatch):
+    # B2 with both roots the same length: (2a+b)^vee would be a^vee + b^vee / 2
+    monkeypatch.setattr(rootsystem, "_symmetrizer", lambda cartan: (1, 1))
+    with pytest.raises(InvariantViolated):
+        rootsystem.RootSystem(CARTAN_BY_LABEL["B2"], "B2")
+
+
+def test_rank_mismatches_are_refused():
+    rs = build_root_system("B2")
+    beta = Root((1, 1))
+    with pytest.raises(ValueError):
+        pairing(rs, Weight((1, 2, 3)), beta)
+    with pytest.raises(ValueError):
+        weight_action(all_elements(rs)[-1], Weight((1,)))

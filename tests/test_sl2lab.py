@@ -180,3 +180,33 @@ def test_zero_entry_valuations_refused_under_both_interpreter_modes(flags):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "InvariantViolated: weight map entries must be nonzero\n"
+
+
+def _binomial_from_scratch(lam, i):
+    """binomial(lam + X, i) as the product of i linear factors over i!."""
+    out = one()
+    for k in range(i):
+        out = out * (variable() + Fraction(lam) - k)
+    factorial = 1
+    for k in range(2, i + 1):
+        factorial *= k
+    return out / factorial
+
+
+@pytest.mark.parametrize("lam", SAMPLE_WEIGHTS)
+def test_phi_entries_match_binomials_from_scratch(lam):
+    entries = phi(lam, 16).entries
+    for i, entry in enumerate(entries):
+        assert entry == _binomial_from_scratch(lam, i)
+        assert str(entry) == str(_binomial_from_scratch(lam, i))
+        assert deformed_binomial(lam, i) == entry
+    assert psi(lam, 16).entries == tuple(
+        psi(lam, 0).entries[0] / entry for entry in entries
+    )
+
+
+def test_deformed_binomial_refuses_negative_index():
+    # binomial(z, i) is 0 for i < 0, not 1
+    for i in (-1, -5):
+        with pytest.raises(ValueError, match="at least 0"):
+            deformed_binomial(3, i)
