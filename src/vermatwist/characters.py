@@ -142,17 +142,25 @@ class BlockContext:
                 w for w in all_elements(rs) if rs.in_root_lattice(weight_action(w, lam) - lam)
             )
         self.group = group
+        # a regular weight has a trivial stabilizer: every element is a parameter
+        if self.regular:
+            self.params = group
+        else:
+            params = self._param_by_weight.values()
+            self.params = tuple(sorted(params, key=lambda w: (w.length, w.word)))
+        self._param_set = frozenset(self.params)
+        self._default_decomp: DecompositionMatrix | None = None
 
+    @cached_property
+    def _param_by_weight(self) -> dict[Weight, WeylElement]:
+        """Each orbit weight with its parameter, the shortest element reaching it."""
         best: dict[Weight, WeylElement] = {}
-        for w in group:
-            mu = dot_action(rs, w, lam)
+        for w in self.group:
+            mu = dot_action(self.rs, w, self.base)
             cur = best.get(mu)
             if cur is None or (w.length, w.word) < (cur.length, cur.word):
                 best[mu] = w
-        self.params = tuple(sorted(best.values(), key=lambda w: (w.length, w.word)))
-        self._param_by_weight = best
-        self._param_set = frozenset(self.params)
-        self._default_decomp: DecompositionMatrix | None = None
+        return best
 
     def __repr__(self) -> str:
         kind = "regular" if self.regular else "singular"

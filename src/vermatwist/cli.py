@@ -23,6 +23,7 @@ from .jantzen import (
     SumFormulaResult,
     _layer_matrix,
     _layer_table,
+    _orbit_param,
     layers_multiplicity_free,
     sum_formula,
 )
@@ -40,11 +41,10 @@ from .sl2lab import (
 )
 from .weyl import (
     WeylElement,
-    all_elements,
+    _group_tables,
     element_from_word,
     longest_element,
     parse_word_text,
-    reflection_through,
     word_text,
 )
 
@@ -138,10 +138,6 @@ def _resolve_input(args, parser) -> SumFormulaInput:
             raise UnsupportedBlock("the two-letter form needs a regular integral block")
         w, y = w * longest_element(rs), w * y
     return SumFormulaInput(block=block, w=w, y=y)
-
-
-def _orbit_param(inp: SumFormulaInput) -> WeylElement:
-    return inp.block.param_for_weight(inp.block.weight_of(inp.y))
 
 
 def _simple_vector(table: LayerTable) -> CharVector:
@@ -267,15 +263,15 @@ def cmd_b2_table(args, parser) -> int:
 
 def cmd_weyl(args, parser) -> int:
     rs = _resolve_system(args, parser)
-    elements = all_elements(rs)
+    tables = _group_tables(rs)
+    elements = tables.elements
     w0 = longest_element(rs)
-    # x is covered by y iff x = y * t for a reflection t and l(x) = l(y) - 1
-    reflections = [reflection_through(rs, beta) for beta in rs.positive_roots]
-    index = {w: k for k, w in enumerate(elements)}
+    # x is covered by y iff x = y * t for a reflection t and l(x) = l(y) - 1;
+    # as sets, {y * t} = {t * y}, the column of y in the reflection table
     covers = []
-    for y in elements:
-        below = sorted(index[y * t] for t in reflections)
-        covers.extend((elements[k], y) for k in below if elements[k].length + 1 == y.length)
+    for k, y in enumerate(elements):
+        below = sorted(column[k] for column in tables.refl)
+        covers.extend((elements[j], y) for j in below if elements[j].length + 1 == y.length)
     if args.format == "json":
         payload = {
             "type": rs.label,

@@ -18,12 +18,17 @@ For w = e this is the classical Verma module sum formula; for w = w0 the
 two branches swap roles, which is the complementarity identity tested in
 the suite.
 
-Each reflected weight has a closed form: with n = <mu + rho, beta^vee>,
+In a regular integral block every term is a lookup in the group's
+tables: with lam + rho regular antidominant, R+(y . lam) is the inversion
+set of y, and s_beta . (y . lam) = (t_beta y) . lam, so
+:func:`sum_formula` reads t_beta y off the reflection table and builds no
+weight.  Singular and nonintegral blocks go through the weights, where
+each reflected weight has a closed form: with n = <mu + rho, beta^vee>,
 the integer found while collecting R+(mu),
 
-    s_beta . mu = mu - n * beta,
+    s_beta . mu = mu - n * beta.
 
-so :func:`sum_formula` builds no reflection matrix.  The two-letter form
+Neither route builds a reflection matrix.  The two-letter form
 :func:`sum_formula_xy` keeps the literal route through the reflection
 matrix of each root and the dot action; it is the independent oracle that
 :func:`check_xy_consistency` and the tests compare against.
@@ -51,7 +56,15 @@ from .errors import (
     UnsupportedBlock,
 )
 from .rootsystem import Root, RootSystem, Weight, pairing
-from .weyl import WeylElement, dot_action, longest_element, reflection_through, word_text
+from .weyl import (
+    WeylElement,
+    _bits,
+    _group_tables,
+    dot_action,
+    longest_element,
+    reflection_through,
+    word_text,
+)
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,17 @@ def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
         ) from None
 
 
+def _orbit_param(inp: SumFormulaInput) -> WeylElement:
+    """The block parameter of the module's highest weight.
+
+    A regular weight has a trivial stabilizer, so in a regular block an
+    element of the group is its own parameter and no weight is needed.
+    """
+    if inp.block.regular and inp.y is not None and inp.block.contains_param(inp.y):
+        return inp.y
+    return _resolve_orbit_weight(inp)[1]
+
+
 def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     """Evaluate the sum formula; see the module docstring for the shape.
 
@@ -162,6 +186,39 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     on orbit parameters through the weights themselves, so coincident
     reflected weights merge automatically.
     """
+    if inp.block.regular and inp.block.integral:
+        return _table_sum(inp)
+    return _weight_sum(inp)
+
+
+def _table_sum(inp: SumFormulaInput) -> SumFormulaResult:
+    """The sum formula in a regular integral block, by lookups in the group's tables.
+
+    With mu = y . lam and lam + rho regular antidominant, R+(mu) is the
+    inversion set of y and s_beta . mu = (t_beta y) . lam, so each term
+    reads its lower parameter off the reflection table.
+    """
+    tables = _group_tables(inp.block.rs)
+    k = tables.index[_orbit_param(inp).mat]
+    kw = tables.index[inp.w.mat]
+    in_w = tables.masks[kw]
+    counts: dict[int, int] = {}
+    for b in _bits(tables.masks[k]):
+        lower = tables.refl[b][k]
+        if in_w >> b & 1:
+            counts[k] = counts.get(k, 0) + 1
+            counts[lower] = counts.get(lower, 0) - 1
+        else:
+            counts[lower] = counts.get(lower, 0) + 1
+    return SumFormulaResult(
+        vector=CharVector(VERMA, {tables.elements[j]: c for j, c in counts.items()}),
+        rplus_mu=tables.elements[k].inversions,
+        rplus_w=tables.elements[kw].inversions,
+    )
+
+
+def _weight_sum(inp: SumFormulaInput) -> SumFormulaResult:
+    """The sum formula through the orbit weights, for any block."""
     block = inp.block
     rs = block.rs
     mu, y_param = _resolve_orbit_weight(inp)
@@ -267,7 +324,7 @@ def _layer_table(
 ) -> LayerTable:
     """The layer table of ``layers_multiplicity_free``, from its sum formula ``result``."""
     block = inp.block
-    _, y_param = _resolve_orbit_weight(inp)
+    y_param = _orbit_param(inp)
 
     support = []
     for x in dm.params:

@@ -83,7 +83,11 @@ class Weight:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(
+            self,
+            "coords",
+            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coords),
+        )
 
     @property
     def is_integral(self) -> bool:
@@ -226,12 +230,13 @@ class RootSystem:
                 raise InvariantViolated(f"coroot of {beta!r} is not integral: {coroot}")
             self._coroots[beta.coords] = tuple(int(c) for c in coroot)
             self._coroots[(-beta).coords] = tuple(-int(c) for c in coroot)
+        self._root_weights = {c: self._lattice_to_weight(c) for c in self._coroots}
         self._cartan_inv = _matrix.invert(
             tuple(tuple(Fraction(x) for x in row) for row in cartan)
         )
         # internal caches filled lazily by this module and by weyl.py
         self._kostant_memo: dict = {}
-        self._elements_cache = None
+        self._weyl_tables = None
         self._longest_cache = None
 
     def __repr__(self) -> str:
@@ -264,8 +269,11 @@ class RootSystem:
         return total
 
     def root_to_weight(self, beta: Root) -> Weight:
-        """Rewrite a root in fundamental weight coordinates."""
-        c = beta.coords
+        """Rewrite a root, or any root lattice vector, in fundamental weight coordinates."""
+        weight = self._root_weights.get(beta.coords)
+        return weight if weight is not None else self._lattice_to_weight(beta.coords)
+
+    def _lattice_to_weight(self, c: tuple[int, ...]) -> Weight:
         return Weight(
             tuple(
                 Fraction(sum(self.cartan[j][i] * c[i] for i in range(self.rank)))

@@ -5,12 +5,30 @@ basis (column j is the image of the j-th simple root).  Words are derived
 data: the canonical reduced word of an element is the ShortLex smallest
 one, obtained greedily by splitting off the smallest left descent.
 
+The whole group is enumerated once per root system into integer tables,
+indexed in the order of :func:`all_elements`, i.e. by (length, word):
+
+* ``left[i][k]``, the index of s_i w_k, from a breadth-first search by
+  left multiplication, in which s_i changes only row i of a matrix;
+* ``refl[b][k]``, the index of t w_k for the reflection t through the
+  b-th positive root, from t_beta = s_i t_gamma s_i with beta = s_i(gamma);
+* ``masks[k]``, the inversion set of w_k as a bitmask over
+  ``rs.positive_roots``, from N(s_i w) = {a_i} + s_i N(w) when s_i w is
+  longer than w.
+
+The elements :func:`all_elements` returns carry their length, word and
+inversion set from these tables; an element built by multiplication
+computes them from its matrix.  The group's size is known from the root
+heights before anything is enumerated, so an oversized group is refused
+at once.
+
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,31 +202,149 @@ def longest_element(rs: RootSystem) -> WeylElement:
     return rs._longest_cache
 
 
+def _group_order(rs: RootSystem) -> int:
+    """|W| from the heights of the positive roots, without enumerating.
+
+    The exponents m_1, ..., m_n are the partition conjugate to the numbers
+    of positive roots of each height (Kostant), and |W| = prod(m_i + 1).
+    """
+    per_height = Counter(beta.height for beta in rs.positive_roots)
+    order = 1
+    for k in range(1, rs.rank + 1):
+        order *= 1 + sum(1 for count in per_height.values() if count >= k)
+    return order
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, eq=False)
+class _GroupTables:
+    """The whole group as integer tables, indexed in the order of ``all_elements``.
+
+    ``index`` maps an element's matrix to its index k; ``left[i][k]`` is the
+    index of s_{i+1} w_k; ``refl[b][k]`` is the index of t w_k, for t the
+    reflection through the b-th positive root; bit b of ``masks[k]`` is set
+    when the b-th positive root lies in the inversion set of w_k.
+    """
+
+    elements: tuple[WeylElement, ...]
+    index: dict[IntMatrix, int]
+    left: tuple[list[int], ...]
+    refl: tuple[list[int], ...]
+    masks: tuple[int, ...]
+
+
+def _build_tables(rs: RootSystem) -> _GroupTables:
+    n = rs.rank
+    roots = rs.positive_roots
+    root_index = {beta.coords: b for b, beta in enumerate(roots)}
+    simple_bit = [root_index[tuple(int(k == i) for k in range(n))] for i in range(n)]
+    # perm[i][b] is the index of s_i(beta_b); None for beta_b = a_i, sent negative
+    perm = []
+    for i in range(n):
+        images = []
+        for beta in roots:
+            c = beta.coords
+            p = sum(a * x for a, x in zip(rs.cartan[i], c))
+            images.append(root_index.get(c[:i] + (c[i] - p,) + c[i + 1 :]))
+        perm.append(images)
+    neighbours = [
+        [(j, a) for j, a in enumerate(row) if a and j != i] for i, row in enumerate(rs.cartan)
+    ]
+
+    # BFS by left multiplication, with mats as its queue; its depth is the length
+    mats = [_int_identity(n)]
+    found = {mats[0]: 0}
+    depth, masks = [0], [0]
+    left: list[list[int]] = [[] for _ in range(n)]
+    for k, m in enumerate(mats):
+        for i in range(n):
+            # s_i * m changes only row i, to row_i - sum_j a_ij row_j (a_ii = 2)
+            row = [-x for x in m[i]]
+            for j, a in neighbours[i]:
+                row = [r - a * x for r, x in zip(row, m[j])]
+            u = m[:i] + (tuple(row),) + m[i + 1 :]
+            if u not in found:
+                found[u] = len(mats)
+                mats.append(u)
+                depth.append(depth[k] + 1)
+                # N(s_i w) = {a_i} + s_i N(w) when the length goes up
+                mask = 1 << simple_bit[i]
+                for b in _bits(masks[k]):
+                    mask |= 1 << perm[i][b]
+                masks.append(mask)
+            left[i].append(found[u])
+
+    # the ShortLex word splits off the smallest left descent
+    words: list[tuple[int, ...]] = [()]
+    for k in range(1, len(mats)):
+        i = next(i for i in range(n) if depth[left[i][k]] < depth[k])
+        words.append((i + 1,) + words[left[i][k]])
+
+    order = sorted(range(len(mats)), key=lambda k: (depth[k], words[k]))
+    position = [0] * len(order)
+    for p, k in enumerate(order):
+        position[k] = p
+    elements = []
+    for k in order:
+        w = WeylElement(rs, mats[k])
+        w.__dict__.update(
+            length=depth[k],
+            word=words[k],
+            inversions=tuple(roots[b] for b in _bits(masks[k])),
+        )
+        elements.append(w)
+    left = [[position[column[k]] for k in order] for column in left]
+
+    # t_beta = s_i t_gamma s_i for beta = s_i(gamma) of smaller height, which
+    # comes earlier: the positive roots are ordered by height
+    simple_of = {b: i for i, b in enumerate(simple_bit)}
+    refl: list[list[int]] = []
+    for b in range(len(roots)):
+        if b in simple_of:
+            refl.append(left[simple_of[b]])
+            continue
+        i = next(i for i in range(n) if perm[i][b] < b)
+        li, rg = left[i], refl[perm[i][b]]
+        refl.append([li[rg[li[k]]] for k in range(len(order))])
+
+    return _GroupTables(
+        elements=tuple(elements),
+        index={w.mat: k for k, w in enumerate(elements)},
+        left=tuple(left),
+        refl=tuple(refl),
+        masks=tuple(masks[k] for k in order),
+    )
+
+
+def _group_tables(rs: RootSystem, bound: int = 1_000_000) -> _GroupTables:
+    """The group's tables, built once per root system.
+
+    Raises ``GroupTooLarge`` before enumerating if |W| exceeds ``bound``.
+    """
+    tables = rs._weyl_tables
+    size = _group_order(rs) if tables is None else len(tables.elements)
+    if size > bound:
+        raise GroupTooLarge(f"Weyl group exceeds the bound of {bound} elements")
+    if tables is None:
+        tables = rs._weyl_tables = _build_tables(rs)
+    return tables
+
+
 def all_elements(rs: RootSystem, bound: int = 1_000_000) -> tuple[WeylElement, ...]:
     """Every group element, sorted by (length, ShortLex word).
 
-    Raises ``GroupTooLarge`` if the group has more than ``bound`` elements.
+    The elements come with ``length``, ``word`` and ``inversions`` read off
+    the group's tables.  Raises ``GroupTooLarge``, before enumerating, if
+    the group has more than ``bound`` elements.
     """
-    if rs._elements_cache is None:
-        seen = {identity_element(rs)}
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for w in frontier:
-                for i in range(1, rs.rank + 1):
-                    u = w * simple_reflection(rs, i)
-                    if u not in seen:
-                        seen.add(u)
-                        fresh.append(u)
-                        if len(seen) > bound:
-                            raise GroupTooLarge(
-                                f"Weyl group exceeds the bound of {bound} elements"
-                            )
-            frontier = fresh
-        rs._elements_cache = tuple(sorted(seen, key=lambda w: (w.length, w.word)))
-    if len(rs._elements_cache) > bound:
-        raise GroupTooLarge(f"Weyl group exceeds the bound of {bound} elements")
-    return rs._elements_cache
+    return _group_tables(rs, bound).elements
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
