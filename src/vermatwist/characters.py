@@ -7,8 +7,19 @@ called the block parameters.  Character vectors are formal integer
 combinations of parameters in either the Verma basis or the simple basis;
 the two are related by the block's decomposition matrix.
 
-In the regular integral blocks of rank at most 2 that matrix is the
-Bruhat order incidence matrix: those Weyl groups are dihedral, where all
+Regular integral, singular integral and regular nonintegral blocks are
+read off the Weyl group's integer tables, with no weight built per
+element.  The integral Weyl group is the closure of the identity under
+the reflections through the integral roots.  A regular block's
+parameters are its group; a singular integral block's are the shortest
+elements of the cosets of W_J, for J the simple coroots pairing to 0
+with lam + rho.  Only a singular nonintegral block finds its parameters
+through the orbit weights, and only it and a ``mu`` input build the
+weight to parameter map.
+
+In the regular integral blocks of rank at most 2 the decomposition
+matrix is the Bruhat order incidence matrix, read off the lower ideals
+of the group's tables: those Weyl groups are dihedral, where all
 composition multiplicities of Verma modules are known to be 0 or 1.
 Anything larger needs a user supplied matrix.
 """
@@ -27,22 +38,13 @@ from .errors import (
     NotInBlockOrbit,
     UnsupportedBlock,
 )
-from .rootsystem import (
-    RootSystem,
-    Weight,
-    classify_weight,
-    integral_positive_roots,
-    kostant_partition,
-    pairing,
-)
+from .rootsystem import RootSystem, Weight, kostant_partition, pairing
 from .weyl import (
     WeylElement,
-    all_elements,
-    bruhat_leq,
+    _group_tables,
     dot_action,
     element_from_word,
     parse_word_text,
-    weight_action,
     word_text,
 )
 
@@ -118,33 +120,55 @@ def unit_vector(basis: str, w: WeylElement) -> CharVector:
 
 
 class BlockContext:
-    """An orbit of the integral Weyl group through an antidominant weight."""
+    """An orbit of the integral Weyl group through an antidominant weight.
+
+    Every block but a singular nonintegral one is read off the group's
+    tables: ``_param_of[k]`` is the table index of the parameter of
+    w_k . lam, or -1 when w_k lies outside the integral Weyl group, and
+    bit b of ``_root_mask`` is set when the b-th positive root is
+    integral for lam.  A singular nonintegral block has ``_param_of``
+    None and finds its parameters through the orbit weights.
+    """
 
     def __init__(self, rs: RootSystem, lam: Weight):
         if len(lam.coords) != rs.rank:
             raise ValueError("weight has wrong rank for this root system")
         shifted = lam + rs.rho
-        for beta in integral_positive_roots(rs, lam):
-            if pairing(rs, shifted, beta) > 0:
+        values = [pairing(rs, shifted, beta) for beta in rs.positive_roots]
+        for beta, value in zip(rs.positive_roots, values):
+            if value.denominator == 1 and value > 0:
                 raise NotAntidominant(
                     f"base weight must pair nonpositively with {beta!r} after the rho shift"
                 )
         self.rs = rs
         self.base = lam
-        cls = classify_weight(rs, lam)
-        self.integral = cls.integral
-        self.regular = cls.regular
+        self.integral = lam.is_integral
+        self.regular = 0 not in values
+        self._root_mask = sum(1 << b for b, v in enumerate(values) if v.denominator == 1)
 
+        # the integral Weyl group is generated by the reflections in integral roots
+        tables = _group_tables(rs)
         if self.integral:
-            group = all_elements(rs)
+            members = range(len(tables.elements))
+            self.group = tables.elements
         else:
-            group = tuple(
-                w for w in all_elements(rs) if rs.in_root_lattice(weight_action(w, lam) - lam)
-            )
-        self.group = group
-        # a regular weight has a trivial stabilizer: every element is a parameter
+            members = tables.generated(self._root_mask)
+            self.group = tuple(tables.elements[k] for k in members)
+        self._param_of: list[int] | None = None
         if self.regular:
-            self.params = group
+            # a regular weight has a trivial stabilizer: every element is a parameter
+            self._param_of = [-1] * len(tables.elements)
+            for k in members:
+                self._param_of[k] = k
+            self.params = self.group
+        elif self.integral:
+            # the stabilizer is W_J for the simple coroots J pairing to 0 with
+            # lam + rho, and the parameters are the shortest coset elements
+            zero = [i for i, c in enumerate(shifted.coords) if c == 0]
+            self._param_of = tables.coset_minima(zero)
+            self.params = tuple(
+                w for k, w in enumerate(tables.elements) if self._param_of[k] == k
+            )
         else:
             params = self._param_by_weight.values()
             self.params = tuple(sorted(params, key=lambda w: (w.length, w.word)))
@@ -248,11 +272,12 @@ def decomposition_matrix(block: BlockContext, source=None) -> DecompositionMatri
             "no built-in decomposition matrix above rank 2; supply one via a file"
         )
     if block._default_decomp is None:
-        params = block.params
+        # a regular integral block's parameters are the whole group, in table order
+        n = len(block.params)
         rows = tuple(
-            tuple(1 if bruhat_leq(x, y) else 0 for x in params) for y in params
+            tuple(ideal >> j & 1 for j in range(n)) for ideal in _group_tables(block.rs).ideals
         )
-        block._default_decomp = DecompositionMatrix(params, rows)
+        block._default_decomp = DecompositionMatrix(block.params, rows)
     return block._default_decomp
 
 
@@ -290,18 +315,20 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
         )
     matrix = data["matrix"]
     n = len(given)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    square = isinstance(matrix, list) and len(matrix) == n
+    if not square or any(not isinstance(row, list) or len(row) != n for row in matrix):
         raise BadDecompositionFile("matrix shape does not match the parameter count")
-    try:
-        matrix = [[int(x) for x in row] for row in matrix]
-    except (TypeError, ValueError) as exc:
-        raise BadDecompositionFile("matrix entries must be integers") from exc
+    # a JSON integer, not a float, a string or a boolean
+    if any(type(x) is not int for row in matrix for x in row):
+        raise BadDecompositionFile("matrix entries must be integers")
 
     position = {w: k for k, w in enumerate(given)}
     params = block.params
     rows = tuple(
         tuple(matrix[position[y]][position[x]] for x in params) for y in params
     )
+    # the parameters are the whole group, in table order
+    ideals = _group_tables(rs).ideals
     for i, y in enumerate(params):
         for j, x in enumerate(params):
             c = rows[i][j]
@@ -309,7 +336,7 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
                 raise BadDecompositionFile("multiplicities must be nonnegative")
             if i == j and c != 1:
                 raise BadDecompositionFile("diagonal multiplicities must equal 1")
-            if c and not bruhat_leq(x, y):
+            if c and not ideals[i] >> j & 1:
                 raise BadDecompositionFile(
                     f"nonzero entry at ({word_text(y)}, {word_text(x)}) "
                     "violates Bruhat unitriangularity"
@@ -339,10 +366,9 @@ def change_basis(
         return CharVector(to, dict(v.items()))
     dm = decomposition if decomposition is not None else decomposition_matrix(block)
     out: dict[WeylElement, int] = {}
-    lookup = dm.entry if v.basis == VERMA else dm.inverse_entry
+    rows = dm.rows if v.basis == VERMA else dm.inverse_rows
     for y, c in v.items():
-        for x in dm.params:
-            m = lookup(y, x)
+        for x, m in zip(dm.params, rows[dm._index[y]]):
             if m:
                 out[x] = out.get(x, 0) + c * m
     return CharVector(to, out)

@@ -18,13 +18,18 @@ For w = e this is the classical Verma module sum formula; for w = w0 the
 two branches swap roles, which is the complementarity identity tested in
 the suite.
 
-In a regular integral block every term is a lookup in the group's
-tables: with lam + rho regular antidominant, R+(y . lam) is the inversion
-set of y, and s_beta . (y . lam) = (t_beta y) . lam, so
-:func:`sum_formula` reads t_beta y off the reflection table and builds no
-weight.  Singular and nonintegral blocks go through the weights, where
-each reflected weight has a closed form: with n = <mu + rho, beta^vee>,
-the integer found while collecting R+(mu),
+In every block but a singular nonintegral one, each term is a lookup in
+the group's tables.  With y the parameter of mu = y . lam (a shortest
+coset element in a singular block) and lam + rho antidominant, R+(mu) is
+the inversion set of y cut down to the integral roots, and
+s_beta . mu = (t_beta y) . lam, so :func:`sum_formula` reads t_beta y off
+the reflection table, maps it to its parameter, and builds no weight.
+That covers regular integral, singular integral and regular nonintegral
+blocks.  A singular nonintegral block, whose stabilizer is generated by
+reflections that need not be simple in the whole root system, goes
+through the weights (``_weight_sum``), where each reflected weight has a
+closed form: with n = <mu + rho, beta^vee>, the integer found while
+collecting R+(mu),
 
     s_beta . mu = mu - n * beta.
 
@@ -168,57 +173,80 @@ def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
         ) from None
 
 
-def _orbit_param(inp: SumFormulaInput) -> WeylElement:
-    """The block parameter of the module's highest weight.
+def _param_index(inp: SumFormulaInput) -> int:
+    """Table index of the block parameter of the module's highest weight.
 
-    A regular weight has a trivial stabilizer, so in a regular block an
-    element of the group is its own parameter and no weight is needed.
+    For a block read off the tables (``_param_of`` set); a ``mu`` input
+    goes through the block's weight map.
     """
-    if inp.block.regular and inp.y is not None and inp.block.contains_param(inp.y):
-        return inp.y
-    return _resolve_orbit_weight(inp)[1]
+    block = inp.block
+    tables = _group_tables(block.rs)
+    if inp.mu is not None:
+        return tables.index[block.param_for_weight(inp.mu).mat]
+    k = block._param_of[tables.index[inp.y.mat]]
+    if k < 0:
+        raise NotInBlockOrbit(
+            f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
+        )
+    return k
+
+
+def _orbit_param(inp: SumFormulaInput) -> WeylElement:
+    """The block parameter of the module's highest weight."""
+    if inp.block._param_of is None:
+        return _resolve_orbit_weight(inp)[1]
+    return _group_tables(inp.block.rs).elements[_param_index(inp)]
 
 
 def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     """Evaluate the sum formula; see the module docstring for the shape.
 
     Works in singular and nonintegral blocks as well: contributions land
-    on orbit parameters through the weights themselves, so coincident
-    reflected weights merge automatically.
+    on orbit parameters, so coincident reflected weights merge.
     """
-    if inp.block.regular and inp.block.integral:
-        return _table_sum(inp)
-    return _weight_sum(inp)
+    if inp.block._param_of is None:
+        return _weight_sum(inp)
+    return _table_sum(inp)
 
 
 def _table_sum(inp: SumFormulaInput) -> SumFormulaResult:
-    """The sum formula in a regular integral block, by lookups in the group's tables.
+    """The sum formula by lookups in the group's tables.
 
-    With mu = y . lam and lam + rho regular antidominant, R+(mu) is the
-    inversion set of y and s_beta . mu = (t_beta y) . lam, so each term
-    reads its lower parameter off the reflection table.
+    With y the parameter and mu = y . lam, R+(mu) is the inversion set of
+    y cut down to the integral roots, and s_beta . mu = (t_beta y) . lam,
+    so each term's parameter is that of t_beta y, off the reflection table.
     """
-    tables = _group_tables(inp.block.rs)
-    k = tables.index[_orbit_param(inp).mat]
+    block = inp.block
+    tables = _group_tables(block.rs)
+    k = _param_index(inp)
     kw = tables.index[inp.w.mat]
     in_w = tables.masks[kw]
+    param_of = block._param_of
+    rplus = tables.masks[k] & block._root_mask
     counts: dict[int, int] = {}
-    for b in _bits(tables.masks[k]):
-        lower = tables.refl[b][k]
+    for b in _bits(rplus):
+        lower = param_of[tables.refl[b][k]]
         if in_w >> b & 1:
             counts[k] = counts.get(k, 0) + 1
             counts[lower] = counts.get(lower, 0) - 1
         else:
             counts[lower] = counts.get(lower, 0) + 1
+    y = tables.elements[k]
     return SumFormulaResult(
         vector=CharVector(VERMA, {tables.elements[j]: c for j, c in counts.items()}),
-        rplus_mu=tables.elements[k].inversions,
+        rplus_mu=y.inversions
+        if rplus == tables.masks[k]
+        else tuple(block.rs.positive_roots[b] for b in _bits(rplus)),
         rplus_w=tables.elements[kw].inversions,
     )
 
 
 def _weight_sum(inp: SumFormulaInput) -> SumFormulaResult:
-    """The sum formula through the orbit weights, for any block."""
+    """The sum formula through the orbit weights, for any block.
+
+    :func:`sum_formula` takes this route only in singular nonintegral
+    blocks; elsewhere it is the oracle the tables are tested against.
+    """
     block = inp.block
     rs = block.rs
     mu, y_param = _resolve_orbit_weight(inp)
@@ -327,8 +355,7 @@ def _layer_table(
     y_param = _orbit_param(inp)
 
     support = []
-    for x in dm.params:
-        c = dm.entry(y_param, x)
+    for x, c in zip(dm.params, dm.rows[dm._index[y_param]]):
         if c == 0:
             continue
         if c > 1:

@@ -16,6 +16,10 @@ indexed in the order of :func:`all_elements`, i.e. by (length, word):
   ``rs.positive_roots``, from N(s_i w) = {a_i} + s_i N(w) when s_i w is
   longer than w.
 
+Two more tables are built on first use: ``right[i][k]``, the index of
+w_k s_i, read off ``left`` through inverses, and the Bruhat lower ideals
+as bitsets over the indices.
+
 The elements :func:`all_elements` returns carry their length, word and
 inversion set from these tables; an element built by multiplication
 computes them from its matrix.  The group's size is known from the root
@@ -75,6 +79,10 @@ class WeylElement:
         return self.rs is other.rs and self.mat == other.mat
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((id(self.rs), self.mat))
 
     def __repr__(self) -> str:
@@ -239,6 +247,58 @@ class _GroupTables:
     refl: tuple[list[int], ...]
     masks: tuple[int, ...]
 
+    @cached_property
+    def right(self) -> tuple[list[int], ...]:
+        """``right[i][k]`` is the index of w_k s_{i+1} = (s_{i+1} w_k^{-1})^{-1}.
+
+        ``inv[k]``, the index of w_k^{-1}, is the word of w_k read backwards.
+        """
+        inv = []
+        for w in self.elements:
+            k = 0
+            for i in w.word:
+                k = self.left[i - 1][k]
+            inv.append(k)
+        return tuple([inv[column[j]] for j in inv] for column in self.left)
+
+    @cached_property
+    def ideals(self) -> tuple[int, ...]:
+        """Bit x of ``ideals[k]`` is set iff w_x <= w_k in the Bruhat order.
+
+        For a left descent s of y, {x <= y} = {x <= sy} + s{x <= sy} by the
+        lifting property; sy comes before y in table order.
+        """
+        ideals = [1]
+        for k in range(1, len(self.elements)):
+            column = self.left[self.elements[k].word[0] - 1]
+            below = ideal = ideals[column[k]]
+            for x in _bits(below):
+                ideal |= 1 << column[x]
+            ideals.append(ideal)
+        return tuple(ideals)
+
+    def coset_minima(self, simple: list[int]) -> list[int]:
+        """For every k, the index of the shortest element of w_k W_J, for J
+        the 0-based ``simple`` reflections: peel off right descents in J."""
+        columns = [self.right[i] for i in simple]
+        out: list[int] = []
+        for k in range(len(self.elements)):
+            down = next((column[k] for column in columns if column[k] < k), k)
+            out.append(k if down == k else out[down])
+        return out
+
+    def generated(self, roots_mask: int) -> list[int]:
+        """Indices of the subgroup generated by the reflections through the
+        positive roots in ``roots_mask``, in table order."""
+        columns = [self.refl[b] for b in _bits(roots_mask)]
+        found, queue = {0}, [0]
+        for k in queue:
+            for column in columns:
+                if column[k] not in found:
+                    found.add(column[k])
+                    queue.append(column[k])
+        return sorted(found)
+
 
 def _build_tables(rs: RootSystem) -> _GroupTables:
     n = rs.rank
@@ -323,7 +383,12 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     )
 
 
-def _group_tables(rs: RootSystem, bound: int = 1_000_000) -> _GroupTables:
+#: the default largest group enumerated: E6 (51,840 elements) passes, and
+#: A8, D7, B7 and C7 (322,560 elements and more) are refused
+GROUP_BOUND = 100_000
+
+
+def _group_tables(rs: RootSystem, bound: int = GROUP_BOUND) -> _GroupTables:
     """The group's tables, built once per root system.
 
     Raises ``GroupTooLarge`` before enumerating if |W| exceeds ``bound``.
@@ -337,7 +402,7 @@ def _group_tables(rs: RootSystem, bound: int = 1_000_000) -> _GroupTables:
     return tables
 
 
-def all_elements(rs: RootSystem, bound: int = 1_000_000) -> tuple[WeylElement, ...]:
+def all_elements(rs: RootSystem, bound: int = GROUP_BOUND) -> tuple[WeylElement, ...]:
     """Every group element, sorted by (length, ShortLex word).
 
     The elements come with ``length``, ``word`` and ``inversions`` read off

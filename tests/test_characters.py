@@ -233,6 +233,9 @@ def test_load_decomposition_file_rejects_bad_data(tmp_path):
         load_decomposition_file(block, write({"params": names[:-1], "matrix": good}))
     with pytest.raises(BadDecompositionFile):
         load_decomposition_file(block, write({"params": names, "matrix": good[:-1]}))
+    for shape in (5, list(range(8)), {"rows": good}, [str(row) for row in good]):
+        with pytest.raises(BadDecompositionFile, match="shape"):
+            load_decomposition_file(block, write({"params": names, "matrix": shape}))
 
     wrong = [row[:] for row in good]
     wrong[0][0] = 2
@@ -249,9 +252,16 @@ def test_load_decomposition_file_rejects_bad_data(tmp_path):
     with pytest.raises(BadDecompositionFile):
         load_decomposition_file(block, write({"params": names, "matrix": wrong}))
 
+    # only JSON integers: a float, a boolean or a numeric string is not truncated
+    for entry in ("x", "1", 1.5, 1.9, 1.0, True):
+        wrong = [row[:] for row in good]
+        wrong[2][2] = entry
+        with pytest.raises(BadDecompositionFile, match="must be integers"):
+            load_decomposition_file(block, write({"params": names, "matrix": wrong}))
     wrong = [row[:] for row in good]
-    wrong[2][2] = "x"
-    with pytest.raises(BadDecompositionFile):
+    wrong[2][0] = True  # where good has a 1
+    assert good[2][0] == 1
+    with pytest.raises(BadDecompositionFile, match="must be integers"):
         load_decomposition_file(block, write({"params": names, "matrix": wrong}))
 
     with pytest.raises(BadDecompositionFile):

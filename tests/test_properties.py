@@ -8,8 +8,13 @@ random weights and on random (w, y) in rank 3 and rank 4 blocks.
 
 ``bruhat_leq`` must respect inversion, x <= y iff x^{-1} <= y^{-1}, and
 reverse under right multiplication by w0, x <= y iff y w0 <= x w0.
+
+``change_basis`` from the Verma basis to the simple basis and back is
+the identity, with the built-in matrices of rank 2 and with a random
+user matrix, unitriangular along the Bruhat order, in type A3.
 """
 
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 
 from vermatwist import (
     CARTAN_BY_LABEL,
+    SIMPLE,
     VERMA,
     CharVector,
     SumFormulaInput,
@@ -25,8 +31,10 @@ from vermatwist import (
     all_elements,
     bruhat_leq,
     build_root_system,
+    change_basis,
     dot_action,
     element_from_word,
+    load_decomposition_file,
     longest_element,
     make_block,
     pairing,
@@ -34,6 +42,7 @@ from vermatwist import (
     reflection_through,
     sum_formula,
     weight,
+    word_text,
 )
 from vermatwist.jantzen import _dot_reflect
 
@@ -119,3 +128,45 @@ def test_bruhat_order_symmetries(data):
     below = bruhat_leq(x, y)
     assert bruhat_leq(x.inverse(), y.inverse()) == below
     assert bruhat_leq(y * w0, x * w0) == below
+
+
+@cache
+def regular_block(label):
+    rs = build_root_system(label)
+    return make_block(rs, weight(*[-2] * rs.rank))
+
+
+@cache
+def bruhat_pairs(label):
+    params = regular_block(label).params
+    return [[bruhat_leq(x, y) for x in params] for y in params]
+
+
+def user_matrix(label, seed):
+    """A random matrix that the loader accepts: 1 on the diagonal, 0 to 3 below it
+    where x < y in the Bruhat order, and 0 elsewhere."""
+    rng = random.Random(seed)
+    below = bruhat_pairs(label)
+    n = len(below)
+    matrix = [
+        [int(i == j) or (rng.randint(0, 3) if below[i][j] else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    blk = regular_block(label)
+    names = [word_text(w) for w in blk.params]
+    return load_decomposition_file(blk, {"params": names, "matrix": matrix})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_change_basis_round_trip(data):
+    label = data.draw(st.sampled_from(("A2", "B2", "G2", "A3")))
+    blk = regular_block(label)
+    dm = user_matrix(label, data.draw(st.integers(0, 2**32))) if label == "A3" else None
+    n = len(blk.params)
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for basis, other in ((VERMA, SIMPLE), (SIMPLE, VERMA)):
+        v = CharVector(basis, dict(zip(blk.params, coeffs)))
+        there = change_basis(blk, v, other, dm)
+        assert there.basis == other
+        assert change_basis(blk, there, basis, dm) == v

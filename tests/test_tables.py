@@ -7,13 +7,20 @@ The oracles here are matrix products, the inversion set and length read
 off the matrix, and the ShortLex word found by peeling off the smallest
 left descent, all computed on elements built fresh from the matrix.
 
-In a regular integral block the sum formula is a walk over those tables;
-it is compared with the evaluation through the orbit weights.
+The Bruhat lower ideals, bitsets over the same indices, are compared
+with ``bruhat_leq``.
+
+Every block but a singular nonintegral one is read off those tables:
+its integral Weyl group, its parameters and its sum formula.  They are
+compared with the orbit weights: the group and parameters found by
+acting on the base weight, and the sum formula evaluated through the
+weights (``_weight_sum``).
 """
 
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -23,12 +30,16 @@ from hypothesis import strategies as st
 
 from vermatwist import (
     CARTAN_BY_LABEL,
+    VERMA,
     GroupTooLarge,
+    NotInBlockOrbit,
     SumFormulaInput,
     Weight,
     WeylElement,
     all_elements,
+    bruhat_leq,
     build_root_system,
+    dot_action,
     element_from_word,
     layers_multiplicity_free,
     longest_element,
@@ -36,7 +47,9 @@ from vermatwist import (
     reflection_through,
     simple_reflection,
     sum_formula,
+    unit_vector,
     weight,
+    weight_action,
     word_text,
 )
 from vermatwist import characters, weyl
@@ -59,6 +72,15 @@ E8 = tuple(
         for j in range(8)
     )
     for i in range(8)
+)
+
+#: B7: the chain 1-2-...-7, with the short simple root last
+B7 = tuple(
+    tuple(
+        2 if i == j else (-2 if (i, j) == (6, 5) else -1) if abs(i - j) == 1 else 0
+        for j in range(7)
+    )
+    for i in range(7)
 )
 
 
@@ -164,7 +186,11 @@ def test_oversized_group_is_refused_before_enumeration(monkeypatch):
     rs = build_root_system(E8)
     assert len(rs.positive_roots) == 120
     assert _group_order(rs) == 696_729_600
-    with pytest.raises(GroupTooLarge, match="bound of 1000000 elements"):
+    with pytest.raises(GroupTooLarge, match="bound of 100000 elements"):
+        all_elements(rs)
+    rs = build_root_system(B7)
+    assert _group_order(rs) == 645_120
+    with pytest.raises(GroupTooLarge, match="bound of 100000 elements"):
         all_elements(rs)
     with pytest.raises(GroupTooLarge):
         all_elements(build_root_system("B2"), bound=7)
@@ -251,11 +277,8 @@ def test_table_sum_formula_matches_the_weight_path_f4(data):
     assert_same_result(SumFormulaInput(block=block, w=w, y=y))
 
 
-def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
-    block = fresh_block("B3")
-    rs = block.rs
-    pairs = [(w, y) for w in block.group[::7] for y in block.group[::5]]
-    pairs.append((element_from_word(rs, (1, 3, 2)), element_from_word(rs, (2, 3, 2, 1))))
+def counted_weights(monkeypatch):
+    """The list every ``Weight`` built from now on is appended to."""
     built = []
     post_init = Weight.__post_init__
 
@@ -264,16 +287,33 @@ def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Weight, "__post_init__", counted)
-    for w, y in pairs:
-        sum_formula(SumFormulaInput(block=block, w=w, y=y))
-    assert built == []
-    assert "_param_by_weight" not in vars(block)
+    return built
+
+
+def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
+    # regular integral, singular integral (J = {1, 3} and {3}) and regular nonintegral
+    built = counted_weights(monkeypatch)
+    rs = build_root_system("B3")
+    for lam in ("-2,-2,-2", "-1,-2,-1", "-2,-2,-1", "-1/2,-2,-2"):
+        base = parse_weight(lam)
+        built.clear()
+        block = make_block(rs, base)
+        assert len(built) == 1  # lam + rho, and nothing per element
+        pairs = [(w, y) for w in all_elements(rs)[::7] for y in block.group[::5]]
+        pairs.append((element_from_word(rs, (1, 3, 2)), element_from_word(rs, (2, 3, 2, 1))))
+        built.clear()
+        for w, y in pairs:
+            if y in block.group:
+                sum_formula(SumFormulaInput(block=block, w=w, y=y))
+        assert built == []
+        assert "_param_by_weight" not in vars(block)
 
 
 def test_regular_block_builds_no_weight_map(monkeypatch):
-    for lam in ((-2, -2), (-3, -5), (Fraction(-1, 2), -2)):
-        block = make_block(build_root_system("B2"), weight(*lam))
-        assert block.regular and block.params == block.group
+    rs = build_root_system("B2")
+    for lam in ("-2,-2", "-3,-5", "-1/2,-2", "-1,-2", "-2,-1", "-1,-1", "-3/2,-5/2"):
+        block = make_block(rs, parse_weight(lam))
+        assert not block.regular or block.params == block.group
         assert "_param_by_weight" not in vars(block)
     block = fresh_block("B2")
     y = block.params[5]
@@ -288,12 +328,20 @@ def test_regular_block_builds_no_weight_map(monkeypatch):
         "_param_by_weight",
         property(lambda self: pytest.fail("weight map built")),
     )
-    for command in ("sum-formula", "layers"):
-        for fmt in ("table", "json"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main([command, "--type", "B2", "--w", "st", "--y", "sts", "--format", fmt]) == 0
-            assert "sts" in out.getvalue()
+    # sts lies over the parameter st in the singular block; t lies in the
+    # integral Weyl group {e, t} of the nonintegral one
+    for lam, y, param in (("-2,-2", "sts", "sts"), ("-1,-2", "sts", "st"), ("-1/2,-2", "t", "t")):
+        for command in ("sum-formula", "layers"):
+            for fmt in ("table", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                args = [command, "--type", "B2", f"--lambda={lam}", "--w", "st", "--y", y]
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(args + ["--format", fmt])
+                if command == "layers" and lam != "-2,-2":
+                    assert (code, err.getvalue()[:29]) == (1, "error: UnsupportedBlock: laye")
+                else:
+                    assert code == 0
+                    assert re.search(rf'y = {param}\b|"y": "{param}"', out.getvalue())
 
 
 def test_interned_elements_carry_their_table_data():
@@ -301,3 +349,121 @@ def test_interned_elements_carry_their_table_data():
     for w in all_elements(rs):
         assert {"length", "word", "inversions"} <= set(vars(w))
         assert word_text(w) == word_text(fresh(w))
+
+
+def parse_weight(text):
+    return weight(*(Fraction(c) for c in text.split(",")))
+
+
+#: singular integral, regular nonintegral and singular nonintegral base weights
+OTHER_BLOCKS = [
+    ("A2", "-1,-2"), ("A2", "-1,-1"), ("A2", "-1/2,-2"), ("A2", "-3/2,-5/2"), ("A2", "-1/2,-1"),
+    ("B2", "-1,-2"), ("B2", "-2,-1"), ("B2", "-1/2,-2"), ("B2", "-2,-1/2"), ("B2", "-1/2,-1"),
+    ("G2", "-1,-2"), ("G2", "-2,-1"), ("G2", "-1/2,-2"), ("G2", "-2,-1/2"), ("G2", "-1,-3/2"),
+    ("G2", "-1/3,-2"),
+    ("A3", "-1,-2,-1"), ("A3", "-2,-2,-1"), ("A3", "-1,-1,-1"), ("A3", "-1/2,-2,-2"),
+    ("A3", "-1/2,-2,-1/2"),
+    ("B3", "-1,-2,-1"), ("B3", "-2,-2,-1"), ("B3", "-1/2,-2,-2"), ("B3", "-2,-2,-1/2"),
+]
+#: J = {4}, J = {1, 3} and a regular nonintegral weight
+F4_BLOCKS = ["-2,-2,-2,-1", "-1,-2,-1,-2", "-1/2,-2,-2,-2"]
+
+
+@cache
+def other_block(label, lam):
+    return make_block(build_root_system(label), parse_weight(lam))
+
+
+def outcome(evaluate, inp):
+    """The result as plain data, or the message of a ``NotInBlockOrbit`` refusal."""
+    try:
+        got = evaluate(inp)
+    except NotInBlockOrbit as exc:
+        return str(exc)
+    return got.vector, got.rplus_mu, got.rplus_w
+
+
+@pytest.mark.parametrize("label, lam", OTHER_BLOCKS)
+def test_every_block_kind_matches_the_weight_path(label, lam):
+    block = other_block(label, lam)
+    assert not (block.regular and block.integral)
+    group = all_elements(block.rs)
+    for i, w in enumerate(group):
+        for y in group:
+            inp = SumFormulaInput(block=block, w=w, y=y)
+            assert outcome(sum_formula, inp) == outcome(_weight_sum, inp)
+        for y in block.group[i % 5 :: 5]:
+            inp = SumFormulaInput(block=block, w=w, mu=block.weight_of(y))
+            by_y = outcome(sum_formula, SumFormulaInput(block=block, w=w, y=y))
+            assert outcome(sum_formula, inp) == outcome(_weight_sum, inp) == by_y
+
+
+@pytest.mark.parametrize("lam", F4_BLOCKS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_block_kind_matches_the_weight_path_f4(lam, data):
+    block = other_block("F4", lam)
+    group = all_elements(block.rs)
+    w = group[data.draw(st.integers(0, len(group) - 1))]
+    y = group[data.draw(st.integers(0, len(group) - 1))]
+    if data.draw(st.booleans()):
+        w = w * longest_element(block.rs)
+    inp = SumFormulaInput(block=block, w=w, y=y)
+    assert outcome(sum_formula, inp) == outcome(_weight_sum, inp)
+    if y in block.group:
+        inp = SumFormulaInput(block=block, w=w, mu=block.weight_of(y))
+        assert outcome(sum_formula, inp) == outcome(_weight_sum, inp)
+
+
+@pytest.mark.parametrize(
+    "label, lam",
+    OTHER_BLOCKS + [("B2", "-2,-2"), ("A3", "-2,-2,-2")] + [("F4", lam) for lam in F4_BLOCKS],
+)
+def test_block_group_and_params_match_the_orbit_weights(label, lam):
+    rs = build_root_system(label)
+    base = parse_weight(lam)
+    # w lies in the integral Weyl group iff w(lam) - lam is in the root lattice;
+    # the parameter of an orbit weight is the first element, in table order, to reach it
+    group = [w for w in all_elements(rs) if rs.in_root_lattice(weight_action(w, base) - base)]
+    first = {}
+    for w in group:
+        first.setdefault(dot_action(rs, w, base), w)
+    block = make_block(rs, base)
+    assert list(block.group) == group
+    assert list(block.params) == list(first.values())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "B4"])
+def test_bruhat_ideals_match_bruhat_leq(name):
+    rs = system(name)
+    elements = all_elements(rs)
+    ideals = _group_tables(rs).ideals
+    # every pair up to rank 3; in rank 4, every x under every 8th y and w0
+    # (the lifting loop takes about 24 s over all pairs of B4)
+    step = 1 if rs.rank <= 3 else 8
+    for k in [*range(0, len(elements), step), len(elements) - 1]:
+        y = elements[k]
+        assert [ideals[k] >> j & 1 == 1 for j in range(len(elements))] == [
+            bruhat_leq(x, y) for x in elements
+        ]
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("A1xA1", "-1,-2"), ("A1xA1", "-1/2,-2"), ("A1xA1", "-1/2,-1"),
+        ("A1xB2", "-1,-2,-2"), ("A1xB2", "-2,-1,-2"), ("A1xB2", "-2,-2,-1"),
+        ("A1xB2", "-1/2,-2,-2"), ("A1xB2", "-2,-1/2,-2"), ("A1xB2", "-1/2,-1,-2"),
+    ],
+)
+def test_complementarity_in_product_blocks(name, lam):
+    # sf(w, y) + sf(w w0, y) = |R+(mu)| [y]: each root is in exactly one of R+(w), R+(w w0)
+    rs = system(name)
+    block = make_block(rs, parse_weight(lam))
+    assert not (block.regular and block.integral)
+    w0 = longest_element(rs)
+    for w in all_elements(rs):
+        for y in block.params:
+            a = sum_formula(SumFormulaInput(block=block, w=w, y=y))
+            b = sum_formula(SumFormulaInput(block=block, w=w * w0, y=y))
+            assert a.vector + b.vector == len(a.rplus_mu) * unit_vector(VERMA, y)

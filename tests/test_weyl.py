@@ -23,6 +23,7 @@ from vermatwist import (
     simple_reflection,
     word_text,
 )
+from vermatwist.weyl import _group_tables
 
 
 def subword_leq(rs, x, y):
@@ -191,12 +192,16 @@ def test_reflection_through_b2_names():
 
 
 def test_bruhat_against_subword_oracle_exhaustive():
+    # the lifting loop, and the lower ideals of the group's tables as bitsets
     for label in ("A1", "A2", "B2", "G2"):
         rs = build_root_system(label)
         elems = all_elements(rs)
-        for x in elems:
-            for y in elems:
-                assert bruhat_leq(x, y) == subword_leq(rs, x, y), (label, x.word, y.word)
+        ideals = _group_tables(rs).ideals
+        for j, x in enumerate(elems):
+            for k, y in enumerate(elems):
+                below = subword_leq(rs, x, y)
+                assert bruhat_leq(x, y) == below, (label, x.word, y.word)
+                assert (ideals[k] >> j & 1 == 1) == below, (label, x.word, y.word)
 
 
 def test_bruhat_against_subword_oracle_sampled_b3():
