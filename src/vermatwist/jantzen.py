@@ -160,6 +160,12 @@ def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
     return tuple(beta for beta, _ in _r_plus_pairings(block.rs, mu))
 
 
+def _outside(y: WeylElement) -> NotInBlockOrbit:
+    return NotInBlockOrbit(
+        f"y = {word_text(y)} lies outside the block's integral Weyl group"
+    )
+
+
 def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
     block = inp.block
     if inp.mu is not None:
@@ -168,9 +174,7 @@ def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
     try:
         return mu, block.param_for_weight(mu)
     except NotInBlockOrbit:
-        raise NotInBlockOrbit(
-            f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
-        ) from None
+        raise _outside(inp.y) from None
 
 
 def _param_index(inp: SumFormulaInput) -> int:
@@ -185,9 +189,7 @@ def _param_index(inp: SumFormulaInput) -> int:
         return tables.index[block.param_for_weight(inp.mu).mat]
     k = block._param_of[tables.index[inp.y.mat]]
     if k < 0:
-        raise NotInBlockOrbit(
-            f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
-        )
+        raise _outside(inp.y)
     return k
 
 
@@ -232,6 +234,8 @@ def _table_sum(inp: SumFormulaInput) -> SumFormulaResult:
         else:
             counts[lower] = counts.get(lower, 0) + 1
     y = tables.elements[k]
+    # y's cached inversions when no root is cut: rebuilding the tuple from
+    # the bits costs about 3 us of a 17 us call in the F4 regular block
     return SumFormulaResult(
         vector=CharVector(VERMA, {tables.elements[j]: c for j, c in counts.items()}),
         rplus_mu=y.inversions

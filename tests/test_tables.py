@@ -311,9 +311,11 @@ def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
 
 def test_regular_block_builds_no_weight_map(monkeypatch):
     rs = build_root_system("B2")
+    regular = {"-2,-2", "-3,-5", "-1/2,-2", "-3/2,-5/2"}
     for lam in ("-2,-2", "-3,-5", "-1/2,-2", "-1,-2", "-2,-1", "-1,-1", "-3/2,-5/2"):
         block = make_block(rs, parse_weight(lam))
-        assert not block.regular or block.params == block.group
+        assert block.regular == (lam in regular)
+        assert (block.params == block.group) == block.regular
         assert "_param_by_weight" not in vars(block)
     block = fresh_block("B2")
     y = block.params[5]
