@@ -345,9 +345,10 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
 
 
 def _check_vector(block: BlockContext, v: CharVector) -> None:
-    for w in v.support():
-        if not block.contains_param(w):
-            raise ValueError(f"{w!r} is not a parameter of this block")
+    bad = [w for w in v._coeffs if not block.contains_param(w)]
+    if bad:
+        first = min(bad, key=lambda w: (w.length, w.word))
+        raise ValueError(f"{first!r} is not a parameter of this block")
 
 
 def change_basis(
@@ -363,11 +364,11 @@ def change_basis(
         raise ValueError(f"unknown basis {to!r}")
     _check_vector(block, v)
     if v.basis == to:
-        return CharVector(to, dict(v.items()))
+        return CharVector(to, v._coeffs)
     dm = decomposition if decomposition is not None else decomposition_matrix(block)
     out: dict[WeylElement, int] = {}
     rows = dm.rows if v.basis == VERMA else dm.inverse_rows
-    for y, c in v.items():
+    for y, c in v._coeffs.items():
         for x, m in zip(dm.params, rows[dm._index[y]]):
             if m:
                 out[x] = out.get(x, 0) + c * m

@@ -1,24 +1,34 @@
 """Exact arithmetic in rational functions regular at X = 0.
 
-Elements are fractions num/den of polynomials over Q in one variable X,
-kept in a canonical reduced form: the gcd is cancelled and the
-denominator is scaled to take the value 1 at X = 0.  Anything whose
-reduced denominator vanishes at 0 is rejected, so the represented ring is
-exactly the localization of Q[X] at the ideal (X).
+An element is a fraction n/d of polynomials in one variable X with
+integer coefficients, stored as lists of ints, constant term first, with
+no trailing zeros; the empty list is the zero polynomial.  The stored
+form is normalised cheaply on construction: common powers of X are
+cancelled, so that d(0) != 0, the integer content of n and d together is
+divided out, and the sign is fixed by d(0) > 0.  No polynomial gcd is
+taken, so n and d may still share a factor.  An element is refused
+exactly when X divides d more often than it divides n, so the
+represented ring is the localization of Q[X] at the ideal (X).
 
-Polynomials are tuples of ``Fraction`` coefficients, constant term first,
-with no trailing zeros; the empty tuple is the zero polynomial.
+Arithmetic multiplies and adds Python ints; equality cross-multiplies.
+Valuation, value at X = 0 and the zero test read the stored form
+directly.  Only hashing, printing and the public ``num`` and ``den``
+attributes need the canonical form: polynomials over Q as tuples of
+``Fraction`` coefficients, gcd cancelled, denominator scaled to take the
+value 1 at X = 0.  It is computed on first use and cached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .errors import InvariantViolated
 
 Poly = tuple[Fraction, ...]
+
+_set = object.__setattr__
 
 
 def _trim(coeffs) -> Poly:
@@ -26,23 +36,6 @@ def _trim(coeffs) -> Poly:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _p_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
 
 
 def _p_scale(a: Poly, c: Fraction) -> Poly:
@@ -75,9 +68,60 @@ def _p_gcd(a: Poly, b: Poly) -> Poly:
     return _p_scale(a, 1 / a[-1])
 
 
-@dataclass(frozen=True)
+def _z_trim(p: list[int]) -> list[int]:
+    k = len(p)
+    while k and not p[k - 1]:
+        k -= 1
+    return p if k == len(p) else p[:k]
+
+
+def _z_add(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _z_sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
+
+
+def _z_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _order(p: list[int]) -> int:
+    """Index of the first nonzero coefficient of a nonzero polynomial."""
+    for i, c in enumerate(p):
+        if c:
+            return i
+    raise InvariantViolated("order of the zero polynomial")
+
+
+def _make(n: list[int], d: list[int]) -> LocalRingElem:
+    """An element from integer lists; no stored list is ever mutated, so they may be shared."""
+    elem = object.__new__(LocalRingElem)
+    _set(elem, "_n", n)
+    _set(elem, "_d", d)
+    elem.__post_init__()
+    return elem
+
+
 class LocalRingElem:
-    """A rational function in X, regular at X = 0, in reduced form.
+    """A rational function in X, regular at X = 0.
 
     >>> x = variable()
     >>> (x * x + x) / x
@@ -88,40 +132,81 @@ class LocalRingElem:
     2
     """
 
-    num: Poly
-    den: Poly = (Fraction(1),)
+    __slots__ = ("_n", "_d", "_reduced")
+
+    def __init__(self, num, den=(1,)) -> None:
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = math.lcm(*(c.denominator for c in num + den))
+        _set(self, "_n", [int(c * scale) for c in num])
+        _set(self, "_d", [int(c * scale) for c in den])
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        num = _trim(self.num)
-        den = _trim(self.den)
-        if not den:
+        n = _z_trim(self._n)
+        d = _z_trim(self._d)
+        if not d:
             raise ZeroDivisionError("denominator is the zero polynomial")
-        if not num:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (Fraction(1),))
-            return
-        g = _p_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _p_divmod(num, g)
-            den, _ = _p_divmod(den, g)
-        if den[0] == 0:
-            raise ValueError(
-                "denominator vanishes at X = 0: element is outside the local ring"
-            )
-        num = _p_scale(num, 1 / den[0])
-        den = _p_scale(den, 1 / den[0])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if not n:
+            d = [1]
+        else:
+            shift = _order(d)
+            if shift:
+                if shift > _order(n):
+                    raise ValueError(
+                        "denominator vanishes at X = 0: element is outside the local ring"
+                    )
+                n = n[shift:]
+                d = d[shift:]
+            g = math.gcd(*n, *d)
+            if d[0] < 0:
+                g = -g
+            if g != 1:
+                n = [c // g for c in n]
+                d = [c // g for c in d]
+        _set(self, "_n", n)
+        _set(self, "_d", d)
+        _set(self, "_reduced", None)
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _canonical(self) -> tuple[Poly, Poly]:
+        if self._reduced is None:
+            num = _trim(self._n)
+            den = _trim(self._d)
+            if num:
+                g = _p_gcd(num, den)
+                if len(g) > 1:
+                    num, _ = _p_divmod(num, g)
+                    den, _ = _p_divmod(den, g)
+                num = _p_scale(num, 1 / den[0])
+                den = _p_scale(den, 1 / den[0])
+            _set(self, "_reduced", (num, den))
+        return self._reduced
+
+    @property
+    def num(self) -> Poly:
+        """Reduced numerator over Q, constant term first."""
+        return self._canonical()[0]
+
+    @property
+    def den(self) -> Poly:
+        """Reduced denominator over Q, with value 1 at X = 0."""
+        return self._canonical()[1]
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def valuation(self) -> int | float:
         """Order of vanishing at X = 0 (math.inf for the zero element)."""
-        if not self.num:
+        if not self._n:
             return math.inf
-        return next(i for i, c in enumerate(self.num) if c != 0)
+        return _order(self._n)
 
     @property
     def is_unit(self) -> bool:
@@ -129,49 +214,68 @@ class LocalRingElem:
 
     def specialize(self) -> Fraction:
         """Value at X = 0."""
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LocalRingElem):
+            return NotImplemented
+        return _z_mul(self._n, other._d) == _z_mul(other._n, self._d)
+
+    def __hash__(self) -> int:
+        return hash(self._canonical())
 
     def __add__(self, other) -> LocalRingElem:
-        other = _coerce(other)
-        if other is NotImplemented:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return LocalRingElem(
-            _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
-            _p_mul(self.den, other.den),
-        )
+        on, od = parts
+        return _make(_z_add(_z_mul(self._n, od), _z_mul(on, self._d)), _z_mul(self._d, od))
 
     __radd__ = __add__
 
     def __neg__(self) -> LocalRingElem:
-        return LocalRingElem(_p_scale(self.num, Fraction(-1)), self.den)
+        return _make([-c for c in self._n], self._d)
 
     def __sub__(self, other) -> LocalRingElem:
-        other = _coerce(other)
-        if other is NotImplemented:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self + (-other)
+        on, od = parts
+        return _make(_z_sub(_z_mul(self._n, od), _z_mul(on, self._d)), _z_mul(self._d, od))
 
     def __rsub__(self, other) -> LocalRingElem:
-        return -(self - other)
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        on, od = parts
+        return _make(_z_sub(_z_mul(on, self._d), _z_mul(self._n, od)), _z_mul(self._d, od))
 
     def __mul__(self, other) -> LocalRingElem:
-        other = _coerce(other)
-        if other is NotImplemented:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return LocalRingElem(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        on, od = parts
+        return _make(_z_mul(self._n, on), _z_mul(self._d, od))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> LocalRingElem:
-        other = _coerce(other)
-        if other is NotImplemented:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        if other.is_zero:
+        on, od = parts
+        if not on:
             raise ZeroDivisionError("division by zero in the local ring")
-        return LocalRingElem(_p_mul(self.num, other.den), _p_mul(self.den, other.num))
+        return _make(_z_mul(self._n, od), _z_mul(self._d, on))
 
     def __rtruediv__(self, other) -> LocalRingElem:
-        return _coerce(other) / self
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        if not self._n:
+            raise ZeroDivisionError("division by zero in the local ring")
+        on, od = parts
+        return _make(_z_mul(on, self._d), _z_mul(od, self._n))
 
     def __pow__(self, exponent: int) -> LocalRingElem:
         if exponent < 0:
@@ -182,10 +286,11 @@ class LocalRingElem:
         return out
 
     def __str__(self) -> str:
-        top = _poly_text(self.num)
-        if self.den == (Fraction(1),):
+        num, den = self._canonical()
+        top = _poly_text(num)
+        if den == (Fraction(1),):
             return top
-        return f"({top}) / ({_poly_text(self.den)})"
+        return f"({top}) / ({_poly_text(den)})"
 
     def __repr__(self) -> str:
         return f"LocalRingElem({str(self)!r})"
@@ -212,20 +317,21 @@ def _poly_text(p: Poly) -> str:
     return text
 
 
-def _coerce(value) -> LocalRingElem:
+def _parts(value) -> tuple[list[int], list[int]] | None:
+    """Numerator and denominator lists of an element, int or Fraction."""
     if isinstance(value, LocalRingElem):
-        return value
+        return value._n, value._d
     if isinstance(value, (int, Fraction)):
-        return LocalRingElem((Fraction(value),))
-    return NotImplemented
+        return ([value.numerator] if value else []), [value.denominator]
+    return None
 
 
 def constant(value) -> LocalRingElem:
-    return LocalRingElem((Fraction(value),))
+    return LocalRingElem((value,))
 
 
 def variable() -> LocalRingElem:
-    return LocalRingElem((Fraction(0), Fraction(1)))
+    return LocalRingElem((0, 1))
 
 
 def zero() -> LocalRingElem:
@@ -233,4 +339,4 @@ def zero() -> LocalRingElem:
 
 
 def one() -> LocalRingElem:
-    return LocalRingElem((Fraction(1),))
+    return LocalRingElem((1,))

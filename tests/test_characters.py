@@ -138,6 +138,25 @@ def test_change_basis_rejects_foreign_support():
         change_basis(block, v, SIMPLE)
 
 
+def test_change_basis_names_the_first_foreign_parameter():
+    block = b2_block()
+    other = build_root_system("A2")
+    foreign = [element_from_word(other, word) for word in ((1, 2), (2,), (1,))]
+    v = CharVector(VERMA, {foreign[0]: 1, block.params[2]: 4, foreign[1]: -1, foreign[2]: 2})
+    for to in (VERMA, SIMPLE):
+        with pytest.raises(ValueError) as err:
+            change_basis(block, v, to)
+        assert str(err.value) == f"{foreign[2]!r} is not a parameter of this block"
+
+
+def test_change_basis_to_the_same_basis_copies():
+    block = b2_block()
+    v = CharVector(SIMPLE, {block.params[5]: 2, block.params[1]: -3})
+    same = change_basis(block, v, SIMPLE)
+    assert same == v and same is not v
+    assert same.items() == v.items()
+
+
 def test_needs_user_matrix():
     rs = build_root_system("B2")
     with pytest.raises(NeedsUserMatrix):

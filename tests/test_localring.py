@@ -1,10 +1,178 @@
+"""The local ring against a reference, and its ring laws.
+
+``Reference`` below is the former implementation, kept as the oracle: it
+stores the reduced form itself, ``Fraction`` coefficients with the gcd
+cancelled by Euclid over Q after every operation.  The package stores
+integer polynomials without a gcd and reduces only when an element is
+hashed, printed or its ``num``/``den`` are read, so every observable of
+the two must agree on random expressions.
+"""
+
+from __future__ import annotations
+
+import dataclasses
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vermatwist import LocalRingElem, constant, one, variable, zero
+from vermatwist import LocalRingElem, constant, localring, one, variable, zero
+
+Poly = tuple[Fraction, ...]
+
+
+def _trim(coeffs) -> Poly:
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _p_add(a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    return _trim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def _p_mul(a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _p_scale(a: Poly, c: Fraction) -> Poly:
+    return _trim(x * c for x in a)
+
+
+def _p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rest = list(a)
+    inv_lead = 1 / b[-1]
+    while len(rest) >= len(b):
+        c = rest[-1] * inv_lead
+        k = len(rest) - len(b)
+        quotient[k] = c
+        for i, x in enumerate(b):
+            rest[k + i] -= c * x
+        while rest and rest[-1] == 0:
+            rest.pop()
+    return _trim(quotient), _trim(rest)
+
+
+def _p_gcd(a: Poly, b: Poly) -> Poly:
+    while b:
+        _, r = _p_divmod(a, b)
+        a, b = b, r
+    if not a:
+        return ()
+    return _p_scale(a, 1 / a[-1])
+
+
+@dataclass(frozen=True)
+class Reference:
+    """A rational function in X regular at 0, reduced after every operation."""
+
+    num: Poly
+    den: Poly = (Fraction(1),)
+
+    def __post_init__(self) -> None:
+        num = _trim(self.num)
+        den = _trim(self.den)
+        if not den:
+            raise ZeroDivisionError("denominator is the zero polynomial")
+        if not num:
+            object.__setattr__(self, "num", ())
+            object.__setattr__(self, "den", (Fraction(1),))
+            return
+        g = _p_gcd(num, den)
+        if len(g) > 1:
+            num, _ = _p_divmod(num, g)
+            den, _ = _p_divmod(den, g)
+        if den[0] == 0:
+            raise ValueError(
+                "denominator vanishes at X = 0: element is outside the local ring"
+            )
+        object.__setattr__(self, "num", _p_scale(num, 1 / den[0]))
+        object.__setattr__(self, "den", _p_scale(den, 1 / den[0]))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def valuation(self) -> int | float:
+        if not self.num:
+            return math.inf
+        return next(i for i, c in enumerate(self.num) if c != 0)
+
+    @property
+    def is_unit(self) -> bool:
+        return self.valuation() == 0
+
+    def specialize(self) -> Fraction:
+        return self.num[0] if self.num else Fraction(0)
+
+    def __add__(self, other) -> Reference:
+        other = _ref(other)
+        return Reference(
+            _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
+            _p_mul(self.den, other.den),
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Reference:
+        return Reference(_p_scale(self.num, Fraction(-1)), self.den)
+
+    def __sub__(self, other) -> Reference:
+        return self + (-_ref(other))
+
+    def __rsub__(self, other) -> Reference:
+        return -(self - other)
+
+    def __mul__(self, other) -> Reference:
+        other = _ref(other)
+        return Reference(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> Reference:
+        other = _ref(other)
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero in the local ring")
+        return Reference(_p_mul(self.num, other.den), _p_mul(self.den, other.num))
+
+    def __rtruediv__(self, other) -> Reference:
+        return _ref(other) / self
+
+    def __pow__(self, exponent: int) -> Reference:
+        if exponent < 0:
+            return Reference((1,)) / self ** (-exponent)
+        out = Reference((1,))
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __str__(self) -> str:
+        top = localring._poly_text(self.num)
+        if self.den == (Fraction(1),):
+            return top
+        return f"({top}) / ({localring._poly_text(self.den)})"
+
+    def __repr__(self) -> str:
+        return f"LocalRingElem({str(self)!r})"
+
+
+def _ref(value) -> Reference:
+    return value if isinstance(value, Reference) else Reference((Fraction(value),))
 
 
 def rand_elem(rng, allow_zero=True):
@@ -114,3 +282,152 @@ def test_reduction_cancels_common_factor():
     e = num / den
     assert str(e) == "X + 1"
     assert e.specialize() == 1
+
+
+def test_elements_are_immutable():
+    x = variable()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.num = (Fraction(1),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x._n = [1]
+    with pytest.raises(AttributeError):
+        del x._d
+    assert x == variable()
+
+
+def test_every_element_is_normalised_once(monkeypatch):
+    calls = []
+    post_init = LocalRingElem.__post_init__
+
+    def counted(elem):
+        calls.append(1)
+        post_init(elem)
+
+    monkeypatch.setattr(LocalRingElem, "__post_init__", counted)
+    x = variable()
+    y = (x * x + 1) / 2 - Fraction(1, 3)
+    assert len(calls) == 5
+    assert str(y) == "1/2*X^2 + 1/6"
+    assert len(calls) == 5  # printing reads the cached canonical form, no new element
+
+
+REFUSED = "denominator vanishes at X = 0: element is outside the local ring"
+
+
+def test_powers_of_x_cancel_before_the_ring_test():
+    x = variable()
+    assert x ** 3 / x ** 2 == x
+    assert str(x ** 3 / x ** 2) == "X"
+    assert ((x * x + x) / x).valuation() == 0
+    with pytest.raises(ValueError, match=REFUSED):
+        x / x ** 2
+    with pytest.raises(ValueError, match=REFUSED):
+        (x * x - x) / (x * x)
+    with pytest.raises(ValueError, match=REFUSED):
+        LocalRingElem((0, 0, 1), (0, 0, 0, 5))
+    assert LocalRingElem((0, 0, 2), (0, 0, 4, 2)) == 1 / (2 + x)
+
+
+def test_equal_values_with_different_stored_forms():
+    x = variable()
+    u = (3 - x) / (1 + 2 * x)
+    a = (x + 1) * u / u
+    b = x + 1
+    assert a._n != b._n
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.num == b.num and a.den == b.den
+    assert a != b + Fraction(1, 7)
+
+
+LEAVES = st.one_of(
+    st.just(("x",)),
+    st.integers(-4, 4).map(lambda n: ("int", n)),
+    st.fractions(-3, 3, max_denominator=4).map(lambda q: ("frac", q)),
+    st.tuples(
+        st.lists(st.integers(-3, 3), max_size=4),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    ).map(lambda nd: ("elem", tuple(nd[0]), tuple(nd[1]))),
+)
+
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), kids, kids),
+        st.tuples(st.just("**"), kids, st.integers(-2, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def evaluate(tree, elem):
+    """The value of a tree, with ``elem`` as the element class; raw numbers stay numbers."""
+    kind = tree[0]
+    if kind == "x":
+        return elem((0, 1))
+    if kind in ("int", "frac"):
+        return tree[1]
+    if kind == "elem":
+        return elem(tree[1], tree[2])
+    left = evaluate(tree[1], elem)
+    right = tree[2] if kind == "**" else evaluate(tree[2], elem)
+    if not isinstance(left, elem) and not isinstance(right, elem):
+        left = Fraction(left)  # no float from int / int or int ** -1
+    if kind == "**":
+        return left ** right
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left * right
+    return left / right
+
+
+def observe(tree, elem):
+    """Everything a caller can read off the value of a tree, or how it was refused."""
+    try:
+        value = evaluate(tree, elem)
+    except (ValueError, ZeroDivisionError) as exc:
+        return None, ("refused", type(exc), str(exc))
+    if not isinstance(value, elem):
+        value = elem((value,))
+    return value, (
+        str(value),
+        repr(value),
+        value.num,
+        value.den,
+        value.valuation(),
+        value.specialize(),
+        value.is_zero,
+        value.is_unit,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_every_observable_matches_the_reference(tree):
+    _, got = observe(tree, LocalRingElem)
+    _, want = observe(tree, Reference)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES, TREES, TREES)
+def test_equality_and_hash_match_the_reference(tree_a, tree_b, tree_u):
+    a, _ = observe(tree_a, LocalRingElem)
+    b, _ = observe(tree_b, LocalRingElem)
+    ra, _ = observe(tree_a, Reference)
+    rb, _ = observe(tree_b, Reference)
+    if a is None or b is None:
+        return
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    # the same value through a detour that leaves a common factor in the stored form
+    u, _ = observe(tree_u, LocalRingElem)
+    if u is not None and u.is_unit:
+        detour = a * u / u
+        assert detour == a
+        assert hash(detour) == hash(a)
+        assert str(detour) == str(a)
