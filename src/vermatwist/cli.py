@@ -12,41 +12,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
-from .characters import SIMPLE, CharVector, load_decomposition_file, make_block
 from .errors import UnsupportedBlock, VermatwistError
-from .jantzen import (
-    LayerTable,
-    SumFormulaInput,
-    SumFormulaResult,
-    _layer_matrix,
-    _layer_table,
-    _orbit_param,
-    layers_multiplicity_free,
-    sum_formula,
-)
-from .rootsystem import Root, RootSystem, Weight, build_root_system
-from .sl2lab import (
-    DEFAULT_TRUNCATION,
-    MAX_TRUNCATION,
-    check_equivariance,
-    coker_check_over_A,
-    four_term_rank_check,
-    is_natural,
-    jantzen_layers_sl2,
-    phi,
-    psi,
-)
-from .weyl import (
-    WeylElement,
-    _group_tables,
-    element_from_word,
-    longest_element,
-    parse_word_text,
-    word_text,
-)
+
+# Each command imports the layers it runs inside its body, so that a
+# ``weyl`` run never loads the character, sum-formula or rank 1 modules.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .characters import CharVector
+    from .jantzen import LayerTable, SumFormulaInput, SumFormulaResult
+    from .rootsystem import Root, RootSystem, Weight
+    from .weyl import WeylElement
 
 
 def _dumps(obj) -> str:
@@ -62,21 +38,27 @@ def _root_text(beta: Root) -> str:
 
 
 def _vector_text(vec: CharVector) -> str:
+    from .weyl import word_text
+
     if vec.is_zero:
         return "0"
     return " ".join(f"{c:+}[{word_text(w)}]" for w, c in vec.items())
 
 
 def _vector_json(vec: CharVector) -> dict[str, int]:
+    from .weyl import word_text
+
     return {word_text(w): c for w, c in vec.items()}
 
 
 def _layers_json(table: LayerTable) -> dict[str, int]:
+    from .weyl import word_text
+
     ordered = sorted(table.layers, key=lambda w: (w.length, w.word))
     return {word_text(w): table.layers[w] for w in ordered}
 
 
-def _layer_lines(table: LayerTable, name=word_text) -> list[str]:
+def _layer_lines(table: LayerTable, name) -> list[str]:
     lines = []
     for k, row in enumerate(table.by_depth()):
         body = " ".join(f"L({name(x)})" for x in row) if row else "0"
@@ -85,11 +67,15 @@ def _layer_lines(table: LayerTable, name=word_text) -> list[str]:
 
 
 def _resolve_system(args, parser: argparse.ArgumentParser) -> RootSystem:
+    from .rootsystem import build_root_system
+
     if args.type and args.cartan_file:
         parser.error("give only one of --type and --cartan-file")
     if args.type:
         return build_root_system(args.type)
     if args.cartan_file:
+        from pathlib import Path
+
         try:
             data = json.loads(Path(args.cartan_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -105,6 +91,8 @@ def _resolve_system(args, parser: argparse.ArgumentParser) -> RootSystem:
 
 
 def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
+    from .rootsystem import Weight
+
     if text == "default":
         return Weight(tuple(Fraction(-2) for _ in range(rs.rank)))
     text = text.strip()
@@ -120,6 +108,8 @@ def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
 
 
 def _resolve_element(rs: RootSystem, text: str) -> WeylElement:
+    from .weyl import element_from_word, parse_word_text
+
     return element_from_word(rs, parse_word_text(rs, text))
 
 
@@ -129,6 +119,10 @@ def _resolve_input(args, parser) -> SumFormulaInput:
     With ``--xy`` the words are x and y of the two-letter form, which names
     the module at twist x * w0 and orbit parameter x * y.
     """
+    from .characters import make_block
+    from .jantzen import SumFormulaInput
+    from .weyl import longest_element
+
     rs = _resolve_system(args, parser)
     block = make_block(rs, _resolve_lambda(rs, args.lam))
     w = _resolve_element(rs, args.w)
@@ -141,12 +135,17 @@ def _resolve_input(args, parser) -> SumFormulaInput:
 
 
 def _simple_vector(table: LayerTable) -> CharVector:
+    from .characters import SIMPLE, CharVector
+
     # _layer_table checks that the sum vector's simple basis
     # coefficients are exactly the depths it reports
     return CharVector(SIMPLE, table.layers)
 
 
 def _payload(inp: SumFormulaInput, result: SumFormulaResult, table: LayerTable | None) -> dict:
+    from .jantzen import _orbit_param
+    from .weyl import word_text
+
     return {
         "w": word_text(inp.w),
         "y": word_text(_orbit_param(inp)),
@@ -158,10 +157,16 @@ def _payload(inp: SumFormulaInput, result: SumFormulaResult, table: LayerTable |
 
 
 def _table_lines(table: LayerTable) -> list[str]:
-    return _layer_lines(table) + [f"zero top: {'yes' if table.zero_top else 'no'}"]
+    from .weyl import word_text
+
+    return _layer_lines(table, word_text) + [f"zero top: {'yes' if table.zero_top else 'no'}"]
 
 
 def cmd_sum_formula(args, parser) -> int:
+    from .characters import load_decomposition_file
+    from .jantzen import _layer_matrix, _layer_table, _orbit_param, sum_formula
+    from .weyl import word_text
+
     inp = _resolve_input(args, parser)
     # evaluated before the decomposition file is read: a y outside the
     # block's orbit is reported as such whatever the file holds
@@ -194,6 +199,10 @@ def cmd_sum_formula(args, parser) -> int:
 
 
 def cmd_layers(args, parser) -> int:
+    from .characters import load_decomposition_file
+    from .jantzen import _layer_matrix, _layer_table, _orbit_param, sum_formula
+    from .weyl import word_text
+
     inp = _resolve_input(args, parser)
     block = inp.block
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
@@ -217,6 +226,11 @@ def cmd_layers(args, parser) -> int:
 
 def render_b2_table() -> str:
     """The full B2 reproduction: every (w, y) pair, grouped by layer table."""
+    from .characters import make_block
+    from .jantzen import SumFormulaInput, layers_multiplicity_free
+    from .rootsystem import Weight, build_root_system
+    from .weyl import longest_element, word_text
+
     rs = build_root_system("B2")
     lam = Weight((Fraction(-2), Fraction(-2)))
     block = make_block(rs, lam)
@@ -253,6 +267,8 @@ def render_b2_table() -> str:
 
 def golden_b2_text() -> str:
     """The frozen transcription shipped with the package."""
+    from importlib import resources
+
     return resources.files("vermatwist").joinpath("data/b2_golden.txt").read_text()
 
 
@@ -262,55 +278,70 @@ def cmd_b2_table(args, parser) -> int:
 
 
 def cmd_weyl(args, parser) -> int:
+    from .weyl import _group_tables, word_text
+
     rs = _resolve_system(args, parser)
     tables = _group_tables(rs)
     elements = tables.elements
-    w0 = longest_element(rs)
+    names = [word_text(w) for w in elements]
     # x is covered by y iff x = y * t for a reflection t and l(x) = l(y) - 1;
     # as sets, {y * t} = {t * y}, the column of y in the reflection table
     covers = []
     for k, y in enumerate(elements):
         below = sorted(column[k] for column in tables.refl)
-        covers.extend((elements[j], y) for j in below if elements[j].length + 1 == y.length)
+        covers.extend((j, k) for j in below if elements[j].length + 1 == y.length)
     if args.format == "json":
         payload = {
             "type": rs.label,
             "rank": rs.rank,
             "elements": [
                 {
-                    "word": word_text(w),
+                    "word": name,
                     "length": w.length,
                     "inversions": [list(b.coords) for b in w.inversions],
                 }
-                for w in elements
+                for w, name in zip(elements, names)
             ],
-            "covers": [[word_text(x), word_text(y)] for x, y in covers],
+            "covers": [[names[j], names[k]] for j, k in covers],
         }
         print(_dumps(payload))
         return 0
     label = rs.label if rs.label else "custom"
     lines = [f"Weyl group, type {label} (rank {rs.rank})"]
-    lines.append(f"{len(elements)} elements; longest element = {word_text(w0)}")
+    # the longest element is the last in (length, word) order
+    lines.append(f"{len(elements)} elements; longest element = {names[-1]}")
     lines.append(
         "positive roots: " + " ".join(_root_text(b) for b in rs.positive_roots)
     )
     lines.append("elements (word: length, inversion set):")
-    for w in elements:
+    for w, name in zip(elements, names):
         invs = " ".join(_root_text(b) for b in w.inversions) or "-"
-        lines.append(f"  {word_text(w)}: {w.length}, {invs}")
+        lines.append(f"  {name}: {w.length}, {invs}")
     lines.append("bruhat covers:")
-    for x, y in covers:
-        lines.append(f"  {word_text(x)} < {word_text(y)}")
+    for j, k in covers:
+        lines.append(f"  {names[j]} < {names[k]}")
     print("\n".join(lines))
     return 0
 
 
 def cmd_sl2(args, parser) -> int:
+    from .sl2lab import (
+        DEFAULT_TRUNCATION,
+        MAX_TRUNCATION,
+        check_equivariance,
+        coker_check_over_A,
+        four_term_rank_check,
+        is_natural,
+        jantzen_layers_sl2,
+        phi,
+        psi,
+    )
+
     try:
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
         parser.error(f"cannot parse --lambda value {args.lam!r} as a rational")
-    trunc = args.trunc
+    trunc = DEFAULT_TRUNCATION if args.trunc is None else args.trunc
     if trunc < 1:
         parser.error("--trunc must be at least 1")
     if trunc > MAX_TRUNCATION:
@@ -318,18 +349,20 @@ def cmd_sl2(args, parser) -> int:
     which = args.check
     natural = is_natural(lam)
 
+    # every check reads the forward map, built once and handed on
+    forward = phi(lam, trunc)
     rows: list[tuple[str, object]] = []
     if which in ("all", "phi"):
-        rows.append(("phi equivariance", check_equivariance(phi(lam, trunc))))
+        rows.append(("phi equivariance", check_equivariance(forward)))
     if which in ("all", "psi"):
-        rows.append(("psi equivariance", check_equivariance(psi(lam, trunc))))
+        rows.append(("psi equivariance", check_equivariance(psi(forward))))
     if which in ("all", "four-term"):
         rows.append(
-            ("four-term exactness at X=0", four_term_rank_check(lam, trunc) if natural else None)
+            ("four-term exactness at X=0", four_term_rank_check(forward) if natural else None)
         )
-        rows.append(("cokernel valuations over A", coker_check_over_A(lam, trunc)))
+        rows.append(("cokernel valuations over A", coker_check_over_A(forward)))
     if which in ("all", "jantzen"):
-        rows.append(("jantzen valuations", jantzen_layers_sl2(lam, trunc)))
+        rows.append(("jantzen valuations", jantzen_layers_sl2(forward)))
 
     if args.format == "json":
         payload: dict[str, object] = {"lambda": str(lam), "truncation": trunc}
@@ -411,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sl2 = sub.add_parser("sl2", help="rank 1 deformation checks")
     p_sl2.add_argument("--lambda", dest="lam", required=True, help="highest weight, a rational")
-    p_sl2.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
+    # the default, sl2lab.DEFAULT_TRUNCATION, is filled in by cmd_sl2
+    p_sl2.add_argument("--trunc", type=int)
     p_sl2.add_argument(
         "--check",
         choices=("all", "phi", "psi", "four-term", "jantzen"),
@@ -439,8 +473,15 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return merged
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # parsing leaves no state on the parser, so one serves every call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_value_flags(list(argv)))

@@ -16,11 +16,14 @@ Conventions used throughout the package:
 
 Root systems are interned: building twice from equal Cartan data returns
 the same object, so identity comparison is meaningful and cheap.
+
+Roots, weights and the records of this module and ``weyl`` are plain
+immutable classes with the equality, hash and repr a frozen dataclass
+would give them; the ``weyl`` command loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,8 +46,22 @@ CARTAN_BY_LABEL: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Root:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Refuses to assign or delete an attribute, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Root(_Frozen):
     """A root written in simple root coordinates.
 
     Roots of a finite system are either positive (all coordinates >= 0) or
@@ -53,13 +70,21 @@ class Root:
 
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        coords = tuple(int(c) for c in coords)
+        _set(self, "coords", coords)
         if not coords or all(c == 0 for c in coords):
             raise NotARoot(f"zero vector is not a root: {coords}")
         if any(c > 0 for c in coords) and any(c < 0 for c in coords):
             raise NotARoot(f"mixed signs in root coordinates: {coords}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @property
     def is_positive(self) -> bool:
@@ -76,18 +101,29 @@ class Root:
         return f"Root{self.coords}"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Frozen):
     """A weight written in fundamental weight coordinates."""
 
     coords: tuple[Fraction, ...]
 
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        _set(self, "coords", coords)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(
+        _set(
             self,
             "coords",
             tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coords),
         )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @property
     def is_integral(self) -> bool:
@@ -111,12 +147,34 @@ def weight(*coords) -> Weight:
     return Weight(tuple(Fraction(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class WeightClassification:
+class WeightClassification(_Frozen):
     antidominant: bool
     dominant: bool
     regular: bool
     integral: bool
+
+    def __init__(self, antidominant: bool, dominant: bool, regular: bool, integral: bool) -> None:
+        _set(self, "antidominant", antidominant)
+        _set(self, "dominant", dominant)
+        _set(self, "regular", regular)
+        _set(self, "integral", integral)
+
+    def _fields(self) -> tuple[bool, bool, bool, bool]:
+        return (self.antidominant, self.dominant, self.regular, self.integral)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"WeightClassification(antidominant={self.antidominant!r}, "
+            f"dominant={self.dominant!r}, regular={self.regular!r}, integral={self.integral!r})"
+        )
 
 
 def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:

@@ -17,6 +17,9 @@ The forward map has entry binomial(z, i); its essentially unique
 equivariant partner in the other direction divides by that binomial,
 rescaled for natural lam so that every entry stays regular at X = 0.
 Specializing X to 0 recovers the classical undeformed maps.
+
+``psi`` and the checks take either lam or the forward map that ``phi``
+returned; given the map, they use its own lam and truncation.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ DUAL_TO_VERMA = "dual_to_verma"
 DEFAULT_TRUNCATION = 12
 
 #: Largest truncation the command line driver accepts.  The cost grows
-#: about quadratically: ``sl2 --trunc 100`` runs for about 0.4 s, of which
-#: 0.12 s is the report itself and the rest interpreter start and import,
-#: on a 2-core x86 VM with Python 3.11.
+#: about quadratically: ``sl2 --trunc 100`` runs for about 0.17 s, of which
+#: 0.05 to 0.09 s is the report itself and the rest interpreter start and
+#: import, on a 2-core x86 VM with Python 3.11.
 MAX_TRUNCATION = 100
 
 
@@ -103,6 +106,21 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     return WeightMap(lam, truncation, VERMA_TO_DUAL, tuple(entries))
 
 
+def _given(lam, truncation: int) -> tuple[Fraction, int, WeightMap | None]:
+    """lam and the truncation, read off ``lam`` when it is a map from ``phi``,
+    and that map, or None."""
+    if not isinstance(lam, WeightMap):
+        return Fraction(lam), truncation, None
+    if lam.direction != VERMA_TO_DUAL:
+        raise ValueError("expected the forward map, as phi returns it")
+    return lam.lam, lam.truncation, lam
+
+
+def _forward(lam, truncation: int) -> WeightMap:
+    lam, truncation, forward = _given(lam, truncation)
+    return forward or phi(lam, truncation)
+
+
 def psi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     """The deformed map back into the Verma module.
 
@@ -113,7 +131,7 @@ def psi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     makes the specialization at X = 0 match the classical map, whose
     nonzero entries are (-1)^i * binomial(i, i - lam - 1).
     """
-    return _backward(phi(lam, truncation))
+    return _backward(_forward(lam, truncation))
 
 
 def _backward(forward: WeightMap) -> WeightMap:
@@ -163,7 +181,7 @@ def jantzen_layers_sl2(lam, truncation: int = DEFAULT_TRUNCATION) -> dict[int, i
     This is the rank 1 Jantzen layer count: index i sits inside the k-th
     filtration step exactly when the valuation is at least k.
     """
-    return {i: v for i, v in enumerate(phi(lam, truncation).valuations())}
+    return {i: v for i, v in enumerate(_forward(lam, truncation).valuations())}
 
 
 def _require_window(lam: int, truncation: int) -> None:
@@ -183,12 +201,12 @@ def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     forward entry vanishes exactly above index lam, and the specialized
     backward entry exactly up to lam.
     """
-    lam = Fraction(lam)
+    lam, truncation, forward_map = _given(lam, truncation)
     if not is_natural(lam):
         raise ValueError("the four term sequence needs a natural highest weight")
     lam_int = int(lam)
     _require_window(lam_int, truncation)
-    forward_map = phi(lam, truncation)
+    forward_map = forward_map or phi(lam, truncation)
     forward = forward_map.specialized()
     backward = _backward(forward_map).specialized()
     for i in range(truncation + 1):
@@ -207,12 +225,12 @@ def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     the expected truncated modules with X acting by zero.  For any other
     lam all entries are units and the check is trivially true.
     """
-    lam = Fraction(lam)
+    lam, truncation, forward_map = _given(lam, truncation)
     natural = is_natural(lam)
     if natural:
         _require_window(int(lam), truncation)
     lam_int = int(lam) if natural else None
-    forward_map = phi(lam, truncation)
+    forward_map = forward_map or phi(lam, truncation)
     forward = forward_map.valuations()
     backward = _backward(forward_map).valuations()
     for i in range(truncation + 1):

@@ -33,11 +33,10 @@ words are tuples like ``(1, 2, 1)``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import Root, RootSystem, Weight, _coroot_of
+from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _set
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -66,12 +65,15 @@ def _simple_matrix(rs: RootSystem, i: int) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class WeylElement:
+class WeylElement(_Frozen):
     """One Weyl group element, pinned to its root system."""
 
     rs: RootSystem
     mat: IntMatrix
+
+    def __init__(self, rs: RootSystem, mat: IntMatrix) -> None:
+        _set(self, "rs", rs)
+        _set(self, "mat", mat)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
@@ -231,8 +233,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, eq=False)
-class _GroupTables:
+class _GroupTables(_Frozen):
     """The whole group as integer tables, indexed in the order of ``all_elements``.
 
     ``index`` maps an element's matrix to its index k; ``left[i][k]`` is the
@@ -246,6 +247,13 @@ class _GroupTables:
     left: tuple[list[int], ...]
     refl: tuple[list[int], ...]
     masks: tuple[int, ...]
+
+    def __init__(self, elements, index, left, refl, masks) -> None:
+        _set(self, "elements", elements)
+        _set(self, "index", index)
+        _set(self, "left", left)
+        _set(self, "refl", refl)
+        _set(self, "masks", masks)
 
     @cached_property
     def right(self) -> tuple[list[int], ...]:
@@ -467,8 +475,7 @@ def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
     return weight_action(w, lam + rs.rho) - rs.rho
 
 
-@dataclass(frozen=True)
-class RootSequence:
+class RootSequence(_Frozen):
     """A positive-root enumeration adapted to a group element.
 
     ``word`` is a reduced word for the longest element whose reversed
@@ -480,6 +487,25 @@ class RootSequence:
     word: tuple[int, ...]
     betas: tuple[Root, ...]
     split: int
+
+    def __init__(self, word: tuple[int, ...], betas: tuple[Root, ...], split: int) -> None:
+        _set(self, "word", word)
+        _set(self, "betas", betas)
+        _set(self, "split", split)
+
+    def _fields(self) -> tuple:
+        return (self.word, self.betas, self.split)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"RootSequence(word={self.word!r}, betas={self.betas!r}, split={self.split!r})"
 
 
 def root_sequence_through(rs: RootSystem, w: WeylElement) -> RootSequence:

@@ -429,7 +429,7 @@ def test_weyl_cover_counts_rank_4():
     ids=["sum-formula", "sum-formula-json", "layers-json", "layers"],
 )
 def test_one_sum_formula_evaluation_per_run(monkeypatch, argv):
-    from vermatwist import cli, jantzen
+    from vermatwist import jantzen
 
     calls = []
     real = jantzen.sum_formula
@@ -439,7 +439,6 @@ def test_one_sum_formula_evaluation_per_run(monkeypatch, argv):
         return real(inp)
 
     monkeypatch.setattr(jantzen, "sum_formula", counted)
-    monkeypatch.setattr(cli, "sum_formula", counted)
     code, out, err = run_cli(*argv)
     assert (code, err) == (0, "")
     assert len(calls) == 1
@@ -454,3 +453,24 @@ def test_sl2_truncation_bound():
     code, out, err = run_cli("sl2", "--lambda", "-1/2", "--check", "phi", "--trunc", str(MAX_TRUNCATION))
     assert (code, err) == (0, "")
     assert "phi equivariance: pass" in out
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    from vermatwist import DEFAULT_TRUNCATION, cli
+
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    first = run_cli("weyl", "--type", "A2")
+    code, out, err = run_cli("sl2", "--lambda", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"sl2 deformation report: lambda = 1, truncation = {DEFAULT_TRUNCATION}\n")
+    assert run_cli("weyl", "--type", "A2") == first
+    assert len(built) == 1
+    assert real() is not real()

@@ -1,0 +1,172 @@
+"""The lazy package front, what each command loads, and the plain record classes."""
+
+import importlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import vermatwist
+from vermatwist import (
+    Root,
+    RootSequence,
+    Weight,
+    WeightClassification,
+    WeylElement,
+    build_root_system,
+    classify_weight,
+    element_from_word,
+    root_sequence_through,
+    weight,
+)
+
+LAYERS = ("characters", "errors", "jantzen", "localring", "rootsystem", "sl2lab", "weyl")
+
+#: ``vermatwist.__all__`` as it stood when every layer was imported eagerly
+EXPORTED = [
+    "BadDecompositionFile", "BlockContext", "CARTAN_BY_LABEL", "CharVector",
+    "DEFAULT_TRUNCATION", "DUAL_TO_VERMA", "DecompositionMatrix", "GroupTooLarge",
+    "IndexOutOfRange", "InvariantViolated", "LayerTable", "LocalRingElem",
+    "MixedRootSystems", "NeedsUserMatrix", "NotARoot", "NotAntidominant", "NotFiniteType",
+    "NotInBlockOrbit", "NotMultiplicityFree", "Root", "RootSequence", "RootSystem", "SIMPLE",
+    "SumFormulaInput", "SumFormulaResult", "TruncationTooSmall", "UnsupportedBlock", "VERMA",
+    "VERMA_TO_DUAL", "VermatwistError", "Weight", "WeightClassification", "WeightMap",
+    "WeylElement", "all_elements", "bruhat_leq", "build_root_system", "change_basis",
+    "characters", "check_equivariance", "check_xy_consistency", "classify_weight",
+    "coker_check_over_A", "constant", "coroot_pairing_roots", "decomposition_matrix",
+    "deformed_binomial", "dimension_at", "dot_action", "duality_partner", "element_from_word",
+    "errors", "four_term_rank_check", "identity_element", "integral_positive_roots", "inverse",
+    "inversion_set", "is_natural", "jantzen", "jantzen_layers_sl2", "kostant_partition",
+    "layers_multiplicity_free", "length", "load_decomposition_file", "localring",
+    "longest_element", "make_block", "multiply", "one", "pairing", "parse_word_text", "phi",
+    "psi", "r_plus_of_weight", "reflection_through", "root_sequence_through", "rootsystem",
+    "simple_reflection", "sl2lab", "sum_formula", "sum_formula_xy", "unit_vector", "variable",
+    "weight", "weight_action", "weyl", "word_text", "zero",
+]  # fmt: skip
+
+
+def test_all_is_unchanged():
+    assert vermatwist.__all__ == EXPORTED
+    assert set(EXPORTED) <= set(dir(vermatwist))
+
+
+def test_every_name_is_the_object_its_module_defines():
+    modules = {layer: importlib.import_module(f"vermatwist.{layer}") for layer in LAYERS}
+    for name in EXPORTED:
+        value = getattr(vermatwist, name)
+        if name in modules:
+            assert value is modules[name]
+            continue
+        assert any(vars(module).get(name) is value for module in modules.values()), name
+        home = getattr(value, "__module__", None)
+        if isinstance(home, str) and home.startswith("vermatwist."):
+            assert getattr(sys.modules[home], name) is value, name
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from vermatwist import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == EXPORTED
+    assert namespace["sum_formula"] is vermatwist.jantzen.sum_formula
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        vermatwist.cli_main  # noqa: B018
+
+
+LOADED_BY_WEYL = """
+import sys
+before = set(sys.modules)
+import vermatwist
+front = set(sys.modules) - before
+import contextlib, io
+import vermatwist.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = vermatwist.cli.main(["weyl", "--type", "A3", "--format", "json"])
+print(code)
+print(" ".join(sorted(front)))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_weyl_command_loads_only_its_layers():
+    src = str(Path(vermatwist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_WEYL], capture_output=True, text=True, env=env
+    )
+    assert proc.stderr == ""
+    code, front, loaded = proc.stdout.splitlines()
+    assert code == "0"
+    assert [m for m in front.split() if m.startswith("vermatwist")] == ["vermatwist"]
+    loaded = set(loaded.split())
+    assert {"vermatwist.cli", "vermatwist.rootsystem", "vermatwist.weyl"} <= loaded
+    unused = {f"vermatwist.{layer}" for layer in ("characters", "jantzen", "localring", "sl2lab")}
+    assert loaded & (unused | {"dataclasses"}) == set()
+
+
+def assert_frozen(obj, names):
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+def test_root_record():
+    beta = Root((1, 1))
+    assert beta == Root(coords=(1, 1)) == Root([1, 1])
+    assert beta != Root((0, 1)) and beta != (1, 1)
+    assert hash(beta) == hash(((1, 1),))
+    assert repr(beta) == "Root(1, 1)" and repr(-beta) == "Root(-1, -1)"
+    assert_frozen(beta, ["coords"])
+    assert beta.coords == (1, 1)
+
+
+def test_weight_record():
+    lam = Weight((-2, Fraction(1, 2)))
+    assert lam.coords == (Fraction(-2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in lam.coords)
+    assert lam == weight(-2, Fraction(1, 2)) == Weight(coords=(Fraction(-2), Fraction(1, 2)))
+    assert lam != weight(-2, 0) and lam != lam.coords
+    assert hash(lam) == hash(((Fraction(-2), Fraction(1, 2)),))
+    assert repr(lam) == "Weight(-2, 1/2)"
+    assert_frozen(lam, ["coords"])
+
+
+def test_weyl_element_record():
+    rs = build_root_system("B2")
+    w = element_from_word(rs, (1, 2))
+    same = WeylElement(rs=rs, mat=w.mat)
+    assert w == same and hash(w) == hash(same)
+    assert {w: 1}[same] == 1
+    assert w != element_from_word(rs, (2, 1)) and w != w.mat
+    assert w != element_from_word(build_root_system("A2"), (1, 2))
+    assert repr(w) == "WeylElement(st)"
+    assert_frozen(w, ["rs", "mat", "length"])
+    assert w.length == 2
+
+
+def test_classification_and_root_sequence_records():
+    rs = build_root_system("B2")
+    got = classify_weight(rs, weight(-2, -2))
+    want = WeightClassification(antidominant=True, dominant=False, regular=True, integral=True)
+    assert got == want and hash(got) == hash((True, False, True, True))
+    assert repr(got) == (
+        "WeightClassification(antidominant=True, dominant=False, regular=True, integral=True)"
+    )
+    assert_frozen(got, ["regular"])
+    seq = root_sequence_through(rs, element_from_word(rs, (1,)))
+    assert seq == RootSequence(word=seq.word, betas=seq.betas, split=1)
+    assert hash(seq) == hash((seq.word, seq.betas, 1))
+    assert repr(seq) == (
+        "RootSequence(word=(1, 2, 1, 2), "
+        "betas=(Root(1, 0), Root(0, 1), Root(1, 1), Root(2, 1)), split=1)"
+    )
+    assert_frozen(seq, ["split"])

@@ -210,3 +210,37 @@ def test_deformed_binomial_refuses_negative_index():
     for i in (-1, -5):
         with pytest.raises(ValueError, match="at least 0"):
             deformed_binomial(3, i)
+
+
+@pytest.mark.parametrize("lam", SAMPLE_WEIGHTS)
+def test_checks_take_the_forward_map(lam):
+    # given the map, a check reads lam and the truncation off it
+    forward = phi(lam, 16)
+    assert psi(forward) == psi(lam, 16)
+    assert jantzen_layers_sl2(forward, truncation=3) == jantzen_layers_sl2(lam, 16)
+    assert coker_check_over_A(forward) == coker_check_over_A(lam, 16)
+    if is_natural(lam):
+        assert four_term_rank_check(forward) == four_term_rank_check(lam, 16)
+    with pytest.raises(ValueError, match="forward map"):
+        coker_check_over_A(psi(forward))
+
+
+def test_sl2_report_builds_the_forward_map_once(monkeypatch):
+    import contextlib
+    import io
+
+    from vermatwist import cli, sl2lab
+
+    calls = []
+    real = sl2lab.phi
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sl2lab, "phi", counted)
+    for check in ("all", "phi", "psi", "four-term", "jantzen"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sl2", "--lambda", "3", "--trunc", "12", "--check", check]) == 0
+        assert calls == [(Fraction(3), 12)]
