@@ -7,15 +7,20 @@ called the block parameters.  Character vectors are formal integer
 combinations of parameters in either the Verma basis or the simple basis;
 the two are related by the block's decomposition matrix.
 
-Regular integral, singular integral and regular nonintegral blocks are
-read off the Weyl group's integer tables, with no weight built per
-element.  The integral Weyl group is the closure of the identity under
-the reflections through the integral roots.  A regular block's
-parameters are its group; a singular integral block's are the shortest
-elements of the cosets of W_J, for J the simple coroots pairing to 0
-with lam + rho.  Only a singular nonintegral block finds its parameters
-through the orbit weights, and only it and a ``mu`` input build the
-weight to parameter map.
+Every block is read off the Weyl group's integer tables, with no weight
+built per element.  The integral Weyl group is the closure of the
+identity under the reflections through the integral roots.  The
+stabilizer of lam + rho is generated by the reflections that fix it
+(Steinberg), all of them in integral roots, so one coset rule serves
+every kind of block: an orbit weight's parameter is the first element,
+in table order, of its coset w Stab(lam + rho).  The stabilizer is
+trivial in a regular block, the parabolic W_J in a singular integral
+one, and a reflection subgroup that need not be parabolic in a singular
+nonintegral one.  Each coset of a reflection subgroup has a unique
+element of minimal length (Dyer, Reflection subgroups of Coxeter
+systems, 1990), and table order is (length, word), so the first element
+is that shortest one.  Only a ``mu`` input and ``param_for_weight``
+build the weight to parameter map.
 
 In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
@@ -122,12 +127,10 @@ def unit_vector(basis: str, w: WeylElement) -> CharVector:
 class BlockContext:
     """An orbit of the integral Weyl group through an antidominant weight.
 
-    Every block but a singular nonintegral one is read off the group's
-    tables: ``_param_of[k]`` is the table index of the parameter of
-    w_k . lam, or -1 when w_k lies outside the integral Weyl group, and
-    bit b of ``_root_mask`` is set when the b-th positive root is
-    integral for lam.  A singular nonintegral block has ``_param_of``
-    None and finds its parameters through the orbit weights.
+    The block is read off the group's tables: ``_param_of[k]`` is the
+    table index of the parameter of w_k . lam, or -1 when w_k lies
+    outside the integral Weyl group, and bit b of ``_root_mask`` is set
+    when the b-th positive root is integral for lam.
     """
 
     def __init__(self, rs: RootSystem, lam: Weight):
@@ -154,37 +157,18 @@ class BlockContext:
         else:
             members = tables.generated(self._root_mask)
             self.group = tuple(tables.elements[k] for k in members)
-        self._param_of: list[int] | None = None
-        if self.regular:
-            # a regular weight has a trivial stabilizer: every element is a parameter
-            self._param_of = [-1] * len(tables.elements)
-            for k in members:
-                self._param_of[k] = k
-            self.params = self.group
-        elif self.integral:
-            # the stabilizer is W_J for the simple coroots J pairing to 0 with
-            # lam + rho, and the parameters are the shortest coset elements
-            zero = [i for i, c in enumerate(shifted.coords) if c == 0]
-            self._param_of = tables.coset_minima(zero)
-            self.params = tuple(
-                w for k, w in enumerate(tables.elements) if self._param_of[k] == k
-            )
-        else:
-            params = self._param_by_weight.values()
-            self.params = tuple(sorted(params, key=lambda w: (w.length, w.word)))
+        # the stabilizer of lam + rho is generated by the reflections fixing it,
+        # and each orbit weight's parameter is the first element of its coset
+        zero_mask = sum(1 << b for b, v in enumerate(values) if v == 0)
+        self._param_of = tables.coset_minima(members, zero_mask)
+        self.params = tuple(tables.elements[k] for k in members if self._param_of[k] == k)
         self._param_set = frozenset(self.params)
         self._default_decomp: DecompositionMatrix | None = None
 
     @cached_property
     def _param_by_weight(self) -> dict[Weight, WeylElement]:
-        """Each orbit weight with its parameter, the shortest element reaching it."""
-        best: dict[Weight, WeylElement] = {}
-        for w in self.group:
-            mu = dot_action(self.rs, w, self.base)
-            cur = best.get(mu)
-            if cur is None or (w.length, w.word) < (cur.length, cur.word):
-                best[mu] = w
-        return best
+        """Each orbit weight with its parameter."""
+        return {self.weight_of(w): w for w in self.params}
 
     def __repr__(self) -> str:
         kind = "regular" if self.regular else "singular"

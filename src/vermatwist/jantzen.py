@@ -18,31 +18,25 @@ For w = e this is the classical Verma module sum formula; for w = w0 the
 two branches swap roles, which is the complementarity identity tested in
 the suite.
 
-In every block but a singular nonintegral one, each term is a lookup in
-the group's tables.  With y the parameter of mu = y . lam (a shortest
-coset element in a singular block) and lam + rho antidominant, R+(mu) is
-the inversion set of y cut down to the integral roots, and
-s_beta . mu = (t_beta y) . lam, so :func:`sum_formula` reads t_beta y off
-the reflection table, maps it to its parameter, and builds no weight.
-That covers regular integral, singular integral and regular nonintegral
-blocks.  A singular nonintegral block, whose stabilizer is generated by
-reflections that need not be simple in the whole root system, goes
-through the weights (``_weight_sum``), where each reflected weight has a
-closed form: with n = <mu + rho, beta^vee>, the integer found while
-collecting R+(mu),
+In every block each term is a lookup in the group's tables.  Let y be the
+parameter of mu = y . lam: the first element, in table order, of its
+coset y Stab(lam + rho), which is the coset's unique shortest element
+(Dyer; see :mod:`vermatwist.characters`).  With lam + rho antidominant,
+y sends the positive roots of the stabilizer to positive roots, so
+R+(mu) is the inversion set of y cut down to the integral roots, and
+s_beta . mu = (t_beta y) . lam.  :func:`sum_formula` therefore reads
+t_beta y off the reflection table, maps it to its parameter, and builds
+no weight.
 
-    s_beta . mu = mu - n * beta.
-
-Neither route builds a reflection matrix.  The two-letter form
-:func:`sum_formula_xy` keeps the literal route through the reflection
-matrix of each root and the dot action; it is the independent oracle that
-:func:`check_xy_consistency` and the tests compare against.
+The two-letter form :func:`sum_formula_xy` keeps the literal route
+through the reflection matrix of each root and the dot action; it is the
+independent oracle that :func:`check_xy_consistency` and the tests
+compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .characters import (
     SIMPLE,
@@ -60,7 +54,7 @@ from .errors import (
     NotMultiplicityFree,
     UnsupportedBlock,
 )
-from .rootsystem import Root, RootSystem, Weight, pairing
+from .rootsystem import Root, Weight, pairing
 from .weyl import (
     WeylElement,
     _bits,
@@ -137,27 +131,16 @@ class LayerTable:
         )
 
 
-def _r_plus_pairings(rs: RootSystem, mu: Weight) -> list[tuple[Root, int]]:
-    """R+(mu) in root order, each root with its pairing against mu + rho."""
+def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
+    """Positive roots pairing to a strictly positive integer with mu + rho."""
+    rs = block.rs
     shifted = mu + rs.rho
     out = []
     for beta in rs.positive_roots:
         value = pairing(rs, shifted, beta)
         if value.denominator == 1 and value > 0:
-            out.append((beta, int(value)))
-    return out
-
-
-def _dot_reflect(rs: RootSystem, mu: Weight, beta: Root, n: int | Fraction) -> Weight:
-    """s_beta . mu, given n = <mu + rho, beta^vee>."""
-    return Weight(
-        tuple(m - n * b for m, b in zip(mu.coords, rs.root_to_weight(beta).coords))
-    )
-
-
-def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
-    """Positive roots pairing to a strictly positive integer with mu + rho."""
-    return tuple(beta for beta, _ in _r_plus_pairings(block.rs, mu))
+            out.append(beta)
+    return tuple(out)
 
 
 def _outside(y: WeylElement) -> NotInBlockOrbit:
@@ -166,22 +149,10 @@ def _outside(y: WeylElement) -> NotInBlockOrbit:
     )
 
 
-def _resolve_orbit_weight(inp: SumFormulaInput) -> tuple[Weight, WeylElement]:
-    block = inp.block
-    if inp.mu is not None:
-        return inp.mu, block.param_for_weight(inp.mu)
-    mu = block.weight_of(inp.y)
-    try:
-        return mu, block.param_for_weight(mu)
-    except NotInBlockOrbit:
-        raise _outside(inp.y) from None
-
-
 def _param_index(inp: SumFormulaInput) -> int:
     """Table index of the block parameter of the module's highest weight.
 
-    For a block read off the tables (``_param_of`` set); a ``mu`` input
-    goes through the block's weight map.
+    A ``mu`` input goes through the block's weight map.
     """
     block = inp.block
     tables = _group_tables(block.rs)
@@ -195,28 +166,15 @@ def _param_index(inp: SumFormulaInput) -> int:
 
 def _orbit_param(inp: SumFormulaInput) -> WeylElement:
     """The block parameter of the module's highest weight."""
-    if inp.block._param_of is None:
-        return _resolve_orbit_weight(inp)[1]
     return _group_tables(inp.block.rs).elements[_param_index(inp)]
 
 
 def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
-    """Evaluate the sum formula; see the module docstring for the shape.
+    """Evaluate the sum formula by lookups in the group's tables.
 
-    Works in singular and nonintegral blocks as well: contributions land
-    on orbit parameters, so coincident reflected weights merge.
-    """
-    if inp.block._param_of is None:
-        return _weight_sum(inp)
-    return _table_sum(inp)
-
-
-def _table_sum(inp: SumFormulaInput) -> SumFormulaResult:
-    """The sum formula by lookups in the group's tables.
-
-    With y the parameter and mu = y . lam, R+(mu) is the inversion set of
-    y cut down to the integral roots, and s_beta . mu = (t_beta y) . lam,
-    so each term's parameter is that of t_beta y, off the reflection table.
+    See the module docstring for the shape.  Works in singular and
+    nonintegral blocks as well: contributions land on orbit parameters,
+    so coincident reflected weights merge.
     """
     block = inp.block
     tables = _group_tables(block.rs)
@@ -242,37 +200,6 @@ def _table_sum(inp: SumFormulaInput) -> SumFormulaResult:
         if rplus == tables.masks[k]
         else tuple(block.rs.positive_roots[b] for b in _bits(rplus)),
         rplus_w=tables.elements[kw].inversions,
-    )
-
-
-def _weight_sum(inp: SumFormulaInput) -> SumFormulaResult:
-    """The sum formula through the orbit weights, for any block.
-
-    :func:`sum_formula` takes this route only in singular nonintegral
-    blocks; elsewhere it is the oracle the tables are tested against.
-    """
-    block = inp.block
-    rs = block.rs
-    mu, y_param = _resolve_orbit_weight(inp)
-    pairings = _r_plus_pairings(rs, mu)
-    inversions = set(b.coords for b in inp.w.inversions)
-
-    coeffs: dict[WeylElement, int] = {}
-
-    def bump(param: WeylElement, c: int) -> None:
-        coeffs[param] = coeffs.get(param, 0) + c
-
-    for beta, n in pairings:
-        lower = block.param_for_weight(_dot_reflect(rs, mu, beta, n))
-        if beta.coords in inversions:
-            bump(y_param, 1)
-            bump(lower, -1)
-        else:
-            bump(lower, 1)
-    return SumFormulaResult(
-        vector=CharVector(VERMA, coeffs),
-        rplus_mu=tuple(beta for beta, _ in pairings),
-        rplus_w=inp.w.inversions,
     )
 
 

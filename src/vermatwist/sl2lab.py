@@ -19,13 +19,15 @@ rescaled for natural lam so that every entry stays regular at X = 0.
 Specializing X to 0 recovers the classical undeformed maps.
 
 ``psi`` and the checks take either lam or the forward map that ``phi``
-returned; given the map, they use its own lam and truncation.
+returned; given the map, they use its own lam and truncation.  A forward
+map builds its backward partner once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantViolated, TruncationTooSmall
 from .localring import LocalRingElem, constant, one, variable
@@ -58,6 +60,17 @@ class WeightMap:
             raise ValueError(f"unknown direction {self.direction!r}")
         if len(self.entries) != self.truncation + 1:
             raise ValueError("need one entry per index from 0 to the truncation")
+
+    @cached_property
+    def _backward(self) -> WeightMap:
+        """The partner of this forward map, as ``psi`` describes it, built once."""
+        lam = self.lam
+        if is_natural(lam):
+            scale = constant(Fraction((-1) ** (int(lam) + 1), int(lam) + 1)) * variable()
+        else:
+            scale = one()
+        entries = tuple(scale / b for b in self.entries)
+        return WeightMap(lam, self.truncation, DUAL_TO_VERMA, entries)
 
     def specialized(self) -> tuple[Fraction, ...]:
         """The classical map: every entry evaluated at X = 0."""
@@ -131,18 +144,7 @@ def psi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     makes the specialization at X = 0 match the classical map, whose
     nonzero entries are (-1)^i * binomial(i, i - lam - 1).
     """
-    return _backward(_forward(lam, truncation))
-
-
-def _backward(forward: WeightMap) -> WeightMap:
-    """The partner of a forward map from ``phi``, as ``psi`` describes it."""
-    lam = forward.lam
-    if is_natural(lam):
-        scale = constant(Fraction((-1) ** (int(lam) + 1), int(lam) + 1)) * variable()
-    else:
-        scale = one()
-    entries = tuple(scale / b for b in forward.entries)
-    return WeightMap(lam, forward.truncation, DUAL_TO_VERMA, entries)
+    return _forward(lam, truncation)._backward
 
 
 def check_equivariance(wmap: WeightMap, lam=None, truncation: int | None = None) -> bool:
@@ -208,7 +210,7 @@ def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     _require_window(lam_int, truncation)
     forward_map = forward_map or phi(lam, truncation)
     forward = forward_map.specialized()
-    backward = _backward(forward_map).specialized()
+    backward = forward_map._backward.specialized()
     for i in range(truncation + 1):
         if (forward[i] == 0) != (i > lam_int):
             return False
@@ -232,7 +234,7 @@ def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     lam_int = int(lam) if natural else None
     forward_map = forward_map or phi(lam, truncation)
     forward = forward_map.valuations()
-    backward = _backward(forward_map).valuations()
+    backward = forward_map._backward.valuations()
     for i in range(truncation + 1):
         want_forward = 1 if natural and i > lam_int else 0
         want_backward = 1 if natural and i <= lam_int else 0

@@ -16,9 +16,12 @@ indexed in the order of :func:`all_elements`, i.e. by (length, word):
   ``rs.positive_roots``, from N(s_i w) = {a_i} + s_i N(w) when s_i w is
   longer than w.
 
-Two more tables are built on first use: ``right[i][k]``, the index of
-w_k s_i, read off ``left`` through inverses, and the Bruhat lower ideals
-as bitsets over the indices.
+Two more tables are built on first use: ``inverse[k]``, the index of
+w_k^{-1}, read off ``left`` along the word of w_k, and the Bruhat lower
+ideals as bitsets over the indices.  Right multiplication needs no table
+of its own: w t = (t w^{-1})^{-1} for any reflection t, so
+:meth:`_GroupTables.coset_minima` walks the cosets of a reflection
+subgroup through ``inverse`` and ``refl``.
 
 The elements :func:`all_elements` returns carry their length, word and
 inversion set from these tables; an element built by multiplication
@@ -256,18 +259,15 @@ class _GroupTables(_Frozen):
         _set(self, "masks", masks)
 
     @cached_property
-    def right(self) -> tuple[list[int], ...]:
-        """``right[i][k]`` is the index of w_k s_{i+1} = (s_{i+1} w_k^{-1})^{-1}.
-
-        ``inv[k]``, the index of w_k^{-1}, is the word of w_k read backwards.
-        """
+    def inverse(self) -> tuple[int, ...]:
+        """``inverse[k]`` is the index of w_k^{-1}: the word of w_k read backwards."""
         inv = []
         for w in self.elements:
             k = 0
             for i in w.word:
                 k = self.left[i - 1][k]
             inv.append(k)
-        return tuple([inv[column[j]] for j in inv] for column in self.left)
+        return tuple(inv)
 
     @cached_property
     def ideals(self) -> tuple[int, ...]:
@@ -285,14 +285,29 @@ class _GroupTables(_Frozen):
             ideals.append(ideal)
         return tuple(ideals)
 
-    def coset_minima(self, simple: list[int]) -> list[int]:
-        """For every k, the index of the shortest element of w_k W_J, for J
-        the 0-based ``simple`` reflections: peel off right descents in J."""
-        columns = [self.right[i] for i in simple]
-        out: list[int] = []
-        for k in range(len(self.elements)):
-            down = next((column[k] for column in columns if column[k] < k), k)
-            out.append(k if down == k else out[down])
+    def coset_minima(self, members, roots_mask: int) -> list[int]:
+        """For every k in ``members``, the first index in table order of the
+        coset w_k W', for W' generated by the reflections through the
+        positive roots in ``roots_mask``; -1 for every other index.
+
+        ``members`` lists a subgroup containing W', in table order.  Each
+        coset is a breadth-first search from its first member along right
+        multiplication, w t_beta = (t_beta w^{-1})^{-1}.
+        """
+        columns = [self.refl[b] for b in _bits(roots_mask)]
+        inv = self.inverse if columns else ()
+        out = [-1] * len(self.elements)
+        for k in members:
+            if out[k] >= 0:
+                continue
+            out[k] = k
+            queue = [k]
+            for j in queue:
+                for column in columns:
+                    m = inv[column[inv[j]]]
+                    if out[m] < 0:
+                        out[m] = k
+                        queue.append(m)
         return out
 
     def generated(self, roots_mask: int) -> list[int]:

@@ -1,10 +1,18 @@
-"""Property tests: the closed-form reflections of the sum formula, and
-the symmetries of the Bruhat order.
+"""Property tests: the sum formula against reflection matrices, the
+coset rule of the blocks, the group laws of the tables, and the
+symmetries of the Bruhat order.
 
-``sum_formula`` reflects each orbit weight as s_beta . mu = mu - n * beta
-with n = <mu + rho, beta^vee>.  These tests compare it with the literal
-route, the reflection matrix of beta pushed through the dot action, on
-random weights and on random (w, y) in rank 3 and rank 4 blocks.
+The weight-path oracle (``weight_path.py``) reflects each orbit weight
+as s_beta . mu = mu - n * beta with n = <mu + rho, beta^vee>.  These
+tests compare that closed form, on random weights, and ``sum_formula``,
+on random (w, y) in rank 3 and rank 4 blocks, with the literal route:
+the reflection matrix of beta pushed through the dot action.
+
+Blocks through random rational weights of A3, B3 and C3, of every kind,
+must have as parameters the first elements to reach each orbit weight,
+and their sum formula must equal the one evaluated through the weights
+(``weight_path.py``), refusals included.  The tables' ``inverse`` list,
+products and the dot action must obey the group laws.
 
 ``bruhat_leq`` must respect inversion, x <= y iff x^{-1} <= y^{-1}, and
 reverse under right multiplication by w0, x <= y iff y w0 <= x w0.
@@ -18,7 +26,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vermatwist import (
@@ -26,6 +34,7 @@ from vermatwist import (
     SIMPLE,
     VERMA,
     CharVector,
+    NotAntidominant,
     SumFormulaInput,
     Weight,
     all_elements,
@@ -42,9 +51,11 @@ from vermatwist import (
     reflection_through,
     sum_formula,
     weight,
+    weight_action,
     word_text,
 )
-from vermatwist.jantzen import _dot_reflect
+from vermatwist.weyl import _group_tables
+from weight_path import _dot_reflect, _weight_sum, outcome
 
 
 @st.composite
@@ -109,6 +120,54 @@ def test_sum_formula_matches_reflection_matrices(data):
     got = sum_formula(SumFormulaInput(block=blk, w=w, y=y))
     assert got.vector == reflection_matrix_sum(blk, w, y)
     assert got.rplus_mu == r_plus_of_weight(blk, blk.weight_of(y))
+
+
+#: coordinates of the drawn base weights: integral, half and third integral
+COORDS = tuple(Fraction(c) for c in ("-1", "-2", "-1/2", "-3/2", "-1/3", "-2/3"))
+
+
+@cache
+def drawn_block(label, coords):
+    return make_block(build_root_system(label), Weight(coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blocks_of_rational_weights_match_the_orbit_weights(data):
+    label = data.draw(st.sampled_from(("A3", "B3", "C3")))
+    coords = tuple(data.draw(st.sampled_from(COORDS)) for _ in range(3))
+    try:
+        blk = drawn_block(label, coords)
+    except NotAntidominant:
+        assume(False)
+    rs, base = blk.rs, blk.base
+    group = all_elements(rs)
+    # w lies in the integral Weyl group iff w(lam) - lam is in the root lattice
+    members = [w for w in group if rs.in_root_lattice(weight_action(w, base) - base)]
+    first = {}
+    for w in members:
+        first.setdefault(dot_action(rs, w, base), w)
+    assert list(blk.group) == members
+    assert list(blk.params) == list(first.values())
+    for _ in range(8):
+        w = group[data.draw(st.integers(0, len(group) - 1))]
+        y = group[data.draw(st.integers(0, len(group) - 1))]
+        inp = SumFormulaInput(block=blk, w=w, y=y)
+        assert outcome(sum_formula, inp) == outcome(_weight_sum, inp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_group_and_dot_action_laws(data):
+    rs = build_root_system(data.draw(st.sampled_from(("B3", "F4"))))
+    tables = _group_tables(rs)
+    group = tables.elements
+    k, j = (data.draw(st.integers(0, len(group) - 1)) for _ in range(2))
+    u, v = group[k], group[j]
+    assert group[tables.inverse[k]] == u.inverse()
+    assert (u * v).inverse() == v.inverse() * u.inverse()
+    lam = data.draw(weights(rs.rank))
+    assert dot_action(rs, u, dot_action(rs, v, lam)) == dot_action(rs, u * v, lam)
 
 
 @settings(max_examples=80, deadline=None)

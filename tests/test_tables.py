@@ -10,11 +10,11 @@ left descent, all computed on elements built fresh from the matrix.
 The Bruhat lower ideals, bitsets over the same indices, are compared
 with ``bruhat_leq``.
 
-Every block but a singular nonintegral one is read off those tables:
-its integral Weyl group, its parameters and its sum formula.  They are
-compared with the orbit weights: the group and parameters found by
-acting on the base weight, and the sum formula evaluated through the
-weights (``_weight_sum``).
+Every block is read off those tables: its integral Weyl group, its
+parameters and its sum formula.  They are compared with the orbit
+weights: the group and parameters found by acting on the base weight,
+and the sum formula evaluated through the weights (``_weight_sum`` in
+``weight_path.py``).
 """
 
 import contextlib
@@ -32,7 +32,6 @@ from vermatwist import (
     CARTAN_BY_LABEL,
     VERMA,
     GroupTooLarge,
-    NotInBlockOrbit,
     SumFormulaInput,
     Weight,
     WeylElement,
@@ -54,9 +53,9 @@ from vermatwist import (
 )
 from vermatwist import characters, weyl
 from vermatwist.cli import main
-from vermatwist.jantzen import _weight_sum
 from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import _group_order, _group_tables
+from weight_path import _weight_sum, outcome
 
 PRODUCTS = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -291,10 +290,11 @@ def counted_weights(monkeypatch):
 
 
 def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
-    # regular integral, singular integral (J = {1, 3} and {3}) and regular nonintegral
+    # regular integral, singular integral (J = {1, 3} and {3}), regular
+    # nonintegral and singular nonintegral
     built = counted_weights(monkeypatch)
     rs = build_root_system("B3")
-    for lam in ("-2,-2,-2", "-1,-2,-1", "-2,-2,-1", "-1/2,-2,-2"):
+    for lam in ("-2,-2,-2", "-1,-2,-1", "-2,-2,-1", "-1/2,-2,-2", "-1,-1/2,-2"):
         base = parse_weight(lam)
         built.clear()
         block = make_block(rs, base)
@@ -312,7 +312,7 @@ def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
 def test_regular_block_builds_no_weight_map(monkeypatch):
     rs = build_root_system("B2")
     regular = {"-2,-2", "-3,-5", "-1/2,-2", "-3/2,-5/2"}
-    for lam in ("-2,-2", "-3,-5", "-1/2,-2", "-1,-2", "-2,-1", "-1,-1", "-3/2,-5/2"):
+    for lam in ("-2,-2", "-3,-5", "-1/2,-2", "-1,-2", "-2,-1", "-1,-1", "-3/2,-5/2", "-2,-1/2"):
         block = make_block(rs, parse_weight(lam))
         assert block.regular == (lam in regular)
         assert (block.params == block.group) == block.regular
@@ -331,8 +331,14 @@ def test_regular_block_builds_no_weight_map(monkeypatch):
         property(lambda self: pytest.fail("weight map built")),
     )
     # sts lies over the parameter st in the singular block; t lies in the
-    # integral Weyl group {e, t} of the nonintegral one
-    for lam, y, param in (("-2,-2", "sts", "sts"), ("-1,-2", "sts", "st"), ("-1/2,-2", "t", "t")):
+    # integral Weyl group {e, t} of the nonintegral one; stst lies over s in
+    # the singular nonintegral one, whose stabilizer {e, tst} is not parabolic
+    for lam, y, param in (
+        ("-2,-2", "sts", "sts"),
+        ("-1,-2", "sts", "st"),
+        ("-1/2,-2", "t", "t"),
+        ("-2,-1/2", "stst", "s"),
+    ):
         for command in ("sum-formula", "layers"):
             for fmt in ("table", "json"):
                 out, err = io.StringIO(), io.StringIO()
@@ -366,23 +372,15 @@ OTHER_BLOCKS = [
     ("A3", "-1,-2,-1"), ("A3", "-2,-2,-1"), ("A3", "-1,-1,-1"), ("A3", "-1/2,-2,-2"),
     ("A3", "-1/2,-2,-1/2"),
     ("B3", "-1,-2,-1"), ("B3", "-2,-2,-1"), ("B3", "-1/2,-2,-2"), ("B3", "-2,-2,-1/2"),
+    ("C3", "-2,-1/2,-1"),
 ]
-#: J = {4}, J = {1, 3} and a regular nonintegral weight
-F4_BLOCKS = ["-2,-2,-2,-1", "-1,-2,-1,-2", "-1/2,-2,-2,-2"]
+#: J = {4}, J = {1, 3}, a regular nonintegral and two singular nonintegral weights
+F4_BLOCKS = ["-2,-2,-2,-1", "-1,-2,-1,-2", "-1/2,-2,-2,-2", "-2,-1/2,-2,-2", "-1,-1/2,-2,-2"]
 
 
 @cache
 def other_block(label, lam):
     return make_block(build_root_system(label), parse_weight(lam))
-
-
-def outcome(evaluate, inp):
-    """The result as plain data, or the message of a ``NotInBlockOrbit`` refusal."""
-    try:
-        got = evaluate(inp)
-    except NotInBlockOrbit as exc:
-        return str(exc)
-    return got.vector, got.rplus_mu, got.rplus_w
 
 
 @pytest.mark.parametrize("label, lam", OTHER_BLOCKS)
