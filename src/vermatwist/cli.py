@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import UnsupportedBlock, VermatwistError
+from .errors import GroupTooLarge, UnsupportedBlock, VermatwistError
 
 # Each command imports the layers it runs inside its body, so that a
 # ``weyl`` run never loads the character, sum-formula or rank 1 modules.
@@ -83,11 +83,35 @@ def _resolve_system(args, parser: argparse.ArgumentParser) -> RootSystem:
         if not isinstance(data, dict) or "matrix" not in data:
             raise ValueError('Cartan file needs a "matrix" key')
         matrix = data["matrix"]
-        if "rank" in data and len(matrix) != int(data["rank"]):
+        if not isinstance(matrix, list):
+            raise ValueError("Cartan file matrix must be a list of rows")
+        rank = data.get("rank", len(matrix))
+        if type(rank) is not int:
+            raise ValueError("Cartan file rank must be an integer")
+        if rank != len(matrix):
             raise ValueError("Cartan file rank does not match the matrix size")
+        from .weyl import GROUP_BOUND
+
+        # the simple reflections of distinct subsets multiply to distinct
+        # elements, so a group of rank r has at least 2^r elements
+        if 2 ** rank > GROUP_BOUND:
+            raise GroupTooLarge(
+                f"a Weyl group of rank {rank} has at least 2^{rank} elements, "
+                f"over the bound of {GROUP_BOUND} elements"
+            )
         return build_root_system(matrix)
     parser.error("one of --type or --cartan-file is required")
     raise AssertionError("unreachable")
+
+
+def _rational(text: str) -> Fraction:
+    """An integer, a fraction "a/b" or a decimal "a.b", as ``Fraction`` reads it.
+
+    Exponent notation is refused: ``Fraction("1e10000000")`` takes seconds.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not accepted")
+    return Fraction(text)
 
 
 def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
@@ -99,7 +123,7 @@ def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     try:
-        coords = tuple(Fraction(part.strip()) for part in text.split(","))
+        coords = tuple(_rational(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from exc
     if len(coords) != rs.rank:
@@ -338,7 +362,7 @@ def cmd_sl2(args, parser) -> int:
     )
 
     try:
-        lam = Fraction(args.lam)
+        lam = _rational(args.lam)
     except (ValueError, ZeroDivisionError):
         parser.error(f"cannot parse --lambda value {args.lam!r} as a rational")
     trunc = DEFAULT_TRUNCATION if args.trunc is None else args.trunc

@@ -155,10 +155,9 @@ def _param_index(inp: SumFormulaInput) -> int:
     A ``mu`` input goes through the block's weight map.
     """
     block = inp.block
-    tables = _group_tables(block.rs)
     if inp.mu is not None:
-        return tables.index[block.param_for_weight(inp.mu).mat]
-    k = block._param_of[tables.index[inp.y.mat]]
+        return block.param_for_weight(inp.mu)._k
+    k = block._param_of[inp.y._k]
     if k < 0:
         raise _outside(inp.y)
     return k
@@ -179,7 +178,7 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     block = inp.block
     tables = _group_tables(block.rs)
     k = _param_index(inp)
-    kw = tables.index[inp.w.mat]
+    kw = inp.w._k
     in_w = tables.masks[kw]
     param_of = block._param_of
     rplus = tables.masks[k] & block._root_mask

@@ -178,7 +178,14 @@ class WeightClassification(_Frozen):
 
 
 def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    if not isinstance(matrix, (list, tuple)) or any(
+        not isinstance(row, (list, tuple)) for row in matrix
+    ):
+        raise ValueError("Cartan matrix must be a list of rows")
+    # an integer, not a float, a string, a boolean or null
+    if any(type(x) is not int for row in matrix for x in row):
+        raise ValueError("Cartan matrix entries must be integers")
+    rows = tuple(tuple(row) for row in matrix)
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("Cartan matrix must be square and non-empty")
@@ -295,7 +302,6 @@ class RootSystem:
         # internal caches filled lazily by this module and by weyl.py
         self._kostant_memo: dict = {}
         self._weyl_tables = None
-        self._longest_cache = None
 
     def __repr__(self) -> str:
         name = self.label if self.label else f"rank {self.rank}"

@@ -1,12 +1,8 @@
-"""Weyl group elements as exact integer matrices on root coordinates.
-
-An element is canonically the matrix of its action in the simple root
-basis (column j is the image of the j-th simple root).  Words are derived
-data: the canonical reduced word of an element is the ShortLex smallest
-one, obtained greedily by splitting off the smallest left descent.
+"""Weyl group elements as rows of integer tables.
 
 The whole group is enumerated once per root system into integer tables,
-indexed in the order of :func:`all_elements`, i.e. by (length, word):
+indexed in the order of :func:`all_elements`, i.e. by (length, word),
+where the word of an element is its ShortLex smallest reduced word:
 
 * ``left[i][k]``, the index of s_i w_k, from a breadth-first search by
   left multiplication, in which s_i changes only row i of a matrix;
@@ -23,11 +19,15 @@ of its own: w t = (t w^{-1})^{-1} for any reflection t, so
 :meth:`_GroupTables.coset_minima` walks the cosets of a reflection
 subgroup through ``inverse`` and ``refl``.
 
-The elements :func:`all_elements` returns carry their length, word and
-inversion set from these tables; an element built by multiplication
-computes them from its matrix.  The group's size is known from the root
-heights before anything is enumerated, so an oversized group is refused
-at once.
+Every element the API returns is one of the objects :func:`all_elements`
+holds, and everything derived from it is read off the tables: its
+length, word and inversion set, products (walking ``left``), inverses,
+reflections and the longest element.  The matrix of an element's action
+in the simple root basis (column j is the image of the j-th simple root)
+is only its identity, for equality, hashing and the action on weights
+and roots.  An element built from a matrix is looked up in the tables.
+So every element needs its group's tables, and a group over the bound is
+refused, from its size, before anything is enumerated.
 
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
@@ -44,28 +44,8 @@ from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _set
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _int_identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def _act(mat: IntMatrix, coords: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(row[k] * coords[k] for k in range(len(coords))) for row in mat)
-
-
-def _simple_matrix(rs: RootSystem, i: int) -> IntMatrix:
-    """Matrix of s_i (0-based i) acting on simple root coordinates."""
-    n = rs.rank
-    return tuple(
-        tuple((1 if r == j else 0) - (rs.cartan[i][j] if r == i else 0) for j in range(n))
-        for r in range(n)
-    )
 
 
 class WeylElement(_Frozen):
@@ -94,57 +74,48 @@ class WeylElement(_Frozen):
         return f"WeylElement({word_text(self)})"
 
     @cached_property
+    def _k(self) -> int:
+        """The element's index in the group's tables."""
+        k = _group_tables(self.rs).index.get(self.mat)
+        if k is None:
+            raise InvariantViolated("the matrix is not an element of the Weyl group")
+        return k
+
+    def _interned(self) -> WeylElement:
+        """The element of ``all_elements`` with this matrix."""
+        return _group_tables(self.rs).elements[self._k]
+
+    @cached_property
     def inv_mat(self) -> IntMatrix:
-        # column i is the positive root that w sends to +-a_i, times that sign
-        columns = {}
-        for beta in self.rs.positive_roots:
-            image = _act(self.mat, beta.coords)
-            if sum(map(abs, image)) == 1:
-                sign = sum(image)
-                columns[image.index(sign)] = tuple(sign * c for c in beta.coords)
-        if len(columns) != self.rs.rank:
-            raise InvariantViolated("some simple root is not the image of a root")
-        return tuple(zip(*(columns[i] for i in range(self.rs.rank))))
+        return self.inverse().mat
 
     @cached_property
     def length(self) -> int:
-        # l(w) = number of positive roots sent to negative roots
-        return sum(
-            1 for beta in self.rs.positive_roots if sum(_act(self.mat, beta.coords)) < 0
-        )
+        return self._interned().length
 
     @cached_property
     def word(self) -> tuple[int, ...]:
-        """ShortLex minimal reduced word, as 1-based indices.
-
-        Peeling off the smallest left descent at every step yields the
-        lexicographically smallest reduced word; all reduced words share
-        the same length, so this is also the ShortLex minimum.  The left
-        descents of w are the right descents of w^{-1}.
-        """
-        letters: list[int] = []
-        rest = self.inverse()
-        while descents := rest.right_descents():
-            letters.append(descents[0])
-            rest = rest * simple_reflection(self.rs, descents[0])
-        return tuple(letters)
+        """ShortLex minimal reduced word, as 1-based indices."""
+        return self._interned().word
 
     @cached_property
     def inversions(self) -> tuple[Root, ...]:
         """Positive roots sent negative by w^{-1}, in the standard root order."""
-        inv = self.inv_mat
-        return tuple(
-            beta for beta in self.rs.positive_roots if sum(_act(inv, beta.coords)) < 0
-        )
+        return self._interned().inversions
 
     def __mul__(self, other: WeylElement) -> WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         _same_system(self, other)
-        return WeylElement(self.rs, _int_mul(self.mat, other.mat))
+        tables = _group_tables(self.rs)
+        k = other._k
+        for i in reversed(self.word):
+            k = tables.left[i - 1][k]
+        return tables.elements[k]
 
     def inverse(self) -> WeylElement:
-        return WeylElement(self.rs, self.inv_mat)
+        tables = _group_tables(self.rs)
+        return tables.elements[tables.inverse[self._k]]
 
     @property
     def is_identity(self) -> bool:
@@ -162,14 +133,12 @@ def _same_system(a: WeylElement, b: WeylElement) -> None:
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _int_identity(rs.rank))
+    return _group_tables(rs).elements[0]
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The i-th simple reflection, 1-based."""
-    if not 1 <= i <= rs.rank:
-        raise IndexOutOfRange(f"simple reflection index {i} outside 1..{rs.rank}")
-    return WeylElement(rs, _simple_matrix(rs, i - 1))
+    return element_from_word(rs, (i,))
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
@@ -182,10 +151,15 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     >>> element_from_word(rs, (1, 2, 1, 2)).length
     4
     """
-    w = identity_element(rs)
-    for i in word:
-        w = w * simple_reflection(rs, int(i))
-    return w
+    letters = [int(i) for i in word]
+    for i in letters:
+        if not 1 <= i <= rs.rank:
+            raise IndexOutOfRange(f"simple reflection index {i} outside 1..{rs.rank}")
+    tables = _group_tables(rs)
+    k = 0
+    for i in reversed(letters):
+        k = tables.left[i - 1][k]
+    return tables.elements[k]
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -205,14 +179,8 @@ def inversion_set(w: WeylElement) -> tuple[Root, ...]:
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
-    """The longest element, by greedy ascent through right multiplication."""
-    if rs._longest_cache is None:
-        w = identity_element(rs)
-        while len(descents := w.right_descents()) < rs.rank:
-            ascent = next(i for i in range(1, rs.rank + 1) if i not in descents)
-            w = w * simple_reflection(rs, ascent)
-        rs._longest_cache = w
-    return rs._longest_cache
+    """The longest element, the last in (length, word) order."""
+    return _group_tables(rs).elements[-1]
 
 
 def _group_order(rs: RootSystem) -> int:
@@ -342,7 +310,7 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     ]
 
     # BFS by left multiplication, with mats as its queue; its depth is the length
-    mats = [_int_identity(n)]
+    mats = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
     found = {mats[0]: 0}
     depth, masks = [0], [0]
     left: list[list[int]] = [[] for _ in range(n)]
@@ -371,13 +339,16 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
         words.append((i + 1,) + words[left[i][k]])
 
     order = sorted(range(len(mats)), key=lambda k: (depth[k], words[k]))
+    # made without __init__, each element with the table data it carries
     position = [0] * len(order)
+    elements = []
     for p, k in enumerate(order):
         position[k] = p
-    elements = []
-    for k in order:
-        w = WeylElement(rs, mats[k])
+        w = WeylElement.__new__(WeylElement)
         w.__dict__.update(
+            rs=rs,
+            mat=mats[k],
+            _k=p,
             length=depth[k],
             word=words[k],
             inversions=tuple(roots[b] for b in _bits(masks[k])),
@@ -457,14 +428,10 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
 
 def reflection_through(rs: RootSystem, beta: Root) -> WeylElement:
     """The reflection attached to the (positive or negative) root beta."""
-    # column j is a_j - <a_j, beta^vee> beta
-    n = rs.rank
-    c = _coroot_of(rs, beta)
-    shift = [sum(c[i] * rs.cartan[i][j] for i in range(n)) for j in range(n)]
-    mat = tuple(
-        tuple((1 if r == j else 0) - shift[j] * beta.coords[r] for j in range(n)) for r in range(n)
-    )
-    return WeylElement(rs, mat)
+    _coroot_of(rs, beta)  # raises NotARoot unless beta is a root of rs
+    b = rs.positive_roots.index(beta if beta.is_positive else -beta)
+    tables = _group_tables(rs)
+    return tables.elements[tables.refl[b][0]]
 
 
 def weight_action(w: WeylElement, lam: Weight) -> Weight:

@@ -1,0 +1,79 @@
+"""Weyl group arithmetic on matrices: the oracle for the group's tables.
+
+``weyl`` reads every element and everything derived from it off the
+group's integer tables.  This module computes the same data the way it
+is defined, on the matrix of an element's action in the simple root
+basis (column j is the image of the j-th simple root): products, the
+inverse found by a root search, the length and inversion set from the
+signs of root images, the ShortLex word found by peeling off the
+smallest left descent, and the matrices of the simple reflections and of
+the reflection through a root.  Nothing here reads the tables.
+"""
+
+
+def product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def act(mat, coords):
+    return tuple(sum(row[k] * coords[k] for k in range(len(coords))) for row in mat)
+
+
+def simple_matrix(rs, i):
+    """Matrix of s_i, 1-based: s_i(a_j) = a_j - cartan[i][j] a_i."""
+    n = rs.rank
+    return tuple(
+        tuple((r == j) - (rs.cartan[i - 1][j] if r == i - 1 else 0) for j in range(n))
+        for r in range(n)
+    )
+
+
+def reflection_matrix(rs, beta):
+    """Matrix of t_beta: column j is a_j - <a_j, beta^vee> beta."""
+    n = rs.rank
+    c = rs.coroot(beta.coords)
+    shift = [sum(c[i] * rs.cartan[i][j] for i in range(n)) for j in range(n)]
+    return tuple(
+        tuple((r == j) - shift[j] * beta.coords[r] for j in range(n)) for r in range(n)
+    )
+
+
+def inverse(rs, mat):
+    """Column i of the inverse is the positive root sent to +-a_i, times that sign."""
+    columns = {}
+    for beta in rs.positive_roots:
+        image = act(mat, beta.coords)
+        if sum(map(abs, image)) == 1:
+            sign = sum(image)
+            columns[image.index(sign)] = tuple(sign * c for c in beta.coords)
+    if len(columns) != rs.rank:
+        raise ValueError("some simple root is not the image of a root")
+    return tuple(zip(*(columns[i] for i in range(rs.rank))))
+
+
+def length(rs, mat):
+    """Number of positive roots sent to negative roots."""
+    return sum(1 for beta in rs.positive_roots if sum(act(mat, beta.coords)) < 0)
+
+
+def inversions(rs, mat):
+    """Positive roots sent negative by the inverse, in root order."""
+    inv = inverse(rs, mat)
+    return tuple(beta for beta in rs.positive_roots if sum(act(inv, beta.coords)) < 0)
+
+
+def word(rs, mat):
+    """ShortLex word: repeatedly split off the smallest left descent.
+
+    The left descents of w are the right descents of w^{-1}, i.e. the i
+    with w^{-1}(a_i) negative.
+    """
+    letters = []
+    rest = inverse(rs, mat)
+    while descents := [i for i in range(rs.rank) if sum(row[i] for row in rest) < 0]:
+        letters.append(descents[0] + 1)
+        rest = product(rest, simple_matrix(rs, descents[0] + 1))
+    return tuple(letters)

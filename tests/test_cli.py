@@ -1,6 +1,7 @@
 """Command line behaviour: shapes, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -474,3 +475,80 @@ def test_main_builds_its_parser_once(monkeypatch):
     assert run_cli("weyl", "--type", "A2") == first
     assert len(built) == 1
     assert real() is not real()
+
+
+@pytest.mark.parametrize(
+    "matrix, rank",
+    [
+        ([[2, -1.7], [-1, 2]], None),  # would run as A2 if truncated
+        ([[2.9]], None),  # would run as A1
+        ([[2, -1], [-1, True]], None),
+        ([[2, "-1"], [-1, 2]], None),
+        ([[2, None], [-1, 2]], None),
+        ([None, [-1, 2]], None),
+        (5, None),
+        ("ab", None),
+        ([[2, -1], [-1, 2]], "null"),
+        ([[2, -1], [-1, 2]], 2.0),
+    ],
+)
+def test_malformed_cartan_files_are_refused(tmp_path, matrix, rank):
+    data = {"matrix": matrix}
+    if rank is not None:
+        data["rank"] = None if rank == "null" else rank
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli("weyl", "--cartan-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+
+def test_cartan_file_rank_is_bounded_before_anything_is_built(tmp_path, monkeypatch):
+    from vermatwist import rootsystem
+
+    monkeypatch.setattr(rootsystem, "RootSystem", lambda *args: pytest.fail("built"))
+    # A17: every Weyl group of rank r has at least 2^r elements
+    a17 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(17)] for i in range(17)]
+    path = tmp_path / "a17.json"
+    path.write_text(json.dumps({"matrix": a17, "rank": 17}))
+    code, out, err = run_cli("weyl", "--cartan-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: GroupTooLarge: a Weyl group of rank 17 ")
+
+
+def test_exponent_notation_lambda_is_refused():
+    code, out, err = run_cli("sum-formula", "--type", "B2", "--lambda", "1e3,-2", "--w", "s", "--y", "s")
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: cannot parse weight '1e3,-2': exponent notation is not accepted\n"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sl2", "--lambda", "1e3")
+    assert exc.value.code == 2
+    # integers, fractions and decimals are accepted
+    code, out, err = run_cli("sum-formula", "--type", "B2", "--lambda", "-1.5,-4/2", "--w", "s", "--y", "t")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli("sl2", "--lambda", "2.5", "--check", "phi")
+    assert (code, err) == (0, "")
+
+
+#: sha256 of the weyl command's output, pinned since before elements were table rows
+WEYL_SHA256 = {
+    ("A3", "json"): "029bbb945234af6f0e5a26e331a19f71aa88927d22de68092ee65caf3b053fa5",
+    ("A3", "table"): "143e4fd5572f2f4b13d5a6f865c323501da10392b04b1863f89490f663b31977",
+    ("B3", "json"): "03336a74649b8cc99b3dfbdee4f7f9a8f1a6c7e7967af2784a485b0590cee756",
+    ("B3", "table"): "9e46727f81d7965f1cd2dd3facd595c5a5b2b5ecd23e60c0e57ad6f58561fb38",
+    ("C3", "json"): "7d13e4f9ecb6200b7fa6ca785a4eee09de67b270c419dc20d02c4326a042a353",
+    ("C3", "table"): "c7fdd8d1dd3f61c0cdbfe5ce785a331f9f50d7e0bfb9c64b85f11ac865d9c66e",
+    ("D4", "json"): "41369dcb60689cf7c2fc551c210d21a0d76f87564f0a8256dbd60ad7900df3d9",
+    ("D4", "table"): "6f2435e5311c10a26223039221352ca4c90bb6b0563ff855b56904925c7f4336",
+    ("B4", "json"): "0bcb4e9f76e194ab6bb8049884795be88969834b0dd6535b1d9e467cd4328b99",
+    ("B4", "table"): "e4de1129c4e70533323cfec384684aecdd67ef129693c4e55637334eb0f63baa",
+    ("F4", "json"): "346c7db9954f8ff3994a0e67b6ef310822745ac2d2dba5bc7e16fe975aad5780",
+    ("F4", "table"): "74f115af4f24c0cb9a339b371e240e8fffe9e7891b772ea4d239feb678d5f908",
+}
+
+
+@pytest.mark.parametrize("label, fmt", sorted(WEYL_SHA256))
+def test_weyl_output_is_pinned(label, fmt):
+    code, out, err = run_cli("weyl", "--type", label, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == WEYL_SHA256[label, fmt]

@@ -1,10 +1,11 @@
 """The integer coroot table against the invariant form it replaces.
 
 Every root system keeps one table of coroots in simple coroot coordinates,
-and pairings, reflections, the weight action and Weyl inverses are read
-off it.  The oracles here are the rational formulas the table replaced:
-``2 (x, beta) / (beta, beta)`` through ``rs.form``, the transport of the
-root action through the symmetrizer, and Gaussian elimination.
+and pairings and the weight action are read off it.  The oracles here are
+the rational formulas the table replaced: ``2 (x, beta) / (beta, beta)``
+through ``rs.form``, the transport of the root action through the
+symmetrizer, and Gaussian elimination, which also check the matrices of
+the reflections and inverses read off the group's tables.
 """
 
 from fractions import Fraction

@@ -11,8 +11,9 @@ the reflection matrix of beta pushed through the dot action.
 Blocks through random rational weights of A3, B3 and C3, of every kind,
 must have as parameters the first elements to reach each orbit weight,
 and their sum formula must equal the one evaluated through the weights
-(``weight_path.py``), refusals included.  The tables' ``inverse`` list,
-products and the dot action must obey the group laws.
+(``weight_path.py``), refusals included.  The tables' ``inverse`` list
+and products must equal the matrix ones (``matrix_path.py``), and they
+and the dot action must obey the group laws.
 
 ``bruhat_leq`` must respect inversion, x <= y iff x^{-1} <= y^{-1}, and
 reverse under right multiplication by w0, x <= y iff y w0 <= x w0.
@@ -55,6 +56,7 @@ from vermatwist import (
     word_text,
 )
 from vermatwist.weyl import _group_tables
+import matrix_path
 from weight_path import _dot_reflect, _weight_sum, outcome
 
 
@@ -164,7 +166,8 @@ def test_group_and_dot_action_laws(data):
     group = tables.elements
     k, j = (data.draw(st.integers(0, len(group) - 1)) for _ in range(2))
     u, v = group[k], group[j]
-    assert group[tables.inverse[k]] == u.inverse()
+    assert group[tables.inverse[k]].mat == matrix_path.inverse(rs, u.mat)
+    assert (u * v).mat == matrix_path.product(u.mat, v.mat)
     assert (u * v).inverse() == v.inverse() * u.inverse()
     lam = data.draw(weights(rs.rank))
     assert dot_action(rs, u, dot_action(rs, v, lam)) == dot_action(rs, u * v, lam)

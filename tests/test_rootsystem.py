@@ -97,6 +97,10 @@ def test_malformed_cartan_rejected():
         build_root_system(((1, 0), (0, 2)))  # diagonal must be 2
     with pytest.raises(ValueError):
         build_root_system(((2, -1, 0), (-1, 2)))  # ragged
+    # entries are refused, not truncated: [[2, -1.7], [-1, 2]] is not A2
+    for bad in ([[2, -1.7], [-1, 2]], [[2.0]], [[2, -1], [-1, True]], [[2, None], [-1, 2]], 5, [5]):
+        with pytest.raises(ValueError):
+            build_root_system(bad)
 
 
 def test_root_validation():

@@ -3,9 +3,11 @@
 ``all_elements`` enumerates the group once into tables: the left
 multiplication table of the simple reflections, the table of the
 reflection through each positive root, and inversion sets as bitmasks.
-The oracles here are matrix products, the inversion set and length read
-off the matrix, and the ShortLex word found by peeling off the smallest
-left descent, all computed on elements built fresh from the matrix.
+Every element the API returns is one of the enumerated objects, with its
+data read off the tables.  The oracles here, in ``matrix_path.py``, are
+matrix products, the inverse, inversion set and length read off the
+matrix, and the ShortLex word found by peeling off the smallest left
+descent.
 
 The Bruhat lower ideals, bitsets over the same indices, are compared
 with ``bruhat_leq``.
@@ -20,6 +22,7 @@ and the sum formula evaluated through the weights (``_weight_sum`` in
 import contextlib
 import io
 import json
+import random
 import re
 from fractions import Fraction
 from functools import cache
@@ -32,6 +35,7 @@ from vermatwist import (
     CARTAN_BY_LABEL,
     VERMA,
     GroupTooLarge,
+    IndexOutOfRange,
     SumFormulaInput,
     Weight,
     WeylElement,
@@ -40,6 +44,7 @@ from vermatwist import (
     build_root_system,
     dot_action,
     element_from_word,
+    identity_element,
     layers_multiplicity_free,
     longest_element,
     make_block,
@@ -55,6 +60,7 @@ from vermatwist import characters, weyl
 from vermatwist.cli import main
 from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import _group_order, _group_tables
+import matrix_path
 from weight_path import _weight_sum, outcome
 
 PRODUCTS = {
@@ -87,44 +93,8 @@ def system(name):
     return build_root_system(PRODUCTS.get(name, name))
 
 
-def fresh(w):
-    """The same element without any table data: every property from the matrix."""
-    return WeylElement(w.rs, w.mat)
-
-
-def matrix_inversions(w):
-    """Positive roots beta with w^{-1}(beta) negative, in root order."""
-    inv = fresh(w).inv_mat
-    return tuple(
-        beta
-        for beta in w.rs.positive_roots
-        if sum(sum(row[k] * beta.coords[k] for k in range(len(row))) for row in inv) < 0
-    )
-
-
-def matrix_length(w):
-    """Number of positive roots that w sends negative."""
-    mat = w.mat
-    return sum(
-        1
-        for beta in w.rs.positive_roots
-        if sum(sum(row[k] * beta.coords[k] for k in range(len(row))) for row in mat) < 0
-    )
-
-
-def peeled_word(w):
-    """ShortLex word: repeatedly split off the smallest left descent.
-
-    The left descents of w are the right descents of w^{-1}, i.e. the i
-    with w^{-1}(a_i) negative.
-    """
-    rs = w.rs
-    letters = []
-    rest = fresh(w).inverse()
-    while descents := [i for i in range(rs.rank) if sum(row[i] for row in rest.mat) < 0]:
-        letters.append(descents[0] + 1)
-        rest = rest * simple_reflection(rs, descents[0] + 1)
-    return tuple(letters)
+def matrices(elements):
+    return [w.mat for w in elements]
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -134,8 +104,10 @@ def test_left_table_is_left_multiplication(name):
     elements = all_elements(rs)
     assert tables.elements is elements
     for i in range(rs.rank):
-        s = simple_reflection(rs, i + 1)
-        assert [elements[k] for k in tables.left[i]] == [s * w for w in elements]
+        s = matrix_path.simple_matrix(rs, i + 1)
+        assert matrices(elements[k] for k in tables.left[i]) == [
+            matrix_path.product(s, w.mat) for w in elements
+        ]
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -145,8 +117,10 @@ def test_reflection_table_is_left_multiplication(name):
     elements = all_elements(rs)
     assert len(tables.refl) == len(rs.positive_roots)
     for beta, column in zip(rs.positive_roots, tables.refl):
-        t = reflection_through(rs, beta)
-        assert [elements[k] for k in column] == [t * w for w in elements]
+        t = matrix_path.reflection_matrix(rs, beta)
+        assert matrices(elements[k] for k in column) == [
+            matrix_path.product(t, w.mat) for w in elements
+        ]
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -154,19 +128,20 @@ def test_masks_lengths_and_words_match_the_matrices(name):
     rs = system(name)
     tables = _group_tables(rs)
     for k, (w, mask) in enumerate(zip(all_elements(rs), tables.masks)):
-        inversions = matrix_inversions(w)
+        inversions = matrix_path.inversions(rs, w.mat)
         assert w.inversions == inversions
         assert mask == sum(1 << rs.positive_roots.index(beta) for beta in inversions)
-        assert w.length == matrix_length(w) == bin(mask).count("1")
-        assert w.word == peeled_word(w)
-        assert element_from_word(rs, w.word) == w
-        assert tables.index[w.mat] == k
+        assert w.length == matrix_path.length(rs, w.mat) == bin(mask).count("1")
+        assert w.word == matrix_path.word(rs, w.mat)
+        assert element_from_word(rs, w.word) is w
+        assert tables.index[w.mat] == k == w._k
+        assert w.inverse().mat == matrix_path.inverse(rs, w.mat)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_elements_are_in_length_then_word_order(name):
     rs = system(name)
-    keys = [(w.length, peeled_word(w)) for w in all_elements(rs)]
+    keys = [(w.length, matrix_path.word(rs, w.mat)) for w in all_elements(rs)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == len({w.mat for w in all_elements(rs)})
 
@@ -191,6 +166,12 @@ def test_oversized_group_is_refused_before_enumeration(monkeypatch):
     assert _group_order(rs) == 645_120
     with pytest.raises(GroupTooLarge, match="bound of 100000 elements"):
         all_elements(rs)
+    # every element is a row of the tables, so none is built in such a group
+    for make in (identity_element, longest_element, lambda rs: simple_reflection(rs, 1)):
+        with pytest.raises(GroupTooLarge):
+            make(rs)
+    with pytest.raises(IndexOutOfRange):
+        element_from_word(rs, (1, 8))
     with pytest.raises(GroupTooLarge):
         all_elements(build_root_system("B2"), bound=7)
 
@@ -207,15 +188,59 @@ def test_oversized_group_is_refused_on_the_command_line(monkeypatch, tmp_path):
 
 
 def test_enumeration_multiplies_no_matrices(monkeypatch):
+    # the elements are made with their table data: no product, no constructor
     interned = all_elements(build_root_system("B3"))
-
-    def product(*args):
-        pytest.fail("a matrix product")
-
-    monkeypatch.setattr(weyl, "_int_mul", product)
+    monkeypatch.setattr(WeylElement, "__mul__", lambda *args: pytest.fail("a product"))
+    monkeypatch.setattr(WeylElement, "__init__", lambda *args: pytest.fail("an element built"))
     # a root system outside the registry, so that nothing is cached yet
     rs = RootSystem(build_root_system("B3").cartan, "B3")
-    assert [w.mat for w in all_elements(rs)] == [w.mat for w in interned]
+    assert matrices(all_elements(rs)) == matrices(interned)
+
+
+@pytest.mark.parametrize("label", ["B3", "F4"])
+def test_every_element_the_api_returns_is_interned(label):
+    rs = build_root_system(label)
+    elements = all_elements(rs)
+    by_mat = {w.mat: w for w in elements}
+
+    def interned(x):
+        return x is by_mat[x.mat]
+
+    assert interned(identity_element(rs)) and identity_element(rs).is_identity
+    assert interned(longest_element(rs)) and longest_element(rs).length == len(rs.positive_roots)
+    for i in range(1, rs.rank + 1):
+        s = simple_reflection(rs, i)
+        assert interned(s) and s.mat == matrix_path.simple_matrix(rs, i)
+    for beta in rs.positive_roots:
+        for root in (beta, -beta):
+            t = reflection_through(rs, root)
+            assert interned(t) and t.mat == matrix_path.reflection_matrix(rs, beta)
+    rng = random.Random(label)
+    for _ in range(300):
+        u, v = rng.choice(elements), rng.choice(elements)
+        assert interned(u * v) and (u * v).mat == matrix_path.product(u.mat, v.mat)
+        assert interned(u.inverse())
+        assert interned(element_from_word(rs, u.word + v.word))
+        # an element built from its matrix is looked up in the tables
+        outside = WeylElement(rs, u.mat)
+        assert outside is not u and outside == u
+        assert interned(outside * v) and interned(v * outside) and interned(outside.inverse())
+        assert (outside.length, outside.word, outside.inversions) == (u.length, u.word, u.inversions)
+
+
+def test_commands_build_no_element_once_the_block_is_built(monkeypatch):
+    all_elements(build_root_system("B2"))
+    monkeypatch.setattr(WeylElement, "__init__", lambda *args: pytest.fail("an element built"))
+    for argv in (
+        ["sum-formula", "--w", "st", "--y", "sts"],
+        ["layers", "--w", "st", "--y", "sts"],
+        ["sum-formula", "--xy", "--w", "st", "--y", "ts"],
+    ):
+        for fmt in ("table", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--type", "B2", "--format", fmt])
+            assert (code, err.getvalue()) == (0, ""), argv
 
 
 def test_weyl_command_reads_covers_off_the_tables(monkeypatch):
@@ -354,9 +379,10 @@ def test_regular_block_builds_no_weight_map(monkeypatch):
 
 def test_interned_elements_carry_their_table_data():
     rs = build_root_system("G2")
-    for w in all_elements(rs):
-        assert {"length", "word", "inversions"} <= set(vars(w))
-        assert word_text(w) == word_text(fresh(w))
+    for k, w in enumerate(all_elements(rs)):
+        assert {"_k", "length", "word", "inversions"} <= set(vars(w))
+        assert w._k == k
+        assert word_text(w) == word_text(WeylElement(rs, w.mat))
 
 
 def parse_weight(text):
