@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -76,7 +77,8 @@ class CharVector:
         return self._coeffs.get(w, 0)
 
     def support(self) -> tuple[WeylElement, ...]:
-        return tuple(sorted(self._coeffs, key=lambda w: (w.length, w.word)))
+        """The parameters with nonzero coefficient, in table order."""
+        return tuple(sorted(self._coeffs, key=attrgetter("_k")))
 
     def items(self) -> tuple[tuple[WeylElement, int], ...]:
         return tuple((w, self._coeffs[w]) for w in self.support())
@@ -329,9 +331,10 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
 
 
 def _check_vector(block: BlockContext, v: CharVector) -> None:
-    bad = [w for w in v._coeffs if not block.contains_param(w)]
+    bad = v._coeffs.keys() - block._param_set
     if bad:
-        first = min(bad, key=lambda w: (w.length, w.word))
+        # the shortest offender, the first of equals in the vector's order
+        first = min((w for w in v._coeffs if w in bad), key=lambda w: (w.length, w.word))
         raise ValueError(f"{first!r} is not a parameter of this block")
 
 

@@ -19,15 +19,19 @@ of its own: w t = (t w^{-1})^{-1} for any reflection t, so
 :meth:`_GroupTables.coset_minima` walks the cosets of a reflection
 subgroup through ``inverse`` and ``refl``.
 
-Every element the API returns is one of the objects :func:`all_elements`
-holds, and everything derived from it is read off the tables: its
-length, word and inversion set, products (walking ``left``), inverses,
-reflections and the longest element.  The matrix of an element's action
-in the simple root basis (column j is the image of the j-th simple root)
-is only its identity, for equality, hashing and the action on weights
-and roots.  An element built from a matrix is looked up in the tables.
-So every element needs its group's tables, and a group over the bound is
-refused, from its size, before anything is enumerated.
+Every element is a row of the tables, one of the objects
+:func:`all_elements` holds: the rows are made once, with the tables, and
+``WeylElement(rs, mat)`` returns the row with that matrix or raises
+``InvariantViolated`` when the matrix is not a group element.  So
+equality and hashing are object identity.  Everything derived from an
+element is read off the tables: its length and word, set on the row; its
+inversion set, from ``masks`` on first use; products (walking ``left``),
+inverses, reflections, the longest element and the Bruhat order.  The
+matrix of an element's action in the simple root basis (column j is the
+image of the j-th simple root) serves only that lookup and the action on
+weights and roots.  So every element needs its group's tables, and a
+group over the bound is refused, from its size, before anything is
+enumerated.
 
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
@@ -49,59 +53,40 @@ def _act(mat: IntMatrix, coords: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class WeylElement(_Frozen):
-    """One Weyl group element, pinned to its root system."""
+    """One Weyl group element: a row of its root system's group tables, so
+    equality and hashing are object identity (see the module docstring)."""
 
     rs: RootSystem
     mat: IntMatrix
+    _k: int
+    length: int
+    word: tuple[int, ...]
 
-    def __init__(self, rs: RootSystem, mat: IntMatrix) -> None:
-        _set(self, "rs", rs)
-        _set(self, "mat", mat)
+    def __new__(cls, rs: RootSystem, mat: IntMatrix) -> WeylElement:
+        tables = _group_tables(rs)
+        k = tables.index.get(mat)
+        if k is None:
+            raise InvariantViolated("the matrix is not an element of the Weyl group")
+        return tables.elements[k]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.rs is other.rs and self.mat == other.mat
+    def __copy__(self) -> WeylElement:
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((id(self.rs), self.mat))
+    def __deepcopy__(self, memo) -> WeylElement:
+        return self
 
     def __repr__(self) -> str:
         return f"WeylElement({word_text(self)})"
-
-    @cached_property
-    def _k(self) -> int:
-        """The element's index in the group's tables."""
-        k = _group_tables(self.rs).index.get(self.mat)
-        if k is None:
-            raise InvariantViolated("the matrix is not an element of the Weyl group")
-        return k
-
-    def _interned(self) -> WeylElement:
-        """The element of ``all_elements`` with this matrix."""
-        return _group_tables(self.rs).elements[self._k]
 
     @cached_property
     def inv_mat(self) -> IntMatrix:
         return self.inverse().mat
 
     @cached_property
-    def length(self) -> int:
-        return self._interned().length
-
-    @cached_property
-    def word(self) -> tuple[int, ...]:
-        """ShortLex minimal reduced word, as 1-based indices."""
-        return self._interned().word
-
-    @cached_property
     def inversions(self) -> tuple[Root, ...]:
         """Positive roots sent negative by w^{-1}, in the standard root order."""
-        return self._interned().inversions
+        roots = self.rs.positive_roots
+        return tuple(roots[b] for b in _bits(_group_tables(self.rs).masks[self._k]))
 
     def __mul__(self, other: WeylElement) -> WeylElement:
         if not isinstance(other, WeylElement):
@@ -122,9 +107,11 @@ class WeylElement(_Frozen):
         return self.length == 0
 
     def right_descents(self) -> tuple[int, ...]:
-        """1-based indices i with l(w s_i) < l(w), i.e. w(a_i) negative."""
-        n = self.rs.rank
-        return tuple(i + 1 for i in range(n) if sum(self.mat[r][i] for r in range(n)) < 0)
+        """1-based indices i with l(w s_i) < l(w): the left descents of w^{-1}."""
+        tables = _group_tables(self.rs)
+        simple = tables.masks[tables.inverse[self._k]] & (1 << self.rs.rank) - 1
+        roots = self.rs.positive_roots
+        return tuple(sorted(roots[b].coords.index(1) + 1 for b in _bits(simple)))
 
 
 def _same_system(a: WeylElement, b: WeylElement) -> None:
@@ -339,20 +326,13 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
         words.append((i + 1,) + words[left[i][k]])
 
     order = sorted(range(len(mats)), key=lambda k: (depth[k], words[k]))
-    # made without __init__, each element with the table data it carries
+    # the only place elements are made, each with the table data it carries
     position = [0] * len(order)
     elements = []
     for p, k in enumerate(order):
         position[k] = p
-        w = WeylElement.__new__(WeylElement)
-        w.__dict__.update(
-            rs=rs,
-            mat=mats[k],
-            _k=p,
-            length=depth[k],
-            word=words[k],
-            inversions=tuple(roots[b] for b in _bits(masks[k])),
-        )
+        w = object.__new__(WeylElement)
+        w.__dict__.update(rs=rs, mat=mats[k], _k=p, length=depth[k], word=words[k])
         elements.append(w)
     left = [[position[column[k]] for k in order] for column in left]
 
@@ -399,31 +379,39 @@ def _group_tables(rs: RootSystem, bound: int = GROUP_BOUND) -> _GroupTables:
 def all_elements(rs: RootSystem, bound: int = GROUP_BOUND) -> tuple[WeylElement, ...]:
     """Every group element, sorted by (length, ShortLex word).
 
-    The elements come with ``length``, ``word`` and ``inversions`` read off
-    the group's tables.  Raises ``GroupTooLarge``, before enumerating, if
-    the group has more than ``bound`` elements.
+    The elements come with ``length`` and ``word`` read off the group's
+    tables.  Raises ``GroupTooLarge``, before enumerating, if the group
+    has more than ``bound`` elements.
     """
     return _group_tables(rs, bound).elements
 
 
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
-    """Bruhat order test by the lifting property, with no cache.
+    """Bruhat order test by the lifting property, walking table indices.
 
-    With s the smallest right descent of y: if xs < x then x <= y iff
-    xs <= ys, otherwise x <= y iff x <= ys.  Each step shortens y by one,
-    so a call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
+    With s a right descent of y: if xs < x then x <= y iff xs <= ys,
+    otherwise x <= y iff x <= ys.  The walk runs on the inverses, where
+    right descents of y are the simple roots in ``masks`` of y^{-1} and
+    (ys)^{-1} = s y^{-1} is one lookup.  Each step shortens y by one, so a
+    call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
     """
     _same_system(x, y)
+    tables = _group_tables(x.rs)
+    masks, refl = tables.masks, tables.refl
+    # the simple roots are the first positive roots, and refl[b] of a
+    # simple root b is the left multiplication column of its reflection
+    simple = (1 << x.rs.rank) - 1
+    u, v = tables.inverse[x._k], tables.inverse[y._k]
     gap = y.length - x.length
     while gap > 0:
-        i = y.right_descents()[0]
-        s = simple_reflection(y.rs, i)
-        y = y * s
-        if i in x.right_descents():
-            x = x * s
+        descents = masks[v] & simple
+        i = (descents & -descents).bit_length() - 1
+        v = refl[i][v]
+        if masks[u] >> i & 1:
+            u = refl[i][u]
         else:
             gap -= 1
-    return gap == 0 and x == y
+    return gap == 0 and u == v
 
 
 def reflection_through(rs: RootSystem, beta: Root) -> WeylElement:

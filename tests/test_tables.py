@@ -20,6 +20,7 @@ and the sum formula evaluated through the weights (``_weight_sum`` in
 """
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -36,6 +37,7 @@ from vermatwist import (
     VERMA,
     GroupTooLarge,
     IndexOutOfRange,
+    MixedRootSystems,
     SumFormulaInput,
     Weight,
     WeylElement,
@@ -136,6 +138,9 @@ def test_masks_lengths_and_words_match_the_matrices(name):
         assert element_from_word(rs, w.word) is w
         assert tables.index[w.mat] == k == w._k
         assert w.inverse().mat == matrix_path.inverse(rs, w.mat)
+        # i is a right descent iff w(a_i), column i of the matrix, is negative
+        descents = tuple(i + 1 for i in range(rs.rank) if sum(row[i] for row in w.mat) < 0)
+        assert w.right_descents() == descents
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -221,11 +226,36 @@ def test_every_element_the_api_returns_is_interned(label):
         assert interned(u * v) and (u * v).mat == matrix_path.product(u.mat, v.mat)
         assert interned(u.inverse())
         assert interned(element_from_word(rs, u.word + v.word))
-        # an element built from its matrix is looked up in the tables
+        # an element built from its matrix is the row of the tables
         outside = WeylElement(rs, u.mat)
-        assert outside is not u and outside == u
+        assert outside is u
         assert interned(outside * v) and interned(v * outside) and interned(outside.inverse())
         assert (outside.length, outside.word, outside.inversions) == (u.length, u.word, u.inversions)
+
+
+def test_elements_are_their_own_identity():
+    # no equality or hash of its own: both are object identity
+    assert {"__eq__", "__hash__", "_hash"}.isdisjoint(vars(WeylElement))
+    rs = build_root_system("B3")
+    for w in all_elements(rs):
+        assert WeylElement(rs, w.mat) is w
+        assert copy.copy(w) is w and copy.deepcopy(w) is w
+    values = {w: w.length for w in all_elements(rs)}
+    assert copy.deepcopy(values) == values
+
+
+def test_elements_of_distinct_root_systems_differ():
+    b2 = build_root_system("B2")
+    # a Cartan matrix of type B2 resolves to the registry's system
+    assert build_root_system([list(row) for row in CARTAN_BY_LABEL["B2"]]) is b2
+    other = RootSystem(b2.cartan, None)
+    for w in all_elements(b2):
+        twin = element_from_word(other, w.word)
+        assert twin.rs is other and twin.mat == w.mat and twin.word == w.word
+        assert twin != w and twin not in {w}
+        assert WeylElement(other, w.mat) is twin
+        with pytest.raises(MixedRootSystems):
+            w * twin
 
 
 def test_commands_build_no_element_once_the_block_is_built(monkeypatch):
@@ -378,11 +408,17 @@ def test_regular_block_builds_no_weight_map(monkeypatch):
 
 
 def test_interned_elements_carry_their_table_data():
-    rs = build_root_system("G2")
+    # a root system outside the registry, so that no inversion set is cached yet
+    rs = RootSystem(build_root_system("G2").cartan, "G2")
+    masks = _group_tables(rs).masks
     for k, w in enumerate(all_elements(rs)):
-        assert {"_k", "length", "word", "inversions"} <= set(vars(w))
+        assert {"_k", "length", "word"} <= set(vars(w))
         assert w._k == k
         assert word_text(w) == word_text(WeylElement(rs, w.mat))
+        # the inversion set is read off the mask on first touch, then cached
+        assert "inversions" not in vars(w)
+        assert w.inversions == tuple(rs.positive_roots[b] for b in weyl._bits(masks[k]))
+        assert vars(w)["inversions"] is w.inversions
 
 
 def parse_weight(text):

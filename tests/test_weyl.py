@@ -214,6 +214,24 @@ def test_bruhat_against_subword_oracle_sampled_b3():
         assert bruhat_leq(x, y) == subword_leq(rs, x, y), (x.word, y.word)
 
 
+@pytest.mark.parametrize("label", ["B4", "F4"])
+def test_bruhat_walk_matches_the_lower_ideals_sampled(label):
+    # half the pairs drawn from the lower ideal of y, so that both answers occur
+    rs = build_root_system(label)
+    elems = all_elements(rs)
+    ideals = _group_tables(rs).ideals
+    rng = random.Random(f"bruhat-walk:{label}")
+    seen = set()
+    for _ in range(3000):
+        k = rng.randrange(len(elems))
+        below = [j for j in range(len(elems)) if ideals[k] >> j & 1]
+        j = rng.choice(below) if rng.random() < 0.5 else rng.randrange(len(elems))
+        got = bruhat_leq(elems[j], elems[k])
+        assert got == bool(ideals[k] >> j & 1), (elems[j].word, elems[k].word)
+        seen.add(got)
+    assert seen == {True, False}
+
+
 def test_bruhat_basic_properties():
     rs = build_root_system("B3")
     elems = all_elements(rs)
