@@ -301,45 +301,55 @@ def cmd_b2_table(args, parser) -> int:
     return 0
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """A JSON array of rendered items, at ``depth`` in the ``indent=2`` layout."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def cmd_weyl(args, parser) -> int:
-    from .weyl import _group_tables, word_text
+    from .weyl import _bits, _group_tables, word_text
 
     rs = _resolve_system(args, parser)
     tables = _group_tables(rs)
-    elements = tables.elements
+    elements, masks, refl = tables.elements, tables.masks, tables.refl
     names = [word_text(w) for w in elements]
     # x is covered by y iff x = y * t for a reflection t and l(x) = l(y) - 1;
-    # as sets, {y * t} = {t * y}, the column of y in the reflection table
+    # as sets, {y * t} = {t * y}, and t_beta * y is shorter than y iff beta
+    # lies in the inversion set of y
     covers = []
     for k, y in enumerate(elements):
-        below = sorted(column[k] for column in tables.refl)
+        below = sorted(refl[b][k] for b in _bits(masks[k]))
         covers.extend((j, k) for j in below if elements[j].length + 1 == y.length)
     if args.format == "json":
-        payload = {
-            "type": rs.label,
-            "rank": rs.rank,
-            "elements": [
-                {
-                    "word": name,
-                    "length": w.length,
-                    "inversions": [list(b.coords) for b in w.inversions],
-                }
-                for w, name in zip(elements, names)
-            ],
-            "covers": [[names[j], names[k]] for j, k in covers],
-        }
-        print(_dumps(payload))
+        # json.dumps(payload, indent=2), written directly: the layout is
+        # fixed, and only the leaf strings go through the encoder
+        quoted = [json.dumps(name) for name in names]
+        roots = [_json_list([str(c) for c in beta.coords], 4) for beta in rs.positive_roots]
+        rows = [
+            f'{{\n      "word": {name},\n      "length": {w.length},\n      "inversions": '
+            + _json_list([roots[b] for b in _bits(mask)], 3)
+            + "\n    }"
+            for w, name, mask in zip(elements, quoted, masks)
+        ]
+        pairs = [_json_list([quoted[j], quoted[k]], 2) for j, k in covers]
+        label = "null" if rs.label is None else json.dumps(rs.label)
+        print(
+            f'{{\n  "type": {label},\n  "rank": {rs.rank},\n  "elements": '
+            f'{_json_list(rows, 1)},\n  "covers": {_json_list(pairs, 1)}\n}}'
+        )
         return 0
     label = rs.label if rs.label else "custom"
     lines = [f"Weyl group, type {label} (rank {rs.rank})"]
     # the longest element is the last in (length, word) order
     lines.append(f"{len(elements)} elements; longest element = {names[-1]}")
-    lines.append(
-        "positive roots: " + " ".join(_root_text(b) for b in rs.positive_roots)
-    )
+    roots = [_root_text(b) for b in rs.positive_roots]
+    lines.append("positive roots: " + " ".join(roots))
     lines.append("elements (word: length, inversion set):")
-    for w, name in zip(elements, names):
-        invs = " ".join(_root_text(b) for b in w.inversions) or "-"
+    for w, name, mask in zip(elements, names, masks):
+        invs = " ".join(roots[b] for b in _bits(mask)) or "-"
         lines.append(f"  {name}: {w.length}, {invs}")
     lines.append("bruhat covers:")
     for j, k in covers:

@@ -15,7 +15,11 @@ Conventions used throughout the package:
   ``<lam, b^vee> = sum(c_i * lam.coords[i])``.
 
 Root systems are interned: building twice from equal Cartan data returns
-the same object, so identity comparison is meaningful and cheap.
+the same object, so identity comparison is meaningful and cheap.  A root
+system is built in integers: the symmetrizer, the root norms and the
+integer coroot table.  ``rho`` and the rational tables (roots as weights,
+the inverse Cartan matrix) are built on first use, so enumerating a Weyl
+group constructs no ``Fraction``.
 
 Roots, weights and the records of this module and ``weyl`` are plain
 immutable classes with the equality, hash and repr a frozen dataclass
@@ -25,9 +29,9 @@ would give them; the ``weyl`` command loads no ``dataclasses``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 
-from . import _matrix
 from .errors import InvariantViolated, NotARoot, NotFiniteType
 
 #: Cartan matrices for the built-in type labels.  Indexing follows the
@@ -203,39 +207,38 @@ def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
 def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Minimal positive integers d with d[i]*a[i][j] == d[j]*a[j][i].
 
-    Computed per connected component of the Dynkin diagram; raises
-    ``NotFiniteType`` if the matrix is not symmetrizable.
+    Computed per connected component of the Dynkin diagram, in integers:
+    d[j] = d[i] * a[i][j] / a[j][i] along each edge, the component scaled
+    up whenever that quotient is not whole.  Raises ``NotFiniteType`` if
+    the matrix is not symmetrizable.
     """
     n = len(cartan)
-    ratios: list[Fraction | None] = [None] * n
+    d = [0] * n
     for start in range(n):
-        if ratios[start] is not None:
+        if d[start]:
             continue
+        d[start] = 1
         component = [start]
-        ratios[start] = Fraction(1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if cartan[i][j] == 0 or i == j:
-                    continue
-                r = ratios[i] * Fraction(cartan[i][j], cartan[j][i])
-                if ratios[j] is None:
-                    ratios[j] = r
-                    component.append(j)
-                    queue.append(j)
-                elif ratios[j] != r:
-                    raise NotFiniteType("Cartan matrix is not symmetrizable")
-        scale = lcm(*(ratios[i].denominator for i in component))
-        shrink = gcd(*(int(ratios[i] * scale) for i in component))
         for i in component:
-            ratios[i] = Fraction(int(ratios[i] * scale) // shrink)
-    d = tuple(int(r) for r in ratios)
+            for j in range(n):
+                if d[j] or cartan[i][j] == 0:
+                    continue
+                # both entries are negative, so the quotient is positive
+                num, den = -d[i] * cartan[i][j], -cartan[j][i]
+                g = gcd(num, den)
+                if den != g:
+                    for k in component:
+                        d[k] *= den // g
+                d[j] = num // g
+                component.append(j)
+        shrink = gcd(*(d[k] for k in component))
+        for k in component:
+            d[k] //= shrink
     for i in range(n):
         for j in range(n):
             if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
                 raise NotFiniteType("Cartan matrix is not symmetrizable")
-    return d
+    return tuple(d)
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
@@ -285,23 +288,35 @@ class RootSystem:
         self.label = label
         self.symmetrizer = _symmetrizer(cartan)
         self.positive_roots = _generate_positive_roots(cartan)
-        self.rho = Weight(tuple(Fraction(1) for _ in range(self.rank)))
-        # a_i^vee = a_i / d_i, so beta^vee = sum 2 d_i beta_i / (beta, beta) a_i^vee
+        # a_i^vee = a_i / d_i, so beta^vee = sum 2 d_i beta_i / (beta, beta) a_i^vee,
+        # with (beta, beta) = sum_ij beta_i d_i a_ij beta_j
         self._coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
         for beta in self.positive_roots:
-            norm = self.form(beta.coords, beta.coords)
-            coroot = [2 * d * b / norm for d, b in zip(self.symmetrizer, beta.coords)]
-            if any(c.denominator != 1 for c in coroot):
-                raise InvariantViolated(f"coroot of {beta!r} is not integral: {coroot}")
-            self._coroots[beta.coords] = tuple(int(c) for c in coroot)
-            self._coroots[(-beta).coords] = tuple(-int(c) for c in coroot)
-        self._root_weights = {c: self._lattice_to_weight(c) for c in self._coroots}
-        self._cartan_inv = _matrix.invert(
-            tuple(tuple(Fraction(x) for x in row) for row in cartan)
-        )
+            b = beta.coords
+            twice = [2 * d * x for d, x in zip(self.symmetrizer, b)]
+            norm = sum(t * a * y for t, row in zip(twice, cartan) for a, y in zip(row, b)) // 2
+            if any(t % norm for t in twice):
+                raise InvariantViolated(f"coroot of {beta!r} is not integral: {twice} / {norm}")
+            coroot = tuple(t // norm for t in twice)
+            self._coroots[b] = coroot
+            self._coroots[(-beta).coords] = tuple(-c for c in coroot)
         # internal caches filled lazily by this module and by weyl.py
         self._kostant_memo: dict = {}
         self._weyl_tables = None
+
+    @cached_property
+    def rho(self) -> Weight:
+        return Weight(tuple(Fraction(1) for _ in range(self.rank)))
+
+    @cached_property
+    def _root_weights(self) -> dict[tuple[int, ...], Weight]:
+        return {c: self._lattice_to_weight(c) for c in self._coroots}
+
+    @cached_property
+    def _cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
+        from . import _matrix
+
+        return _matrix.invert(tuple(tuple(Fraction(x) for x in row) for row in self.cartan))
 
     def __repr__(self) -> str:
         name = self.label if self.label else f"rank {self.rank}"
@@ -347,6 +362,8 @@ class RootSystem:
 
     def weight_to_root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple root basis (rational)."""
+        from . import _matrix
+
         return _matrix.mat_vec(self._cartan_inv, lam.coords)
 
     def in_root_lattice(self, lam: Weight) -> bool:

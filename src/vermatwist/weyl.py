@@ -2,10 +2,16 @@
 
 The whole group is enumerated once per root system into integer tables,
 indexed in the order of :func:`all_elements`, i.e. by (length, word),
-where the word of an element is its ShortLex smallest reduced word:
+where the word of an element is its ShortLex smallest reduced word.  W
+acts simply transitively on the orbit of the regular weight rho
+(Humphreys, Reflection Groups and Coxeter Groups, 1.12), so the
+enumeration walks that orbit in fundamental weight coordinates, where s_i
+negates coordinate i and shifts only the coordinates of its Dynkin
+neighbours, and s_i w is longer than w iff coordinate i of w(rho) is
+positive:
 
-* ``left[i][k]``, the index of s_i w_k, from a breadth-first search by
-  left multiplication, in which s_i changes only row i of a matrix;
+* ``index`` maps w(rho) to the index of w;
+* ``left[i][k]``, the index of s_i w_k;
 * ``refl[b][k]``, the index of t w_k for the reflection t through the
   b-th positive root, from t_beta = s_i t_gamma s_i with beta = s_i(gamma);
 * ``masks[k]``, the inversion set of w_k as a bitmask over
@@ -14,24 +20,25 @@ where the word of an element is its ShortLex smallest reduced word:
 
 Two more tables are built on first use: ``inverse[k]``, the index of
 w_k^{-1}, read off ``left`` along the word of w_k, and the Bruhat lower
-ideals as bitsets over the indices.  Right multiplication needs no table
-of its own: w t = (t w^{-1})^{-1} for any reflection t, so
+ideals as bitsets over the indices, refused above ``IDEALS_BOUND``
+elements.  Right multiplication needs no table of its own: w t =
+(t w^{-1})^{-1} for any reflection t, so
 :meth:`_GroupTables.coset_minima` walks the cosets of a reflection
 subgroup through ``inverse`` and ``refl``.
 
 Every element is a row of the tables, one of the objects
 :func:`all_elements` holds: the rows are made once, with the tables, and
-``WeylElement(rs, mat)`` returns the row with that matrix or raises
-``InvariantViolated`` when the matrix is not a group element.  So
-equality and hashing are object identity.  Everything derived from an
-element is read off the tables: its length and word, set on the row; its
-inversion set, from ``masks`` on first use; products (walking ``left``),
-inverses, reflections, the longest element and the Bruhat order.  The
-matrix of an element's action in the simple root basis (column j is the
-image of the j-th simple root) serves only that lookup and the action on
-weights and roots.  So every element needs its group's tables, and a
-group over the bound is refused, from its size, before anything is
-enumerated.
+``WeylElement(rs, mat)`` returns the row whose image of rho the matrix
+gives, or raises ``InvariantViolated`` when the matrix is not a group
+element.  So equality and hashing are object identity.  Everything
+derived from an element is read off the tables: its length and word, set
+on the row; its inversion set, from ``masks`` on first use; products
+(walking ``left``), inverses, reflections, the longest element and the
+Bruhat order.  The matrix of an element's action in the simple root
+basis (column j is the image of the j-th simple root) is built from the
+word on first use, for that constructor and the action on weights and
+roots.  So every element needs its group's tables, and a group over the
+bound is refused, from its size, before anything is enumerated.
 
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
@@ -57,15 +64,20 @@ class WeylElement(_Frozen):
     equality and hashing are object identity (see the module docstring)."""
 
     rs: RootSystem
-    mat: IntMatrix
     _k: int
     length: int
     word: tuple[int, ...]
 
     def __new__(cls, rs: RootSystem, mat: IntMatrix) -> WeylElement:
         tables = _group_tables(rs)
-        k = tables.index.get(mat)
-        if k is None:
+        # the matrix acts on simple root coordinates, where 2 rho, the sum
+        # of the positive roots, is integral; pairing w(2 rho) with the
+        # simple coroots gives twice the fundamental weight coordinates
+        two_rho = [sum(column) for column in zip(*(beta.coords for beta in rs.positive_roots))]
+        image = [sum(m * x for m, x in zip(row, two_rho)) for row in mat]
+        key = tuple(sum(a * x for a, x in zip(row, image)) // 2 for row in rs.cartan)
+        k = tables.index.get(key)
+        if k is None or tables.elements[k].mat != mat:
             raise InvariantViolated("the matrix is not an element of the Weyl group")
         return tables.elements[k]
 
@@ -77,6 +89,21 @@ class WeylElement(_Frozen):
 
     def __repr__(self) -> str:
         return f"WeylElement({word_text(self)})"
+
+    @cached_property
+    def mat(self) -> IntMatrix:
+        """The action on simple root coordinates, column j the image of a_j:
+        the product of the simple reflections along the word, built on first use."""
+        cartan = self.rs.cartan
+        rows = [tuple(int(i == j) for j in range(self.rs.rank)) for i in range(self.rs.rank)]
+        for i in reversed(self.word):
+            # s_i * m changes only row i, to row_i - sum_j a_ij row_j (a_ii = 2)
+            a = cartan[i - 1]
+            rows[i - 1] = tuple(
+                x - sum(c * row[col] for c, row in zip(a, rows) if c)
+                for col, x in enumerate(rows[i - 1])
+            )
+        return tuple(rows)
 
     @cached_property
     def inv_mat(self) -> IntMatrix:
@@ -194,14 +221,14 @@ def _bits(mask: int):
 class _GroupTables(_Frozen):
     """The whole group as integer tables, indexed in the order of ``all_elements``.
 
-    ``index`` maps an element's matrix to its index k; ``left[i][k]`` is the
+    ``index`` maps w_k(rho), in fundamental weight coordinates, to k; ``left[i][k]`` is the
     index of s_{i+1} w_k; ``refl[b][k]`` is the index of t w_k, for t the
     reflection through the b-th positive root; bit b of ``masks[k]`` is set
     when the b-th positive root lies in the inversion set of w_k.
     """
 
     elements: tuple[WeylElement, ...]
-    index: dict[IntMatrix, int]
+    index: dict[tuple[int, ...], int]
     left: tuple[list[int], ...]
     refl: tuple[list[int], ...]
     masks: tuple[int, ...]
@@ -229,8 +256,15 @@ class _GroupTables(_Frozen):
         """Bit x of ``ideals[k]`` is set iff w_x <= w_k in the Bruhat order.
 
         For a left descent s of y, {x <= y} = {x <= sy} + s{x <= sy} by the
-        lifting property; sy comes before y in table order.
+        lifting property; sy comes before y in table order.  Raises
+        ``GroupTooLarge`` first if the group has more than ``IDEALS_BOUND``
+        elements.
         """
+        if len(self.elements) > IDEALS_BOUND:
+            raise GroupTooLarge(
+                f"Bruhat ideals are built for at most {IDEALS_BOUND} elements, "
+                f"not {len(self.elements)}"
+            )
         ideals = [1]
         for k in range(1, len(self.elements)):
             column = self.left[self.elements[k].word[0] - 1]
@@ -292,49 +326,61 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
             p = sum(a * x for a, x in zip(rs.cartan[i], c))
             images.append(root_index.get(c[:i] + (c[i] - p,) + c[i + 1 :]))
         perm.append(images)
+    # s_i(v) = v - v_i a_i, and a_i has fundamental weight coordinates
+    # column i of the Cartan matrix: coordinate i changes sign, and only the
+    # coordinates of the Dynkin neighbours of i shift
     neighbours = [
-        [(j, a) for j, a in enumerate(row) if a and j != i] for i, row in enumerate(rs.cartan)
+        [(j, row[i]) for j, row in enumerate(rs.cartan) if row[i] and j != i] for i in range(n)
     ]
 
-    # BFS by left multiplication, with mats as its queue; its depth is the length
-    mats = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
-    found = {mats[0]: 0}
-    depth, masks = [0], [0]
-    left: list[list[int]] = [[] for _ in range(n)]
-    for k, m in enumerate(mats):
+    # the orbit of rho, one length at a time.  s_i w is longer than w iff
+    # coordinate i of w(rho) is positive, and its ShortLex word is i
+    # followed by the word of w when i is its smallest left descent; so
+    # taking i, then w in table order, meets each longer element first
+    # through that descent, in (length, word) order.
+    size = _group_order(rs)
+    rho = (1,) * n
+    index = {rho: 0}
+    orbit, masks, words = [rho], [0], [()]
+    left = [[0] * size for _ in range(n)]
+    start = 0
+    while start < len(orbit):
+        end = len(orbit)
         for i in range(n):
-            # s_i * m changes only row i, to row_i - sum_j a_ij row_j (a_ii = 2)
-            row = [-x for x in m[i]]
-            for j, a in neighbours[i]:
-                row = [r - a * x for r, x in zip(row, m[j])]
-            u = m[:i] + (tuple(row),) + m[i + 1 :]
-            if u not in found:
-                found[u] = len(mats)
-                mats.append(u)
-                depth.append(depth[k] + 1)
-                # N(s_i w) = {a_i} + s_i N(w) when the length goes up
-                mask = 1 << simple_bit[i]
-                for b in _bits(masks[k]):
-                    mask |= 1 << perm[i][b]
-                masks.append(mask)
-            left[i].append(found[u])
+            column, shifts, images = left[i], neighbours[i], perm[i]
+            bit = 1 << simple_bit[i]
+            for k in range(start, end):
+                v = orbit[k]
+                c = v[i]
+                if c < 0:
+                    continue
+                u = list(v)
+                u[i] = -c
+                for j, a in shifts:
+                    u[j] -= c * a
+                u = tuple(u)
+                m = index.get(u)
+                if m is None:
+                    m = index[u] = len(orbit)
+                    orbit.append(u)
+                    # N(s_i w) = {a_i} + s_i N(w) when the length goes up
+                    mask = bit
+                    for b in _bits(masks[k]):
+                        mask |= 1 << images[b]
+                    masks.append(mask)
+                    words.append((i + 1,) + words[k])
+                column[k] = m
+                column[m] = k
+        start = end
+    if len(orbit) != size:
+        raise InvariantViolated("the orbit of rho does not match the group order")
 
-    # the ShortLex word splits off the smallest left descent
-    words: list[tuple[int, ...]] = [()]
-    for k in range(1, len(mats)):
-        i = next(i for i in range(n) if depth[left[i][k]] < depth[k])
-        words.append((i + 1,) + words[left[i][k]])
-
-    order = sorted(range(len(mats)), key=lambda k: (depth[k], words[k]))
     # the only place elements are made, each with the table data it carries
-    position = [0] * len(order)
     elements = []
-    for p, k in enumerate(order):
-        position[k] = p
+    for k, word in enumerate(words):
         w = object.__new__(WeylElement)
-        w.__dict__.update(rs=rs, mat=mats[k], _k=p, length=depth[k], word=words[k])
+        w.__dict__.update(rs=rs, _k=k, length=len(word), word=word)
         elements.append(w)
-    left = [[position[column[k]] for k in order] for column in left]
 
     # t_beta = s_i t_gamma s_i for beta = s_i(gamma) of smaller height, which
     # comes earlier: the positive roots are ordered by height
@@ -346,16 +392,21 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
             continue
         i = next(i for i in range(n) if perm[i][b] < b)
         li, rg = left[i], refl[perm[i][b]]
-        refl.append([li[rg[li[k]]] for k in range(len(order))])
+        refl.append([li[rg[x]] for x in li])
 
     return _GroupTables(
         elements=tuple(elements),
-        index={w.mat: k for k, w in enumerate(elements)},
+        index=index,
         left=tuple(left),
         refl=tuple(refl),
-        masks=tuple(masks[k] for k in order),
+        masks=tuple(masks),
     )
 
+
+#: the largest group whose Bruhat lower ideals are built: the bitsets cost
+#: about |W| / 64 word operations per Bruhat pair, so F4 (1152 elements)
+#: and D5 (1920) pass, and B5 (3840), A6 and E6 are refused
+IDEALS_BOUND = 2000
 
 #: the default largest group enumerated: E6 (51,840 elements) passes, and
 #: A8, D7, B7 and C7 (322,560 elements and more) are refused

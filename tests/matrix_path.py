@@ -6,8 +6,9 @@ is defined, on the matrix of an element's action in the simple root
 basis (column j is the image of the j-th simple root): products, the
 inverse found by a root search, the length and inversion set from the
 signs of root images, the ShortLex word found by peeling off the
-smallest left descent, and the matrices of the simple reflections and of
-the reflection through a root.  Nothing here reads the tables.
+smallest left descent, the matrices of the simple reflections, of a word
+and of the reflection through a root, and the image of rho, which keys
+the tables.  Nothing here reads the tables.
 """
 
 
@@ -77,3 +78,22 @@ def word(rs, mat):
         letters.append(descents[0] + 1)
         rest = product(rest, simple_matrix(rs, descents[0] + 1))
     return tuple(letters)
+
+
+def word_matrix(rs, word):
+    """Product of the simple reflection matrices along a word."""
+    n = rs.rank
+    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        mat = product(mat, simple_matrix(rs, i))
+    return mat
+
+
+def rho_image(rs, mat):
+    """w(rho) in fundamental weight coordinates.
+
+    Coordinate k is <w(rho), a_k^vee> = <rho, (w^{-1} a_k)^vee>, the sum of
+    the coroot coordinates of column k of the inverse: rho pairs to 1 with
+    every simple coroot.
+    """
+    return tuple(sum(rs.coroot(column)) for column in zip(*inverse(rs, mat)))

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,11 +14,13 @@ import pytest
 
 import vermatwist
 from vermatwist import (
+    CARTAN_BY_LABEL,
     all_elements,
     bruhat_leq,
     build_root_system,
     longest_element,
     make_block,
+    reflection_through,
     weight,
     word_text,
 )
@@ -552,3 +555,78 @@ def test_weyl_output_is_pinned(label, fmt):
     code, out, err = run_cli("weyl", "--type", label, "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == WEYL_SHA256[label, fmt]
+
+
+def _encoder_weyl_payload(rs):
+    """The weyl payload built from the public API, for ``json.dumps(indent=2)``.
+
+    Covers are the pairs x < y with x = y * t for a reflection t and
+    l(x) = l(y) - 1, listed by y and then by x, both in table order.
+    """
+    elements = all_elements(rs)
+    position = {w: k for k, w in enumerate(elements)}
+    reflections = [reflection_through(rs, beta) for beta in rs.positive_roots]
+    covers = []
+    for y in elements:
+        below = sorted(position[y * t] for t in reflections)
+        covers.extend(
+            [word_text(elements[j]), word_text(y)]
+            for j in below
+            if elements[j].length + 1 == y.length
+        )
+    return {
+        "type": rs.label,
+        "rank": rs.rank,
+        "elements": [
+            {
+                "word": word_text(w),
+                "length": w.length,
+                "inversions": [list(beta.coords) for beta in w.inversions],
+            }
+            for w in elements
+        ],
+        "covers": covers,
+    }
+
+
+@pytest.mark.parametrize(
+    "system, label",
+    [
+        *((name, name) for name in CARTAN_BY_LABEL),
+        # a Cartan file of type B2 takes the label; A1 x G2 has none
+        ([[2, -2], [-1, 2]], "B2"),
+        ([[2, 0, 0], [0, 2, -3], [0, -1, 2]], None),
+    ],
+    ids=[*CARTAN_BY_LABEL, "B2-file", "A1xG2-file"],
+)
+def test_weyl_json_writer_matches_the_encoder(tmp_path, system, label):
+    if isinstance(system, str):
+        flags = ("--type", system)
+    else:
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"matrix": system}))
+        flags = ("--cartan-file", str(path))
+    code, out, err = run_cli("weyl", *flags, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = _encoder_weyl_payload(build_root_system(system))
+    assert payload["type"] == label
+    want = json.dumps(payload, indent=2) + "\n"
+    # line by line, so that a failure shows the first line that differs
+    lines = itertools.zip_longest(out.splitlines(keepends=True), want.splitlines(keepends=True))
+    for k, (got, expected) in enumerate(lines, start=1):
+        assert got == expected, f"line {k}"
+
+
+def test_weyl_json_never_enters_the_pure_python_encoder(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(pytest.fail.Exception):
+        json.dumps([1], indent=2)
+    path = tmp_path / "a1xb2.json"
+    path.write_text(json.dumps({"matrix": [[2, 0, 0], [0, 2, -2], [0, -1, 2]]}))
+    for flags in (("--type", "B3"), ("--type", "F4"), ("--cartan-file", str(path))):
+        code, out, err = run_cli("weyl", *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rank"] in (3, 4)

@@ -37,6 +37,7 @@ from vermatwist import (
     VERMA,
     GroupTooLarge,
     IndexOutOfRange,
+    InvariantViolated,
     MixedRootSystems,
     SumFormulaInput,
     Weight,
@@ -58,7 +59,7 @@ from vermatwist import (
     weight_action,
     word_text,
 )
-from vermatwist import characters, weyl
+from vermatwist import characters, rootsystem, weyl
 from vermatwist.cli import main
 from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import _group_order, _group_tables
@@ -136,7 +137,7 @@ def test_masks_lengths_and_words_match_the_matrices(name):
         assert w.length == matrix_path.length(rs, w.mat) == bin(mask).count("1")
         assert w.word == matrix_path.word(rs, w.mat)
         assert element_from_word(rs, w.word) is w
-        assert tables.index[w.mat] == k == w._k
+        assert tables.index[matrix_path.rho_image(rs, w.mat)] == k == w._k
         assert w.inverse().mat == matrix_path.inverse(rs, w.mat)
         # i is a right descent iff w(a_i), column i of the matrix, is negative
         descents = tuple(i + 1 for i in range(rs.rank) if sum(row[i] for row in w.mat) < 0)
@@ -242,6 +243,87 @@ def test_elements_are_their_own_identity():
         assert copy.copy(w) is w and copy.deepcopy(w) is w
     values = {w: w.length for w in all_elements(rs)}
     assert copy.deepcopy(values) == values
+
+
+@pytest.mark.parametrize("label", ["B3", "F4"])
+def test_elements_are_found_by_their_matrix(label):
+    # a root system outside the registry, so that no matrix is cached yet
+    rs = RootSystem(build_root_system(label).cartan, label)
+    for w in all_elements(rs):
+        m = matrix_path.word_matrix(rs, w.word)
+        assert "mat" not in vars(w)
+        assert w.mat == m
+        assert WeylElement(rs, m) is w
+
+
+def test_a_matrix_with_the_image_of_rho_of_an_element_is_refused():
+    rs = build_root_system("B2")
+    # 2 rho = (4, 3) in simple root coordinates, and (3, -4) kills it, so
+    # this matrix sends rho where the identity does
+    fake = ((4, -4), (0, 1))
+    assert matrix_path.act(fake, (4, 3)) == (4, 3)
+    with pytest.raises(InvariantViolated):
+        WeylElement(rs, fake)
+
+
+def test_enumeration_computes_no_matrix(monkeypatch):
+    monkeypatch.setattr(WeylElement, "mat", property(lambda w: pytest.fail("a matrix")))
+    rs = RootSystem(build_root_system("F4").cartan, "F4")
+    elements = all_elements(rs)
+    assert longest_element(rs) is elements[-1]
+    assert element_from_word(rs, (1, 2, 3, 4)).length == 4
+
+
+def test_weyl_path_constructs_no_fraction(monkeypatch, tmp_path):
+    # an empty registry, so that every root system below is built afresh
+    monkeypatch.setattr(rootsystem, "_REGISTRY", {})
+
+    def refuse(cls, *args, **kwargs):
+        pytest.fail("a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(pytest.fail.Exception):
+        Fraction(1)
+    rs = RootSystem(PRODUCTS["A1xG2"], None)
+    assert len(all_elements(rs)) == 24
+    path = tmp_path / "a1xb2.json"
+    path.write_text(json.dumps({"matrix": PRODUCTS["A1xB2"]}))
+    for flags in (["--type", "F4"], ["--cartan-file", str(path)]):
+        for fmt in ("table", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["weyl", *flags, "--format", fmt])
+            assert (code, err.getvalue()) == (0, "")
+
+
+def test_bruhat_ideals_are_bounded(monkeypatch):
+    # B5: 3840 elements
+    b5 = tuple(
+        tuple(2 if i == j else (-2 if (i, j) == (4, 3) else -1) if abs(i - j) == 1 else 0 for j in range(5))
+        for i in range(5)
+    )
+    tables = _group_tables(build_root_system(b5))
+    assert len(tables.elements) == 3840 > weyl.IDEALS_BOUND == 2000
+    with pytest.raises(GroupTooLarge, match="at most 2000 elements, not 3840"):
+        tables.ideals
+    # the bound admits a group of exactly its size
+    monkeypatch.setattr(weyl, "IDEALS_BOUND", 48)
+    assert len(_group_tables(RootSystem(CARTAN_BY_LABEL["B3"], "B3")).ideals) == 48
+    monkeypatch.setattr(weyl, "IDEALS_BOUND", 7)
+    rs = RootSystem(CARTAN_BY_LABEL["B2"], "B2")
+    with pytest.raises(GroupTooLarge):
+        _group_tables(rs).ideals
+    # a decomposition file whose shape and entries pass is refused with it
+    block = make_block(rs, weight(-2, -2))
+    data = {
+        "params": [word_text(w) for w in block.params],
+        "matrix": [[int(i == j) for j in range(8)] for i in range(8)],
+    }
+    with pytest.raises(GroupTooLarge):
+        characters.load_decomposition_file(block, data)
+    data["matrix"].pop()
+    with pytest.raises(characters.BadDecompositionFile, match="shape"):
+        characters.load_decomposition_file(block, data)
 
 
 def test_elements_of_distinct_root_systems_differ():
