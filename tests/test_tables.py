@@ -297,9 +297,12 @@ def test_weyl_path_constructs_no_fraction(monkeypatch, tmp_path):
 
 
 def test_bruhat_ideals_are_bounded(monkeypatch):
-    # B5: 3840 elements
+    # B5, the chain 1-2-3-4-5 with the short simple root last: 3840 elements
     b5 = tuple(
-        tuple(2 if i == j else (-2 if (i, j) == (4, 3) else -1) if abs(i - j) == 1 else 0 for j in range(5))
+        tuple(
+            2 if i == j else (-2 if (i, j) == (4, 3) else -1) if abs(i - j) == 1 else 0
+            for j in range(5)
+        )
         for i in range(5)
     )
     tables = _group_tables(build_root_system(b5))
