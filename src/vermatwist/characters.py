@@ -59,7 +59,8 @@ SIMPLE = "simple"
 
 
 class CharVector:
-    """Formal integer combination of block parameters in a named basis."""
+    """Formal integer combination of block parameters in a named basis;
+    a coefficient that is not a whole number raises ``ValueError``."""
 
     __slots__ = ("basis", "_coeffs")
 
@@ -70,8 +71,12 @@ class CharVector:
         self._coeffs: dict[WeylElement, int] = {}
         if coeffs:
             for w, c in dict(coeffs).items():
+                if type(c) is not int:
+                    if c != int(c):
+                        raise ValueError(f"coefficient {c!r} is not an integer")
+                    c = int(c)
                 if c:
-                    self._coeffs[w] = int(c)
+                    self._coeffs[w] = c
 
     def coeff(self, w: WeylElement) -> int:
         return self._coeffs.get(w, 0)
@@ -279,6 +284,9 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
         raise UnsupportedBlock(
             "user decomposition matrices are only accepted for regular integral blocks"
         )
+    # the unitriangularity check reads the Bruhat ideals: a group over their
+    # bound is refused here, before the file is read
+    ideals = _group_tables(block.rs).ideals
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text())
@@ -314,7 +322,6 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
         tuple(matrix[position[y]][position[x]] for x in params) for y in params
     )
     # the parameters are the whole group, in table order
-    ideals = _group_tables(rs).ideals
     for i, y in enumerate(params):
         for j, x in enumerate(params):
             c = rows[i][j]

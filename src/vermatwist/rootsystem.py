@@ -17,20 +17,24 @@ Conventions used throughout the package:
 Root systems are interned: building twice from equal Cartan data returns
 the same object, so identity comparison is meaningful and cheap.  A root
 system is built in integers: the symmetrizer, the root norms and the
-integer coroot table.  ``rho`` and the rational tables (roots as weights,
-the inverse Cartan matrix) are built on first use, so enumerating a Weyl
-group constructs no ``Fraction``.
+integer coroot table.  ``rho`` and the inverse Cartan matrix are built on
+first use, so enumerating a Weyl group constructs no ``Fraction``.  The
+inverse needs no elimination: the sum v_i of the positive roots with a_i
+in their support is permuted by every s_j with j != i, so it pairs to
+zero with those simple coroots and is a multiple k_i of the fundamental
+weight w_i; column i of the inverse is v_i / k_i, the one rational step.
 
-Roots, weights and the records of this module and ``weyl`` are plain
-immutable classes with the equality, hash and repr a frozen dataclass
-would give them; the ``weyl`` command loads no ``dataclasses``.
+Roots, weights and the records of this module and ``weyl`` derive from
+:class:`_Record`, which names the fields once and gives them the
+equality, hash and repr a frozen dataclass would; the ``weyl`` command
+loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import InvariantViolated, NotARoot, NotFiniteType
 
@@ -65,7 +69,36 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Root(_Frozen):
+class _Record(_Frozen):
+    """A frozen record of the fields named in ``_fields``, set positionally
+    or by keyword, compared, hashed and shown as a frozen dataclass is."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if len(args) > len(self._fields) or kwargs.keys() != set(self._fields[len(args) :]):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in (*zip(self._fields, args), *kwargs.items()):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Root(_Record):
     """A root written in simple root coordinates.
 
     Roots of a finite system are either positive (all coordinates >= 0) or
@@ -73,6 +106,7 @@ class Root(_Frozen):
     """
 
     coords: tuple[int, ...]
+    _fields = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]) -> None:
         coords = tuple(int(c) for c in coords)
@@ -81,14 +115,6 @@ class Root(_Frozen):
             raise NotARoot(f"zero vector is not a root: {coords}")
         if any(c > 0 for c in coords) and any(c < 0 for c in coords):
             raise NotARoot(f"mixed signs in root coordinates: {coords}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     @property
     def is_positive(self) -> bool:
@@ -105,10 +131,11 @@ class Root(_Frozen):
         return f"Root{self.coords}"
 
 
-class Weight(_Frozen):
+class Weight(_Record):
     """A weight written in fundamental weight coordinates."""
 
     coords: tuple[Fraction, ...]
+    _fields = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]) -> None:
         _set(self, "coords", coords)
@@ -120,14 +147,6 @@ class Weight(_Frozen):
             "coords",
             tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coords),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     @property
     def is_integral(self) -> bool:
@@ -151,34 +170,12 @@ def weight(*coords) -> Weight:
     return Weight(tuple(Fraction(c) for c in coords))
 
 
-class WeightClassification(_Frozen):
+class WeightClassification(_Record):
     antidominant: bool
     dominant: bool
     regular: bool
     integral: bool
-
-    def __init__(self, antidominant: bool, dominant: bool, regular: bool, integral: bool) -> None:
-        _set(self, "antidominant", antidominant)
-        _set(self, "dominant", dominant)
-        _set(self, "regular", regular)
-        _set(self, "integral", integral)
-
-    def _fields(self) -> tuple[bool, bool, bool, bool]:
-        return (self.antidominant, self.dominant, self.regular, self.integral)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightClassification(antidominant={self.antidominant!r}, "
-            f"dominant={self.dominant!r}, regular={self.regular!r}, integral={self.integral!r})"
-        )
+    _fields = ("antidominant", "dominant", "regular", "integral")
 
 
 def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
@@ -241,6 +238,19 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(d)
 
 
+def _reflect_root(cartan, i: int, c: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i(c) for c in simple root coordinates, i 0-based: coordinate i
+    changes by -<c, a_i^vee> = -sum_j a_ij c_j, and no other coordinate."""
+    return c[:i] + (c[i] - sum(a * x for a, x in zip(cartan[i], c) if x),) + c[i + 1 :]
+
+
+def _reflect_weight(cartan, i: int, m: tuple) -> tuple:
+    """s_i(m) for m in fundamental weight coordinates, i 0-based: each m_j
+    changes by -m_i a_ji, for a_i has coordinates column i of the Cartan matrix."""
+    c = m[i]
+    return tuple([x - c * row[i] for x, row in zip(m, cartan)])
+
+
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
     """Close the simple roots under simple reflections, keeping positives.
 
@@ -256,12 +266,9 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root,
     while queue:
         beta = queue.pop()
         for i in range(n):
-            p = sum(cartan[i][j] * beta[j] for j in range(n))
-            image = list(beta)
-            image[i] -= p
-            if image[i] < 0:
+            img = _reflect_root(cartan, i, beta)
+            if img[i] < 0:
                 continue
-            img = tuple(image)
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
@@ -309,14 +316,15 @@ class RootSystem:
         return Weight(tuple(Fraction(1) for _ in range(self.rank)))
 
     @cached_property
-    def _root_weights(self) -> dict[tuple[int, ...], Weight]:
-        return {c: self._lattice_to_weight(c) for c in self._coroots}
-
-    @cached_property
     def _cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
-        from . import _matrix
-
-        return _matrix.invert(tuple(tuple(Fraction(x) for x in row) for row in self.cartan))
+        """The inverse Cartan matrix: column i is w_i in simple root coordinates,
+        v_i / k_i for the root sum v_i of the module docstring."""
+        columns = []
+        for i, row in enumerate(self.cartan):
+            v = [sum(c) for c in zip(*(b.coords for b in self.positive_roots if b.coords[i]))]
+            k = sum(a * x for a, x in zip(row, v))
+            columns.append([Fraction(x, k) for x in v])
+        return tuple(zip(*columns))
 
     def __repr__(self) -> str:
         name = self.label if self.label else f"rank {self.rank}"
@@ -349,22 +357,11 @@ class RootSystem:
 
     def root_to_weight(self, beta: Root) -> Weight:
         """Rewrite a root, or any root lattice vector, in fundamental weight coordinates."""
-        weight = self._root_weights.get(beta.coords)
-        return weight if weight is not None else self._lattice_to_weight(beta.coords)
-
-    def _lattice_to_weight(self, c: tuple[int, ...]) -> Weight:
-        return Weight(
-            tuple(
-                Fraction(sum(self.cartan[j][i] * c[i] for i in range(self.rank)))
-                for j in range(self.rank)
-            )
-        )
+        return Weight(_lattice_pairings(self, beta))
 
     def weight_to_root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple root basis (rational)."""
-        from . import _matrix
-
-        return _matrix.mat_vec(self._cartan_inv, lam.coords)
+        return tuple(sum(a * m for a, m in zip(row, lam.coords) if a) for row in self._cartan_inv)
 
     def in_root_lattice(self, lam: Weight) -> bool:
         return all(c.denominator == 1 for c in self.weight_to_root_coords(lam))
@@ -393,12 +390,8 @@ def build_root_system(cartan) -> RootSystem:
             raise ValueError(f"unknown type label {cartan!r}; known: {sorted(CARTAN_BY_LABEL)}")
         matrix, label = CARTAN_BY_LABEL[key], key
     else:
-        matrix, label = _validate_cartan(cartan), None
-        for name, known in CARTAN_BY_LABEL.items():
-            if known == matrix:
-                label = name
-                break
-    matrix = _validate_cartan(matrix)
+        matrix = _validate_cartan(cartan)
+        label = next((name for name, known in CARTAN_BY_LABEL.items() if known == matrix), None)
     if matrix not in _REGISTRY:
         _REGISTRY[matrix] = RootSystem(matrix, label)
     return _REGISTRY[matrix]
@@ -423,9 +416,16 @@ def pairing(rs: RootSystem, lam: Weight, beta: Root) -> Fraction:
     return sum(c * m for c, m in zip(_coroot_of(rs, beta), lam.coords, strict=True) if c)
 
 
+def _lattice_pairings(rs: RootSystem, gamma: Root) -> tuple[int, ...]:
+    """The pairings of a root lattice vector with the simple coroots."""
+    c = gamma.coords
+    return tuple(sum(a * x for a, x in zip(row, c, strict=True)) for row in rs.cartan)
+
+
 def coroot_pairing_roots(rs: RootSystem, gamma: Root, beta: Root) -> int:
-    """Pairing of the root ``gamma`` against the coroot of ``beta``."""
-    return int(pairing(rs, rs.root_to_weight(gamma), beta))
+    """Pairing of the root ``gamma`` against the coroot of ``beta``, in integers."""
+    coroot = _coroot_of(rs, beta)
+    return sum(c * m for c, m in zip(coroot, _lattice_pairings(rs, gamma)) if c)
 
 
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightClassification:
@@ -462,11 +462,21 @@ def integral_positive_roots(rs: RootSystem, lam: Weight) -> tuple[Root, ...]:
     )
 
 
+#: bounds on |R+| * prod(nu_i + 1), which bounds the entries memoized, and on
+#: height(nu) + |R+|, which bounds the recursion depth (see kostant_partition)
+KOSTANT_COST_BOUND, KOSTANT_DEPTH_BOUND = 100_000, 500
+
+
 def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     """Number of ways to write ``nu`` as a sum of positive roots.
 
     ``nu`` is given in simple root coordinates.  Vectors outside the
-    nonnegative cone have no partitions.
+    nonnegative cone have no partitions.  Raises ``ValueError`` before
+    counting when |R+| * prod(nu_i + 1) exceeds ``KOSTANT_COST_BOUND``:
+    each memo entry costs about 5 us (2-core VM, Python 3.11), so B2 at
+    nu = (150, 150) passes in 0.4 s, and (400, 400), 2.4 s unbounded, is
+    refused.  So is a height(nu) + |R+| over ``KOSTANT_DEPTH_BOUND``,
+    which leaves half the interpreter's default recursion limit to callers.
 
     >>> rs = build_root_system("B2")
     >>> kostant_partition(rs, (1, 1))
@@ -478,6 +488,12 @@ def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     if len(nu) != rs.rank:
         raise ValueError("vector has wrong rank for this root system")
     roots = [r.coords for r in rs.positive_roots]
+    if any(c < 0 for c in nu):
+        return 0
+    if len(roots) * prod(c + 1 for c in nu) > KOSTANT_COST_BOUND:
+        raise ValueError(f"partition count of {nu} exceeds the cost bound {KOSTANT_COST_BOUND}")
+    if sum(nu) + len(roots) > KOSTANT_DEPTH_BOUND:
+        raise ValueError(f"partition count of {nu} exceeds the depth bound {KOSTANT_DEPTH_BOUND}")
     memo = rs._kostant_memo
 
     def count(v: tuple[int, ...], k: int) -> int:

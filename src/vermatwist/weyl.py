@@ -24,7 +24,8 @@ ideals as bitsets over the indices, refused above ``IDEALS_BOUND``
 elements.  Right multiplication needs no table of its own: w t =
 (t w^{-1})^{-1} for any reflection t, so
 :meth:`_GroupTables.coset_minima` walks the cosets of a reflection
-subgroup through ``inverse`` and ``refl``.
+subgroup through ``inverse`` and ``refl``.  The tables, like
+:class:`RootSequence`, are a ``rootsystem._Record``.
 
 Every element is a row of the tables, one of the objects
 :func:`all_elements` holds: the rows are made once, with the tables, and
@@ -34,11 +35,14 @@ element.  So equality and hashing are object identity.  Everything
 derived from an element is read off the tables: its length and word, set
 on the row; its inversion set, from ``masks`` on first use; products
 (walking ``left``), inverses, reflections, the longest element and the
-Bruhat order.  The matrix of an element's action in the simple root
-basis (column j is the image of the j-th simple root) is built from the
-word on first use, for that constructor and the action on weights and
-roots.  So every element needs its group's tables, and a group over the
-bound is refused, from its size, before anything is enumerated.
+Bruhat order.  So every element needs its group's tables, and a group
+over the bound is refused, from its size, before anything is enumerated.
+
+The actions on roots and weights build no matrix: they apply the simple
+reflections of the word right to left, by ``rootsystem._reflect_root``
+and ``_reflect_weight``, the rules the enumeration uses too.
+:func:`_word_image` gives the columns of ``mat`` and the roots of
+:func:`root_sequence_through`; :func:`weight_action` walks in integers.
 
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
@@ -47,16 +51,24 @@ words are tuples like ``(1, 2, 1)``.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _set
+from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _Record
+from .rootsystem import _reflect_root, _reflect_weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _act(mat: IntMatrix, coords: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * coords[k] for k in range(len(coords))) for row in mat)
+def _word_image(rs: RootSystem, word, j: int) -> tuple[int, ...]:
+    """The image of the j-th simple root (0-based) under the product of the
+    simple reflections in ``word``, in simple root coordinates."""
+    c = tuple(int(k == j) for k in range(rs.rank))
+    for k in reversed(word):
+        c = _reflect_root(rs.cartan, k - 1, c)
+    return c
 
 
 class WeylElement(_Frozen):
@@ -92,18 +104,9 @@ class WeylElement(_Frozen):
 
     @cached_property
     def mat(self) -> IntMatrix:
-        """The action on simple root coordinates, column j the image of a_j:
-        the product of the simple reflections along the word, built on first use."""
-        cartan = self.rs.cartan
-        rows = [tuple(int(i == j) for j in range(self.rs.rank)) for i in range(self.rs.rank)]
-        for i in reversed(self.word):
-            # s_i * m changes only row i, to row_i - sum_j a_ij row_j (a_ii = 2)
-            a = cartan[i - 1]
-            rows[i - 1] = tuple(
-                x - sum(c * row[col] for c, row in zip(a, rows) if c)
-                for col, x in enumerate(rows[i - 1])
-            )
-        return tuple(rows)
+        """The action on simple root coordinates, column j the image of a_j,
+        built from the word on first use."""
+        return tuple(zip(*(_word_image(self.rs, self.word, j) for j in range(self.rs.rank))))
 
     @cached_property
     def inv_mat(self) -> IntMatrix:
@@ -120,10 +123,7 @@ class WeylElement(_Frozen):
             return NotImplemented
         _same_system(self, other)
         tables = _group_tables(self.rs)
-        k = other._k
-        for i in reversed(self.word):
-            k = tables.left[i - 1][k]
-        return tables.elements[k]
+        return tables.elements[tables.times(self.word, other._k)]
 
     def inverse(self) -> WeylElement:
         tables = _group_tables(self.rs)
@@ -170,10 +170,7 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
         if not 1 <= i <= rs.rank:
             raise IndexOutOfRange(f"simple reflection index {i} outside 1..{rs.rank}")
     tables = _group_tables(rs)
-    k = 0
-    for i in reversed(letters):
-        k = tables.left[i - 1][k]
-    return tables.elements[k]
+    return tables.elements[tables.times(letters, 0)]
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -218,7 +215,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _GroupTables(_Frozen):
+class _GroupTables(_Record):
     """The whole group as integer tables, indexed in the order of ``all_elements``.
 
     ``index`` maps w_k(rho), in fundamental weight coordinates, to k; ``left[i][k]`` is the
@@ -232,24 +229,18 @@ class _GroupTables(_Frozen):
     left: tuple[list[int], ...]
     refl: tuple[list[int], ...]
     masks: tuple[int, ...]
+    _fields = ("elements", "index", "left", "refl", "masks")
 
-    def __init__(self, elements, index, left, refl, masks) -> None:
-        _set(self, "elements", elements)
-        _set(self, "index", index)
-        _set(self, "left", left)
-        _set(self, "refl", refl)
-        _set(self, "masks", masks)
+    def times(self, word, k: int) -> int:
+        """The index of s_{i_1} ... s_{i_m} w_k for ``word`` = (i_1, ..., i_m)."""
+        for i in reversed(word):
+            k = self.left[i - 1][k]
+        return k
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
         """``inverse[k]`` is the index of w_k^{-1}: the word of w_k read backwards."""
-        inv = []
-        for w in self.elements:
-            k = 0
-            for i in w.word:
-                k = self.left[i - 1][k]
-            inv.append(k)
-        return tuple(inv)
+        return tuple(self.times(w.word[::-1], 0) for w in self.elements)
 
     @cached_property
     def ideals(self) -> tuple[int, ...]:
@@ -318,21 +309,10 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     root_index = {beta.coords: b for b, beta in enumerate(roots)}
     simple_bit = [root_index[tuple(int(k == i) for k in range(n))] for i in range(n)]
     # perm[i][b] is the index of s_i(beta_b); None for beta_b = a_i, sent negative
-    perm = []
-    for i in range(n):
-        images = []
-        for beta in roots:
-            c = beta.coords
-            p = sum(a * x for a, x in zip(rs.cartan[i], c))
-            images.append(root_index.get(c[:i] + (c[i] - p,) + c[i + 1 :]))
-        perm.append(images)
-    # s_i(v) = v - v_i a_i, and a_i has fundamental weight coordinates
-    # column i of the Cartan matrix: coordinate i changes sign, and only the
-    # coordinates of the Dynkin neighbours of i shift
-    neighbours = [
-        [(j, row[i]) for j, row in enumerate(rs.cartan) if row[i] and j != i] for i in range(n)
+    perm = [
+        [root_index.get(_reflect_root(rs.cartan, i, beta.coords)) for beta in roots]
+        for i in range(n)
     ]
-
     # the orbit of rho, one length at a time.  s_i w is longer than w iff
     # coordinate i of w(rho) is positive, and its ShortLex word is i
     # followed by the word of w when i is its smallest left descent; so
@@ -347,18 +327,13 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     while start < len(orbit):
         end = len(orbit)
         for i in range(n):
-            column, shifts, images = left[i], neighbours[i], perm[i]
+            column, images = left[i], perm[i]
             bit = 1 << simple_bit[i]
             for k in range(start, end):
                 v = orbit[k]
-                c = v[i]
-                if c < 0:
+                if v[i] < 0:
                     continue
-                u = list(v)
-                u[i] = -c
-                for j, a in shifts:
-                    u[j] -= c * a
-                u = tuple(u)
+                u = _reflect_weight(rs.cartan, i, v)
                 m = index.get(u)
                 if m is None:
                     m = index[u] = len(orbit)
@@ -394,13 +369,7 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
         li, rg = left[i], refl[perm[i][b]]
         refl.append([li[rg[x]] for x in li])
 
-    return _GroupTables(
-        elements=tuple(elements),
-        index=index,
-        left=tuple(left),
-        refl=tuple(refl),
-        masks=tuple(masks),
-    )
+    return _GroupTables(tuple(elements), index, tuple(left), tuple(refl), tuple(masks))
 
 
 #: the largest group whose Bruhat lower ideals are built: the bitsets cost
@@ -476,17 +445,19 @@ def reflection_through(rs: RootSystem, beta: Root) -> WeylElement:
 def weight_action(w: WeylElement, lam: Weight) -> Weight:
     """Natural (unshifted) action of w on a weight, exactly.
 
-    Coordinate i is <w(lam), a_i^vee> = <lam, (w^{-1} a_i)^vee>, the
-    pairing of lam with the coroot of column i of ``inv_mat``; for a
-    simple reflection it reduces to ``s_i(lam) = lam - lam.coords[i] * a_i``.
+    Applies ``s_i(lam) = lam - lam.coords[i] * a_i`` along the word, right
+    to left; a_i has fundamental weight coordinates a_ji, column i of the
+    Cartan matrix.  The walk runs on integer numerators over the common
+    denominator d of the coordinates, divided by d once at the end.
     """
-    m = lam.coords
-    return Weight(
-        tuple(
-            sum(c * x for c, x in zip(w.rs.coroot(column), m, strict=True) if c)
-            for column in zip(*w.inv_mat)
-        )
-    )
+    rs = w.rs
+    if len(lam.coords) != rs.rank:
+        raise ValueError("weight has wrong rank for this root system")
+    d = lcm(*(x.denominator for x in lam.coords))
+    m = tuple(x.numerator * (d // x.denominator) for x in lam.coords)
+    for i in reversed(w.word):
+        m = _reflect_weight(rs.cartan, i - 1, m)
+    return Weight(tuple(Fraction(x, d) for x in m))
 
 
 def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
@@ -496,7 +467,7 @@ def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
     return weight_action(w, lam + rs.rho) - rs.rho
 
 
-class RootSequence(_Frozen):
+class RootSequence(_Record):
     """A positive-root enumeration adapted to a group element.
 
     ``word`` is a reduced word for the longest element whose reversed
@@ -508,25 +479,7 @@ class RootSequence(_Frozen):
     word: tuple[int, ...]
     betas: tuple[Root, ...]
     split: int
-
-    def __init__(self, word: tuple[int, ...], betas: tuple[Root, ...], split: int) -> None:
-        _set(self, "word", word)
-        _set(self, "betas", betas)
-        _set(self, "split", split)
-
-    def _fields(self) -> tuple:
-        return (self.word, self.betas, self.split)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"RootSequence(word={self.word!r}, betas={self.betas!r}, split={self.split!r})"
+    _fields = ("word", "betas", "split")
 
 
 def root_sequence_through(rs: RootSystem, w: WeylElement) -> RootSequence:
@@ -549,15 +502,10 @@ def root_sequence_through(rs: RootSystem, w: WeylElement) -> RootSequence:
     if len(letters) != w0.length:
         raise InvariantViolated("length additivity failed for the w0 word")
 
-    betas: list[Root] = []
-    prefix = identity_element(rs)
-    for j, letter in enumerate(letters, start=1):
-        alpha = Root(tuple(1 if k == letter - 1 else 0 for k in range(rs.rank)))
-        image = _act(w.mat, _act(prefix.mat, alpha.coords))
-        if j <= n:
-            image = tuple(-c for c in image)
-        betas.append(Root(image))
-        prefix = prefix * simple_reflection(rs, letter)
+    betas = []
+    for j, letter in enumerate(letters):
+        image = _word_image(rs, w.word + letters[:j], letter - 1)
+        betas.append(Root(image if j >= n else tuple(-c for c in image)))
 
     if {b.coords for b in betas} != {b.coords for b in rs.positive_roots}:
         raise InvariantViolated("root sequence does not enumerate the positive roots")

@@ -9,7 +9,14 @@ signs of root images, the ShortLex word found by peeling off the
 smallest left descent, the matrices of the simple reflections, of a word
 and of the reflection through a root, and the image of rho, which keys
 the tables.  Nothing here reads the tables.
+
+It also keeps the matrix routes that ``weyl`` and ``rootsystem`` replaced
+by walks along the word: the weight action through the inverse matrix and
+the coroots, the root sequence through matrix products, and the inverse
+Cartan matrix by Gaussian elimination over the rationals.
 """
+
+from fractions import Fraction
 
 
 def product(a, b):
@@ -97,3 +104,44 @@ def rho_image(rs, mat):
     every simple coroot.
     """
     return tuple(sum(rs.coroot(column)) for column in zip(*inverse(rs, mat)))
+
+
+def invert(a):
+    """Invert a square rational matrix by Gauss-Jordan elimination."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        inv_p = 1 / work[col][col]
+        work[col] = [x * inv_p for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def weight_action(rs, mat, coords):
+    """Coordinate i of w(lam) is <lam, (w^{-1} a_i)^vee>: the pairing of lam
+    with the coroot of column i of the inverse matrix."""
+    return tuple(
+        sum(c * x for c, x in zip(rs.coroot(column), coords, strict=True))
+        for column in zip(*inverse(rs, mat))
+    )
+
+
+def root_sequence(rs, mat, letters, split):
+    """The j-th root is w applied to the image of the j-th letter's simple
+    root under the product of the preceding letters, negated on the first
+    ``split`` steps."""
+    n = rs.rank
+    prefix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    betas = []
+    for j, letter in enumerate(letters):
+        alpha = tuple(int(k == letter - 1) for k in range(n))
+        image = act(mat, act(prefix, alpha))
+        betas.append(tuple(-c for c in image) if j < split else image)
+        prefix = product(prefix, simple_matrix(rs, letter))
+    return betas

@@ -306,3 +306,19 @@ def test_char_vector_arithmetic():
     assert (a - a).is_zero
     assert 3 * a == CharVector(VERMA, {e: 3, s: 6})
     assert a != CharVector(SIMPLE, {e: 1, s: 2})
+
+
+def test_char_vector_refuses_non_integer_coefficients():
+    rs = build_root_system("B2")
+    e = element_from_word(rs, ())
+    with pytest.raises(ValueError, match="not an integer"):
+        CharVector(VERMA, {e: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="not an integer"):
+        CharVector(VERMA, {e: 2.9})
+    v = CharVector(VERMA, {e: 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        0.5 * v
+    # whole numbers of any type are kept, as ints
+    w = CharVector(VERMA, {e: Fraction(4, 2)})
+    assert w == 2.0 * v == 2 * v and type(w.coeff(e)) is int
+    assert CharVector(VERMA, {e: Fraction(0)}).is_zero

@@ -10,6 +10,8 @@ the reflections and inverses read off the group's tables.
 
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,18 @@ from vermatwist import (
     all_elements,
     build_root_system,
     coroot_pairing_roots,
+    dot_action,
+    element_from_word,
     pairing,
     reflection_through,
+    root_sequence_through,
+    weight,
     weight_action,
 )
-from vermatwist import _matrix, rootsystem
+from vermatwist import rootsystem
+
+import matrix_path
+from matrix_path import invert
 
 PRODUCTS = {
     "A1xA1": ((2, 0), (0, 2)),
@@ -123,9 +132,59 @@ def test_integer_inverse_matches_gaussian_elimination(label):
     identity = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
     for w in all_elements(rs):
         inv = w.inv_mat
-        assert inv == _matrix.invert(w.mat)
+        assert inv == invert(w.mat)
         assert (w.inverse() * w).mat == identity
         assert all(type(x) is int for row in inv for x in row)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_inverse_cartan_matrix_from_root_sums_matches_elimination(name):
+    rs = system(name)
+    assert rs._cartan_inv == invert(rs.cartan)
+    for beta in rs.positive_roots:
+        assert rs.weight_to_root_coords(rs.root_to_weight(beta)) == beta.coords
+
+
+def rational_weights(rank, count, seed):
+    pick = random.Random(seed)
+    return [
+        Weight(tuple(Fraction(pick.randint(-12, 12), pick.randint(1, 4)) for _ in range(rank)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("label, sample", [("B3", None), ("F4", 150)])
+def test_weight_action_matches_the_matrix_route(label, sample):
+    rs = build_root_system(label)
+    elements = all_elements(rs)
+    if sample:
+        elements = random.Random(label).sample(elements, sample) + [elements[-1]]
+    lams = rational_weights(rs.rank, 3, label)
+    for w in elements:
+        for lam in lams:
+            assert weight_action(w, lam).coords == matrix_path.weight_action(rs, w.mat, lam.coords)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3"])
+def test_root_sequence_matches_the_matrix_route(label):
+    rs = build_root_system(label)
+    for w in all_elements(rs):
+        seq = root_sequence_through(rs, w)
+        want = matrix_path.root_sequence(rs, w.mat, seq.word, seq.split)
+        assert [beta.coords for beta in seq.betas] == want
+
+
+def test_dot_action_builds_no_matrix_and_no_inverse_table():
+    rs = rootsystem.RootSystem(CARTAN_BY_LABEL["F4"], "F4")
+    lam = weight(-2, Fraction(1, 3), -1, 5)
+    for w in all_elements(rs):
+        dot_action(rs, w, lam)
+    assert all("mat" not in vars(w) and "inv_mat" not in vars(w) for w in all_elements(rs))
+    assert "inverse" not in vars(rs._weyl_tables)
+    # the walk agrees with the matrix route on this system too
+    w = element_from_word(rs, (1, 2, 3, 4, 3, 2))
+    want = matrix_path.weight_action(rs, w.mat, (lam + rs.rho).coords)
+    assert (dot_action(rs, w, lam) + rs.rho).coords == want
 
 
 def test_inverse_refuses_a_matrix_that_misses_a_simple_root():

@@ -170,3 +170,19 @@ def test_classification_and_root_sequence_records():
         "betas=(Root(1, 0), Root(0, 1), Root(1, 1), Root(2, 1)), split=1)"
     )
     assert_frozen(seq, ["split"])
+
+
+def test_records_take_their_fields_positionally_or_by_keyword():
+    got = WeightClassification(True, False, regular=True, integral=False)
+    assert got == WeightClassification(True, False, True, False)
+    assert hash(got) == hash((True, False, True, False))
+    assert got != RootSequence(True, False, True) and got != (True, False, True, False)
+    every = {"antidominant": True, "dominant": True, "regular": True, "integral": True}
+    for args, kwargs in [
+        ((True,) * 5, {}),
+        ((True,) * 3, {}),
+        ((True,), every),
+        ((), {**every, "other": True}),
+    ]:
+        with pytest.raises(TypeError, match="takes the fields"):
+            WeightClassification(*args, **kwargs)

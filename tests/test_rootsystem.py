@@ -1,22 +1,29 @@
 """Root system construction, bilinear forms, and weight classification."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from vermatwist import (
+    CARTAN_BY_LABEL,
+    VERMA,
     NotARoot,
     NotFiniteType,
     Root,
     Weight,
     build_root_system,
     classify_weight,
+    dimension_at,
     dot_action,
     integral_positive_roots,
     kostant_partition,
+    make_block,
     pairing,
+    unit_vector,
     weight,
 )
+from vermatwist.rootsystem import KOSTANT_DEPTH_BOUND, RootSystem
 from vermatwist.weyl import all_elements, weight_action
 
 
@@ -214,6 +221,33 @@ def test_kostant_partition_matches_naive_search():
             if sum(nu) > bound:
                 continue
             assert kostant_partition(rs, nu) == naive_partition_count(rs, nu), (label, nu)
+
+
+def test_kostant_partition_is_bounded():
+    b2 = build_root_system("B2")
+    block = make_block(b2, weight(-2, -2))
+    e = block.params[0]
+    top = block.weight_of(e)
+    # 2.4 s and a RecursionError unbounded; the last is inside the cost
+    # bound and outside the depth bound
+    for nu in ((400, 400), (1000, 1000), (0, 10**5), (0, 20_000)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bound"):
+            kostant_partition(b2, nu)
+        with pytest.raises(ValueError, match="bound"):
+            dimension_at(block, unit_vector(VERMA, e), top - b2.root_to_weight(Root(nu)))
+        assert time.perf_counter() - start < 0.1
+    assert kostant_partition(b2, (-1, 10**5)) == 0
+    # the deepest count admitted recurses once per unit of height
+    a1 = RootSystem(CARTAN_BY_LABEL["A1"], "A1")
+    assert kostant_partition(a1, (KOSTANT_DEPTH_BOUND - 1,)) == 1
+    with pytest.raises(ValueError, match="depth bound"):
+        kostant_partition(a1, (KOSTANT_DEPTH_BOUND,))
+    # the largest vectors the suite counts: the naive searches' boxes and
+    # the heights of the dimension checks
+    for label, nu in (("A1", (6,)), ("A2", (6, 6)), ("B2", (6, 6)), ("G2", (6, 6)),
+                      ("A3", (4, 4, 4)), ("B3", (4, 4, 4)), ("F4", (4, 4, 4, 4))):
+        assert kostant_partition(build_root_system(label), nu) > 0
 
 
 def test_dot_action_is_group_action():

@@ -296,7 +296,7 @@ def test_weyl_path_constructs_no_fraction(monkeypatch, tmp_path):
             assert (code, err.getvalue()) == (0, "")
 
 
-def test_bruhat_ideals_are_bounded(monkeypatch):
+def test_bruhat_ideals_are_bounded(monkeypatch, tmp_path):
     # B5, the chain 1-2-3-4-5 with the short simple root last: 3840 elements
     b5 = tuple(
         tuple(
@@ -324,7 +324,13 @@ def test_bruhat_ideals_are_bounded(monkeypatch):
     }
     with pytest.raises(GroupTooLarge):
         characters.load_decomposition_file(block, data)
+    # the group is refused before the file is read, parsed or checked
     data["matrix"].pop()
+    with pytest.raises(GroupTooLarge):
+        characters.load_decomposition_file(block, data)
+    with pytest.raises(GroupTooLarge):
+        characters.load_decomposition_file(block, tmp_path / "missing.json")
+    monkeypatch.undo()
     with pytest.raises(characters.BadDecompositionFile, match="shape"):
         characters.load_decomposition_file(block, data)
 
