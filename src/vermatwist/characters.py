@@ -44,7 +44,7 @@ from .errors import (
     NotInBlockOrbit,
     UnsupportedBlock,
 )
-from .rootsystem import RootSystem, Weight, kostant_partition, pairing
+from .rootsystem import RootSystem, Weight, _whole, kostant_partition, pairing
 from .weyl import (
     WeylElement,
     _group_tables,
@@ -72,9 +72,10 @@ class CharVector:
         if coeffs:
             for w, c in dict(coeffs).items():
                 if type(c) is not int:
-                    if c != int(c):
+                    whole = _whole(c)
+                    if whole is None:
                         raise ValueError(f"coefficient {c!r} is not an integer")
-                    c = int(c)
+                    c = whole
                 if c:
                     self._coeffs[w] = c
 

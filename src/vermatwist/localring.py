@@ -16,6 +16,16 @@ directly.  Only hashing, printing and the public ``num`` and ``den``
 attributes need the canonical form: polynomials over Q as tuples of
 ``Fraction`` coefficients, gcd cancelled, denominator scaled to take the
 value 1 at X = 0.  It is computed on first use and cached.
+
+Two entry points work on integer lists directly, for callers that know
+their elements as integer polynomials, such as the rank 1 laboratory:
+
+* ``from_lists(num, den)`` builds the element num/den from two lists of
+  ints, normalised as every other element is, without the ``Fraction``
+  round trip of the constructor.
+* ``scaled_equal(u, a, v, b)`` decides u*a == v*b for integer
+  polynomials u and v and elements a and b by one cross-multiplication,
+  building no element.
 """
 
 from __future__ import annotations
@@ -324,6 +334,29 @@ def _parts(value) -> tuple[list[int], list[int]] | None:
     if isinstance(value, (int, Fraction)):
         return ([value.numerator] if value else []), [value.denominator]
     return None
+
+
+def from_lists(num, den) -> LocalRingElem:
+    """The element num/den from lists of ints, constant term first.
+
+    >>> from_lists([0, 2], [4])
+    LocalRingElem('1/2*X')
+    """
+    num, den = list(num), list(den)
+    if not all(type(c) is int for c in num + den):
+        raise TypeError("coefficients must be ints")
+    return _make(num, den)
+
+
+def scaled_equal(u: list[int], a: LocalRingElem, v: list[int], b: LocalRingElem) -> bool:
+    """Whether u*a == v*b, for u and v lists of ints, constant term first.
+
+    >>> x = variable()
+    >>> scaled_equal([2], x / 2, [0, 1], one())
+    True
+    """
+    u, v = _z_trim(u), _z_trim(v)
+    return _z_mul(_z_mul(u, a._n), b._d) == _z_mul(_z_mul(v, b._n), a._d)
 
 
 def constant(value) -> LocalRingElem:

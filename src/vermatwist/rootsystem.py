@@ -462,6 +462,15 @@ def integral_positive_roots(rs: RootSystem, lam: Weight) -> tuple[Root, ...]:
     )
 
 
+def _whole(c) -> int | None:
+    """``c`` as an int when it is a whole number, else None (inf and nan are not)."""
+    try:
+        whole = int(c)
+    except (OverflowError, ValueError):
+        return None
+    return whole if whole == c else None
+
+
 #: bounds on |R+| * prod(nu_i + 1), which bounds the entries memoized, and on
 #: height(nu) + |R+|, which bounds the recursion depth (see kostant_partition)
 KOSTANT_COST_BOUND, KOSTANT_DEPTH_BOUND = 100_000, 500
@@ -477,6 +486,10 @@ def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     nu = (150, 150) passes in 0.4 s, and (400, 400), 2.4 s unbounded, is
     refused.  So is a height(nu) + |R+| over ``KOSTANT_DEPTH_BOUND``,
     which leaves half the interpreter's default recursion limit to callers.
+    A coordinate that is not a whole number raises ``ValueError``.  The
+    memo, kept on ``rs``, is dropped before a count once it holds more than
+    ``KOSTANT_COST_BOUND`` entries, so it never holds much more than twice
+    that.
 
     >>> rs = build_root_system("B2")
     >>> kostant_partition(rs, (1, 1))
@@ -484,7 +497,10 @@ def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     >>> kostant_partition(rs, (0, 0))
     1
     """
-    nu = tuple(int(c) for c in nu)
+    whole = tuple(map(_whole, nu))
+    if None in whole:
+        raise ValueError(f"partition count of {tuple(nu)} needs integer coordinates")
+    nu = whole
     if len(nu) != rs.rank:
         raise ValueError("vector has wrong rank for this root system")
     roots = [r.coords for r in rs.positive_roots]
@@ -495,6 +511,8 @@ def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     if sum(nu) + len(roots) > KOSTANT_DEPTH_BOUND:
         raise ValueError(f"partition count of {nu} exceeds the depth bound {KOSTANT_DEPTH_BOUND}")
     memo = rs._kostant_memo
+    if len(memo) > KOSTANT_COST_BOUND:
+        memo.clear()
 
     def count(v: tuple[int, ...], k: int) -> int:
         if any(c < 0 for c in v):

@@ -315,6 +315,10 @@ def test_char_vector_refuses_non_integer_coefficients():
         CharVector(VERMA, {e: Fraction(1, 2)})
     with pytest.raises(ValueError, match="not an integer"):
         CharVector(VERMA, {e: 2.9})
+    # int() raises OverflowError on the infinities and its own message on nan
+    for c in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not an integer"):
+            CharVector(VERMA, {e: c})
     v = CharVector(VERMA, {e: 1})
     with pytest.raises(ValueError, match="not an integer"):
         0.5 * v

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vermatwist import LocalRingElem, constant, localring, one, variable, zero
+from vermatwist.localring import from_lists, scaled_equal
 
 Poly = tuple[Fraction, ...]
 
@@ -431,3 +432,38 @@ def test_equality_and_hash_match_the_reference(tree_a, tree_b, tree_u):
         assert detour == a
         assert hash(detour) == hash(a)
         assert str(detour) == str(a)
+
+
+INT_LISTS = st.lists(st.integers(-5, 5), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INT_LISTS, INT_LISTS)
+def test_from_lists_matches_the_constructor(num, den):
+    def build(elem):
+        try:
+            value = elem(num, den)
+        except (ValueError, ZeroDivisionError) as exc:
+            return ("refused", type(exc), str(exc))
+        return str(value), value.valuation(), value.specialize(), value
+
+    assert build(from_lists) == build(LocalRingElem)
+
+
+def test_from_lists_refuses_non_int_coefficients():
+    for num, den in (([1.0], [1]), ([1], [Fraction(1, 2)]), ([True], [1])):
+        with pytest.raises(TypeError, match="ints"):
+            from_lists(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INT_LISTS, TREES, INT_LISTS, TREES)
+def test_scaled_equal_matches_element_arithmetic(u, tree_a, v, tree_b):
+    # u and v may carry trailing zeros; both sides may be zero
+    a, _ = observe(tree_a, LocalRingElem)
+    b, _ = observe(tree_b, LocalRingElem)
+    if a is None or b is None:
+        return
+    want = LocalRingElem(u) * a == LocalRingElem(v) * b
+    assert scaled_equal(u, a, v, b) == want
+    assert scaled_equal(u, a, u, a)

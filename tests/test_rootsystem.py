@@ -223,6 +223,31 @@ def test_kostant_partition_matches_naive_search():
             assert kostant_partition(rs, nu) == naive_partition_count(rs, nu), (label, nu)
 
 
+def test_kostant_partition_refuses_non_integer_coordinates():
+    b2 = build_root_system("B2")
+    # 1.5 was read as 1, giving the count of (1, 1)
+    for nu in ((1.5, 1), (Fraction(1, 2), 0), (float("inf"), 0), (float("nan"), 0)):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            kostant_partition(b2, nu)
+    assert kostant_partition(b2, (Fraction(2), 1.0)) == kostant_partition(b2, (2, 1)) == 3
+
+
+def test_kostant_memo_is_dropped_above_the_cost_bound(monkeypatch):
+    from vermatwist import rootsystem
+
+    bound = 1000
+    monkeypatch.setattr(rootsystem, "KOSTANT_COST_BOUND", bound)
+    b2 = RootSystem(CARTAN_BY_LABEL["B2"], "B2")
+    sizes = []
+    for nu in ((14, 14), (10, 20), (20, 10), (6, 30), (30, 6), (14, 14)):
+        got = kostant_partition(b2, nu)
+        sizes.append(len(b2._kostant_memo))
+        assert got == kostant_partition(RootSystem(CARTAN_BY_LABEL["B2"], "B2"), nu), nu
+    # the memo crosses the bound, is dropped, and never reaches twice the bound
+    assert max(sizes) > bound and max(sizes) <= 2 * bound
+    assert sizes[-1] < sizes[-2]
+
+
 def test_kostant_partition_is_bounded():
     b2 = build_root_system("B2")
     block = make_block(b2, weight(-2, -2))

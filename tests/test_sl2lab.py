@@ -7,6 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sl2_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vermatwist
 
@@ -244,3 +247,89 @@ def test_sl2_report_builds_the_forward_map_once(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sl2", "--lambda", "3", "--trunc", "12", "--check", check]) == 0
         assert calls == [(Fraction(3), 12)]
+
+
+def _tampered(wmap, index, entry):
+    entries = list(wmap.entries)
+    entries[index] = entry
+    return WeightMap(wmap.lam, wmap.truncation, wmap.direction, tuple(entries))
+
+
+@pytest.mark.parametrize("lam", SAMPLE_WEIGHTS)
+@pytest.mark.parametrize("build", [phi, psi], ids=["phi", "psi"])
+def test_every_tampered_index_is_refused(lam, build):
+    # the last index sits in one identity only, the one at n - 1
+    wmap = build(lam, 8)
+    assert check_equivariance(wmap)
+    for i, entry in enumerate(wmap.entries):
+        for wrong in (2 * entry, entry + variable()):
+            assert check_equivariance(_tampered(wmap, i, wrong)) is False, (i, wrong)
+
+
+def test_wrong_lam_override_is_refused():
+    for build in (phi, psi):
+        for lam, other in ((3, 4), (-2, Fraction(-5, 2)), (Fraction(1, 2), Fraction(1, 3))):
+            wmap = build(lam, 10)
+            assert check_equivariance(wmap, lam=lam)
+            assert check_equivariance(wmap, lam=other) is False, (build, lam, other)
+
+
+def test_truncation_window_sees_only_its_identities():
+    for build in (phi, psi):
+        wmap = build(Fraction(-7, 2), 10)
+        # a window of t checks the t identities between the entries 0..t
+        for t in range(11):
+            for i in range(11):
+                bad = _tampered(wmap, i, 2 * wmap.entries[i])
+                refused = 0 < t and i <= t
+                assert check_equivariance(bad, truncation=t) is not refused, (build, t, i)
+        assert check_equivariance(wmap, truncation=20)
+
+
+@pytest.mark.parametrize("lam", SAMPLE_WEIGHTS)
+def test_maps_match_the_ring_element_route(lam):
+    for ours, theirs in (
+        (phi(lam, 12), sl2_path.phi(lam, 12)),
+        (psi(lam, 12), sl2_path.psi(lam, 12)),
+    ):
+        assert ours == theirs
+        assert [str(e) for e in ours.entries] == [str(e) for e in theirs.entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_equivariance_matches_the_ring_element_route(data):
+    lam = Fraction(data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 4)))
+    truncation = data.draw(st.integers(0, 10))
+    wmap = data.draw(st.sampled_from([phi, psi]))(lam, truncation)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, truncation))
+        scale = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        shift = data.draw(st.sampled_from([0, 1, Fraction(1, 2)]))
+        wmap = _tampered(wmap, i, wmap.entries[i] * (scale + shift * variable()) + shift)
+    other_lam = data.draw(st.none() | st.fractions(-6, 6, max_denominator=4))
+    window = data.draw(st.none() | st.integers(-1, 12))
+    got = check_equivariance(wmap, other_lam, window)
+    assert got == sl2_path.check_equivariance(wmap, other_lam, window)
+
+
+@pytest.mark.parametrize("trunc", [30, 100])
+@pytest.mark.parametrize("lam", ["3", "-2", "1/2", "0", "-7/3"])
+def test_sl2_report_builds_about_two_ring_elements_per_index(monkeypatch, lam, trunc):
+    # phi and psi build one element per entry; the checks build none
+    import contextlib
+    import io
+
+    from vermatwist import cli, localring
+
+    built = []
+    post_init = localring.LocalRingElem.__post_init__
+
+    def counted(elem):
+        built.append(1)
+        post_init(elem)
+
+    monkeypatch.setattr(localring.LocalRingElem, "__post_init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sl2", "--lambda", lam, "--trunc", str(trunc)]) == 0
+    assert len(built) <= 2 * (trunc + 1) + 4
