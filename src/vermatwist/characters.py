@@ -7,20 +7,20 @@ called the block parameters.  Character vectors are formal integer
 combinations of parameters in either the Verma basis or the simple basis;
 the two are related by the block's decomposition matrix.
 
-Every block is read off the Weyl group's integer tables, with no weight
-built per element.  The integral Weyl group is the closure of the
-identity under the reflections through the integral roots.  The
-stabilizer of lam + rho is generated by the reflections that fix it
-(Steinberg), all of them in integral roots, so one coset rule serves
-every kind of block: an orbit weight's parameter is the first element,
-in table order, of its coset w Stab(lam + rho).  The stabilizer is
-trivial in a regular block, the parabolic W_J in a singular integral
-one, and a reflection subgroup that need not be parabolic in a singular
-nonintegral one.  Each coset of a reflection subgroup has a unique
-element of minimal length (Dyer, Reflection subgroups of Coxeter
-systems, 1990), and table order is (length, word), so the first element
-is that shortest one.  Only a ``mu`` input and ``param_for_weight``
-build the weight to parameter map.
+Every block is read off the Weyl group's integer tables and the integer
+pairings of lam + rho with the coroots, with no weight built.  The
+integral Weyl group, generated by the reflections through the integral
+roots, is the coset of the identity in the walk below.  The stabilizer
+of lam + rho is generated by the reflections that fix it (Steinberg),
+all of them in integral roots, so one coset rule serves every kind of
+block: an orbit weight's parameter is the first element, in table order,
+of its coset w Stab(lam + rho).  The stabilizer is trivial in a regular
+block, the parabolic W_J in a singular integral one, and a reflection
+subgroup that need not be parabolic in a singular nonintegral one.  Each
+coset of a reflection subgroup has a unique element of minimal length
+(Dyer, Reflection subgroups of Coxeter systems, 1990), and table order
+is (length, word), so the first element is that shortest one.  Only a
+``mu`` input and ``param_for_weight`` build the weight to parameter map.
 
 In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
@@ -44,7 +44,7 @@ from .errors import (
     NotInBlockOrbit,
     UnsupportedBlock,
 )
-from .rootsystem import RootSystem, Weight, _whole, kostant_partition, pairing
+from .rootsystem import RootSystem, Weight, _shifted_pairings, _whole, kostant_partition
 from .weyl import (
     WeylElement,
     _group_tables,
@@ -142,32 +142,30 @@ class BlockContext:
     """
 
     def __init__(self, rs: RootSystem, lam: Weight):
-        if len(lam.coords) != rs.rank:
-            raise ValueError("weight has wrong rank for this root system")
-        shifted = lam + rs.rho
-        values = [pairing(rs, shifted, beta) for beta in rs.positive_roots]
-        for beta, value in zip(rs.positive_roots, values):
-            if value.denominator == 1 and value > 0:
+        nums, d = _shifted_pairings(rs, lam)
+        for beta, n in zip(rs.positive_roots, nums):
+            if n > 0 and n % d == 0:
                 raise NotAntidominant(
                     f"base weight must pair nonpositively with {beta!r} after the rho shift"
                 )
         self.rs = rs
         self.base = lam
-        self.integral = lam.is_integral
-        self.regular = 0 not in values
-        self._root_mask = sum(1 << b for b, v in enumerate(values) if v.denominator == 1)
+        self.integral = d == 1
+        self.regular = 0 not in nums
+        self._root_mask = sum(1 << b for b, n in enumerate(nums) if n % d == 0)
 
-        # the integral Weyl group is generated by the reflections in integral roots
+        # the integral Weyl group is the coset of the identity
         tables = _group_tables(rs)
         if self.integral:
             members = range(len(tables.elements))
             self.group = tables.elements
         else:
-            members = tables.generated(self._root_mask)
+            coset = tables.coset_minima((0,), self._root_mask)
+            members = [k for k, m in enumerate(coset) if m == 0]
             self.group = tuple(tables.elements[k] for k in members)
         # the stabilizer of lam + rho is generated by the reflections fixing it,
         # and each orbit weight's parameter is the first element of its coset
-        zero_mask = sum(1 << b for b, v in enumerate(values) if v == 0)
+        zero_mask = sum(1 << b for b, n in enumerate(nums) if n == 0)
         self._param_of = tables.coset_minima(members, zero_mask)
         self.params = tuple(tables.elements[k] for k in members if self._param_of[k] == k)
         self._param_set = frozenset(self.params)
@@ -338,6 +336,16 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
     return DecompositionMatrix(params, rows)
 
 
+def _block_matrix(block: BlockContext, dm: DecompositionMatrix | None) -> DecompositionMatrix:
+    """``dm``, or the built-in matrix when it is None; a matrix whose
+    parameters are not the block's raises ``BadDecompositionFile``."""
+    if dm is None:
+        return decomposition_matrix(block)
+    if dm.params != block.params:
+        raise BadDecompositionFile("the decomposition matrix belongs to another block")
+    return dm
+
+
 def _check_vector(block: BlockContext, v: CharVector) -> None:
     bad = v._coeffs.keys() - block._param_set
     if bad:
@@ -360,7 +368,7 @@ def change_basis(
     _check_vector(block, v)
     if v.basis == to:
         return CharVector(to, v._coeffs)
-    dm = decomposition if decomposition is not None else decomposition_matrix(block)
+    dm = _block_matrix(block, decomposition)
     out: dict[WeylElement, int] = {}
     rows = dm.rows if v.basis == VERMA else dm.inverse_rows
     for y, c in v._coeffs.items():

@@ -37,12 +37,8 @@ def _root_text(beta: Root) -> str:
     return "(" + ",".join(str(c) for c in beta.coords) + ")"
 
 
-def _vector_text(vec: CharVector) -> str:
-    from .weyl import word_text
-
-    if vec.is_zero:
-        return "0"
-    return " ".join(f"{c:+}[{word_text(w)}]" for w, c in vec.items())
+def _vector_text(coeffs: dict[str, int]) -> str:
+    return " ".join(f"{c:+}[{word}]" for word, c in coeffs.items()) or "0"
 
 
 def _vector_json(vec: CharVector) -> dict[str, int]:
@@ -56,6 +52,12 @@ def _layers_json(table: LayerTable) -> dict[str, int]:
 
     ordered = sorted(table.layers, key=lambda w: (w.length, w.word))
     return {word_text(w): table.layers[w] for w in ordered}
+
+
+def _simple_json(table: LayerTable) -> dict[str, int]:
+    # _layer_table checks that the sum vector's simple basis
+    # coefficients are exactly the depths it reports
+    return {word: depth for word, depth in _layers_json(table).items() if depth}
 
 
 def _layer_lines(table: LayerTable, name) -> list[str]:
@@ -158,14 +160,6 @@ def _resolve_input(args, parser) -> SumFormulaInput:
     return SumFormulaInput(block=block, w=w, y=y)
 
 
-def _simple_vector(table: LayerTable) -> CharVector:
-    from .characters import SIMPLE, CharVector
-
-    # _layer_table checks that the sum vector's simple basis
-    # coefficients are exactly the depths it reports
-    return CharVector(SIMPLE, table.layers)
-
-
 def _payload(inp: SumFormulaInput, result: SumFormulaResult, table: LayerTable | None) -> dict:
     from .jantzen import _orbit_param
     from .weyl import word_text
@@ -174,7 +168,7 @@ def _payload(inp: SumFormulaInput, result: SumFormulaResult, table: LayerTable |
         "w": word_text(inp.w),
         "y": word_text(_orbit_param(inp)),
         "verma": _vector_json(result.vector),
-        "simple": _vector_json(_simple_vector(table)) if table is not None else None,
+        "simple": _simple_json(table) if table is not None else None,
         "layers": _layers_json(table) if table is not None else None,
         "zero_top": table.zero_top if table is not None else None,
     }
@@ -211,11 +205,11 @@ def cmd_sum_formula(args, parser) -> int:
     lines.append(f"y = {word_text(y)}  (mu = {_weight_text(block.weight_of(y))})")
     lines.append("R+(mu): " + (" ".join(_root_text(b) for b in result.rplus_mu) or "-"))
     lines.append("R+(w): " + (" ".join(_root_text(b) for b in result.rplus_w) or "-"))
-    lines.append(f"verma vector: {_vector_text(result.vector)}")
+    lines.append(f"verma vector: {_vector_text(_vector_json(result.vector))}")
     if table is None:
         lines.append(f"layers: unavailable ({type(blocked).__name__}: {blocked})")
     else:
-        lines.append(f"simple vector: {_vector_text(_simple_vector(table))}")
+        lines.append(f"simple vector: {_vector_text(_simple_json(table))}")
         lines.append("layers:")
         lines.extend(_table_lines(table))
     print("\n".join(lines))

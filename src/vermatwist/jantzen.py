@@ -44,8 +44,8 @@ from .characters import (
     BlockContext,
     CharVector,
     DecompositionMatrix,
+    _block_matrix,
     change_basis,
-    decomposition_matrix,
 )
 from .errors import (
     BadDecompositionFile,
@@ -54,7 +54,7 @@ from .errors import (
     NotMultiplicityFree,
     UnsupportedBlock,
 )
-from .rootsystem import Root, Weight, pairing
+from .rootsystem import Root, Weight, _shifted_pairings
 from .weyl import (
     WeylElement,
     _bits,
@@ -95,7 +95,7 @@ class SumFormulaResult:
     rplus_w: tuple[Root, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LayerTable:
     """Filtration depth of every composition factor of a twisted module.
 
@@ -106,11 +106,6 @@ class LayerTable:
 
     layers: dict[WeylElement, int]
     zero_top: bool
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LayerTable):
-            return NotImplemented
-        return self.layers == other.layers and self.zero_top == other.zero_top
 
     def depth_of(self, x: WeylElement) -> int:
         try:
@@ -133,14 +128,8 @@ class LayerTable:
 
 def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
     """Positive roots pairing to a strictly positive integer with mu + rho."""
-    rs = block.rs
-    shifted = mu + rs.rho
-    out = []
-    for beta in rs.positive_roots:
-        value = pairing(rs, shifted, beta)
-        if value.denominator == 1 and value > 0:
-            out.append(beta)
-    return tuple(out)
+    nums, d = _shifted_pairings(block.rs, mu)
+    return tuple(b for b, n in zip(block.rs.positive_roots, nums) if n > 0 and n % d == 0)
 
 
 def _outside(y: WeylElement) -> NotInBlockOrbit:
@@ -274,7 +263,7 @@ def _layer_matrix(
         raise UnsupportedBlock(
             "layer extraction is only supported in regular integral blocks"
         )
-    return decomposition if decomposition is not None else decomposition_matrix(block)
+    return _block_matrix(block, decomposition)
 
 
 def _layer_table(

@@ -24,6 +24,10 @@ in their support is permuted by every s_j with j != i, so it pairs to
 zero with those simple coroots and is a multiple k_i of the fundamental
 weight w_i; column i of the inverse is v_i / k_i, the one rational step.
 
+The pairings of lam + rho with the positive coroots decide a weight's
+class, its integral roots, its block and R+(mu); ``_shifted_pairings``
+gives them as integers over one denominator, 1 for an integral weight.
+
 Roots, weights and the records of this module and ``weyl`` derive from
 :class:`_Record`, which names the fields once and gives them the
 equality, hash and repr a frozen dataclass would; the ``weyl`` command
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import InvariantViolated, NotARoot, NotFiniteType
 
@@ -361,6 +365,7 @@ class RootSystem:
 
     def weight_to_root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple root basis (rational)."""
+        _check_rank(self, lam)
         return tuple(sum(a * m for a, m in zip(row, lam.coords) if a) for row in self._cartan_inv)
 
     def in_root_lattice(self, lam: Weight) -> bool:
@@ -397,6 +402,11 @@ def build_root_system(cartan) -> RootSystem:
     return _REGISTRY[matrix]
 
 
+def _check_rank(rs: RootSystem, lam: Weight) -> None:
+    if len(lam.coords) != rs.rank:
+        raise ValueError("weight has wrong rank for this root system")
+
+
 def _coroot_of(rs: RootSystem, beta: Root) -> tuple[int, ...]:
     if not isinstance(beta, Root):
         raise NotARoot(f"expected a Root, got {beta!r}")
@@ -413,7 +423,8 @@ def pairing(rs: RootSystem, lam: Weight, beta: Root) -> Fraction:
     >>> pairing(rs, rs.rho, Root((2, 1)))
     Fraction(2, 1)
     """
-    return sum(c * m for c, m in zip(_coroot_of(rs, beta), lam.coords, strict=True) if c)
+    _check_rank(rs, lam)
+    return sum(c * m for c, m in zip(_coroot_of(rs, beta), lam.coords) if c)
 
 
 def _lattice_pairings(rs: RootSystem, gamma: Root) -> tuple[int, ...]:
@@ -428,6 +439,17 @@ def coroot_pairing_roots(rs: RootSystem, gamma: Root, beta: Root) -> int:
     return sum(c * m for c, m in zip(coroot, _lattice_pairings(rs, gamma)) if c)
 
 
+def _shifted_pairings(rs: RootSystem, lam: Weight) -> tuple[list[int], int]:
+    """``(nums, d)`` with <lam + rho, beta_b^vee> = nums[b] / d for the b-th
+    positive root, d the lcm of the denominators of ``lam``.  The simple
+    roots come first, as the roots are ordered by height."""
+    _check_rank(rs, lam)
+    d = lcm(*(c.denominator for c in lam.coords))
+    m = [c.numerator * (d // c.denominator) + d for c in lam.coords]
+    coroots = [rs._coroots[beta.coords] for beta in rs.positive_roots]
+    return [sum(c * x for c, x in zip(coroot, m) if c) for coroot in coroots], d
+
+
 def classify_weight(rs: RootSystem, lam: Weight) -> WeightClassification:
     """Classify ``lam`` relative to the shifted Weyl group action.
 
@@ -436,18 +458,13 @@ def classify_weight(rs: RootSystem, lam: Weight) -> WeightClassification:
     * regular: pairing of lam + rho with every positive coroot is nonzero
     * integral: all fundamental weight coordinates are integers
     """
-    if len(lam.coords) != rs.rank:
-        raise ValueError("weight has wrong rank for this root system")
-    shifted = lam + rs.rho
-    simples = shifted.coords
-    regular = all(
-        pairing(rs, shifted, beta) != 0 for beta in rs.positive_roots
-    )
+    nums, d = _shifted_pairings(rs, lam)
+    simples = nums[: rs.rank]
     return WeightClassification(
         antidominant=all(c <= 0 for c in simples),
         dominant=all(c >= 0 for c in simples),
-        regular=regular,
-        integral=lam.is_integral,
+        regular=0 not in nums,
+        integral=d == 1,
     )
 
 
@@ -455,11 +472,11 @@ def integral_positive_roots(rs: RootSystem, lam: Weight) -> tuple[Root, ...]:
     """Positive roots whose coroot pairs integrally with ``lam``.
 
     For an integral weight this is every positive root; in general it is
-    the positive part of the integral root subsystem of ``lam``.
+    the positive part of the integral root subsystem of ``lam``.  The
+    pairing with rho is an integer, so lam + rho decides it.
     """
-    return tuple(
-        beta for beta in rs.positive_roots if pairing(rs, lam, beta).denominator == 1
-    )
+    nums, d = _shifted_pairings(rs, lam)
+    return tuple(beta for beta, n in zip(rs.positive_roots, nums) if n % d == 0)
 
 
 def _whole(c) -> int | None:

@@ -56,7 +56,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _Record
+from .rootsystem import Root, RootSystem, Weight, _check_rank, _coroot_of, _Frozen, _Record
 from .rootsystem import _reflect_root, _reflect_weight
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -270,9 +270,10 @@ class _GroupTables(_Record):
         coset w_k W', for W' generated by the reflections through the
         positive roots in ``roots_mask``; -1 for every other index.
 
-        ``members`` lists a subgroup containing W', in table order.  Each
-        coset is a breadth-first search from its first member along right
-        multiplication, w t_beta = (t_beta w^{-1})^{-1}.
+        ``members`` lists, in table order, the indices whose cosets are
+        wanted; it need not be a subgroup, and ``(0,)`` gives W' itself.
+        Each coset is a breadth-first search from its first member along
+        right multiplication, w t_beta = (t_beta w^{-1})^{-1}.
         """
         columns = [self.refl[b] for b in _bits(roots_mask)]
         inv = self.inverse if columns else ()
@@ -289,18 +290,6 @@ class _GroupTables(_Record):
                         out[m] = k
                         queue.append(m)
         return out
-
-    def generated(self, roots_mask: int) -> list[int]:
-        """Indices of the subgroup generated by the reflections through the
-        positive roots in ``roots_mask``, in table order."""
-        columns = [self.refl[b] for b in _bits(roots_mask)]
-        found, queue = {0}, [0]
-        for k in queue:
-            for column in columns:
-                if column[k] not in found:
-                    found.add(column[k])
-                    queue.append(column[k])
-        return sorted(found)
 
 
 def _build_tables(rs: RootSystem) -> _GroupTables:
@@ -451,8 +440,7 @@ def weight_action(w: WeylElement, lam: Weight) -> Weight:
     denominator d of the coordinates, divided by d once at the end.
     """
     rs = w.rs
-    if len(lam.coords) != rs.rank:
-        raise ValueError("weight has wrong rank for this root system")
+    _check_rank(rs, lam)
     d = lcm(*(x.denominator for x in lam.coords))
     m = tuple(x.numerator * (d // x.denominator) for x in lam.coords)
     for i in reversed(w.word):
@@ -464,6 +452,7 @@ def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
     """Shifted action w . lam = w(lam + rho) - rho."""
     if w.rs is not rs:
         raise MixedRootSystems("element does not belong to the given root system")
+    _check_rank(rs, lam)
     return weight_action(w, lam + rs.rho) - rs.rho
 
 

@@ -14,6 +14,7 @@ from vermatwist import (
     NotAntidominant,
     UnsupportedBlock,
     Root,
+    SumFormulaInput,
     build_root_system,
     bruhat_leq,
     change_basis,
@@ -21,6 +22,7 @@ from vermatwist import (
     dimension_at,
     element_from_word,
     kostant_partition,
+    layers_multiplicity_free,
     load_decomposition_file,
     longest_element,
     make_block,
@@ -147,6 +149,29 @@ def test_change_basis_names_the_first_foreign_parameter():
         with pytest.raises(ValueError) as err:
             change_basis(block, v, to)
         assert str(err.value) == f"{foreign[2]!r} is not a parameter of this block"
+
+
+def test_a_decomposition_matrix_of_another_block_is_refused():
+    b2 = b2_block()
+    a2 = decomposition_matrix(make_block(build_root_system("A2"), weight(-2, -2)))
+    regular = decomposition_matrix(b2)
+    nonintegral = make_block(b2.rs, weight(Fraction(-1, 2), -2))
+    singular = make_block(b2.rs, weight(-1, -2))
+    for block, dm in ((b2, a2), (nonintegral, regular), (singular, regular)):
+        v = unit_vector(SIMPLE, block.params[-1])
+        with pytest.raises(BadDecompositionFile, match="^the decomposition matrix belongs to"):
+            change_basis(block, v, VERMA, dm)
+        with pytest.raises(BadDecompositionFile, match="^the decomposition matrix belongs to"):
+            dimension_at(block, v, block.base, dm)
+    with pytest.raises(BadDecompositionFile, match="^the decomposition matrix belongs to"):
+        layers_multiplicity_free(SumFormulaInput(block=b2, w=b2.params[1], y=b2.params[3]), a2)
+    # the block's own matrix, given or built in, is accepted
+    v = unit_vector(SIMPLE, b2.params[3])
+    assert change_basis(b2, v, VERMA, regular) == change_basis(b2, v, VERMA)
+    table = layers_multiplicity_free(SumFormulaInput(block=b2, w=b2.params[1], y=b2.params[3]))
+    assert table == layers_multiplicity_free(
+        SumFormulaInput(block=b2, w=b2.params[1], y=b2.params[3]), regular
+    )
 
 
 def test_change_basis_to_the_same_basis_copies():

@@ -5,7 +5,10 @@ and pairings and the weight action are read off it.  The oracles here are
 the rational formulas the table replaced: ``2 (x, beta) / (beta, beta)``
 through ``rs.form``, the transport of the root action through the
 symmetrizer, and Gaussian elimination, which also check the matrices of
-the reflections and inverses read off the group's tables.
+the reflections and inverses read off the group's tables.  The integer
+pairings of lam + rho, over one denominator, are checked against
+``pairing``, and so are the weight classes, integral roots and R+(mu)
+read off them.
 """
 
 from fractions import Fraction
@@ -25,10 +28,14 @@ from vermatwist import (
     WeylElement,
     all_elements,
     build_root_system,
+    classify_weight,
     coroot_pairing_roots,
     dot_action,
     element_from_word,
+    integral_positive_roots,
+    make_block,
     pairing,
+    r_plus_of_weight,
     reflection_through,
     root_sequence_through,
     weight,
@@ -37,6 +44,7 @@ from vermatwist import (
 from vermatwist import rootsystem
 
 import matrix_path
+import weight_path
 from matrix_path import invert
 
 PRODUCTS = {
@@ -229,3 +237,41 @@ def test_rank_mismatches_are_refused():
         pairing(rs, Weight((1, 2, 3)), beta)
     with pytest.raises(ValueError):
         weight_action(all_elements(rs)[-1], Weight((1,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shifted_pairings_match_the_rational_route(data):
+    rs = system(data.draw(st.sampled_from(SYSTEMS)))
+    # small integers meet zero and positive integral pairings often
+    coords = st.one_of(st.integers(-4, 2), rationals)
+    lam = Weight(tuple(data.draw(coords) for _ in range(rs.rank)))
+    nums, d = rootsystem._shifted_pairings(rs, lam)
+    shifted = lam + rs.rho
+    assert [Fraction(n, d) for n in nums] == [
+        pairing(rs, shifted, beta) for beta in rs.positive_roots
+    ]
+    assert all(type(n) is int for n in nums) and (d == 1) == lam.is_integral
+    assert classify_weight(rs, lam) == weight_path.classify(rs, lam)
+    assert integral_positive_roots(rs, lam) == weight_path.integral_roots(rs, lam)
+    block = make_block(rs, Weight((-2,) * rs.rank))
+    assert r_plus_of_weight(block, lam) == weight_path.r_plus(rs, lam)
+
+
+WRONG_RANK = {
+    "pairing": lambda rs, lam: pairing(rs, lam, Root((1, 1))),
+    "classify_weight": classify_weight,
+    "integral_positive_roots": integral_positive_roots,
+    "make_block": make_block,
+    "r_plus_of_weight": lambda rs, lam: r_plus_of_weight(make_block(rs, weight(-2, -2)), lam),
+    "weight_action": lambda rs, lam: weight_action(all_elements(rs)[-1], lam),
+    "dot_action": lambda rs, lam: dot_action(rs, all_elements(rs)[-1], lam),
+    "weight_to_root_coords": lambda rs, lam: rs.weight_to_root_coords(lam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_RANK))
+def test_a_weight_of_the_wrong_rank_is_refused_with_one_message(name):
+    rs = build_root_system("B2")
+    with pytest.raises(ValueError, match="^weight has wrong rank for this root system$"):
+        WRONG_RANK[name](rs, weight(-2, -2, -2))

@@ -444,7 +444,7 @@ def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
         base = parse_weight(lam)
         built.clear()
         block = make_block(rs, base)
-        assert len(built) == 1  # lam + rho, and nothing per element
+        assert built == []  # not even lam + rho
         pairs = [(w, y) for w in all_elements(rs)[::7] for y in block.group[::5]]
         pairs.append((element_from_word(rs, (1, 3, 2)), element_from_word(rs, (2, 3, 2, 1))))
         built.clear()
@@ -453,6 +453,26 @@ def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
                 sum_formula(SumFormulaInput(block=block, w=w, y=y))
         assert built == []
         assert "_param_by_weight" not in vars(block)
+
+
+@pytest.mark.parametrize(
+    "label, lam",
+    [("B3", "-2,-2,-2"), ("B3", "-1,-2,-1"), ("B3", "-2,-2,-1"),
+     ("F4", "-2,-2,-2,-2"), ("F4", "-2,-2,-2,-1"), ("F4", "-1,-2,-1,-2")],
+)
+def test_integral_block_constructs_no_fraction(monkeypatch, label, lam):
+    rs = build_root_system(label)
+    base = parse_weight(lam)
+    _group_tables(rs)
+
+    def refuse(cls, *args, **kwargs):
+        pytest.fail("a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    block = make_block(rs, base)
+    monkeypatch.undo()
+    # the regular block and the singular ones, J = {1, 3}, {3}, {4} and {1, 3}
+    assert block.integral and block.regular == (lam == "-2," * (rs.rank - 1) + "-2")
 
 
 def test_regular_block_builds_no_weight_map(monkeypatch):

@@ -8,6 +8,11 @@ n = <mu + rho, beta^vee>, and each weight mapped to its parameter, the
 first element of the block's integral Weyl group, in table order, whose
 dot action reaches it.  That map is built here from the weights, not
 read off the block, so the block's coset rule is checked too.
+
+It also keeps the rational route to those pairings: ``classify``,
+``integral_roots`` and ``r_plus`` read the weight class, the integral
+roots and R+(mu) off ``pairing``, as the oracles of the integer routine
+``rootsystem._shifted_pairings``.
 """
 
 from fractions import Fraction
@@ -19,6 +24,7 @@ from vermatwist import (
     NotInBlockOrbit,
     SumFormulaResult,
     Weight,
+    WeightClassification,
     dot_action,
     pairing,
     word_text,
@@ -34,6 +40,27 @@ def _r_plus_pairings(rs, mu):
         if value.denominator == 1 and value > 0:
             out.append((beta, int(value)))
     return out
+
+
+def r_plus(rs, mu):
+    """R+(mu) in root order, from the rational pairings."""
+    return tuple(beta for beta, _ in _r_plus_pairings(rs, mu))
+
+
+def integral_roots(rs, lam):
+    """The positive roots whose coroot pairs with lam to an integer."""
+    return tuple(beta for beta in rs.positive_roots if pairing(rs, lam, beta).denominator == 1)
+
+
+def classify(rs, lam):
+    """``classify_weight`` from the rational pairings of lam + rho."""
+    shifted = lam + rs.rho
+    return WeightClassification(
+        antidominant=all(c <= 0 for c in shifted.coords),
+        dominant=all(c >= 0 for c in shifted.coords),
+        regular=all(pairing(rs, shifted, beta) != 0 for beta in rs.positive_roots),
+        integral=lam.is_integral,
+    )
 
 
 def _dot_reflect(rs, mu, beta, n: int | Fraction):
