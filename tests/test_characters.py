@@ -10,6 +10,7 @@ from vermatwist import (
     VERMA,
     BadDecompositionFile,
     CharVector,
+    DecompositionMatrix,
     NeedsUserMatrix,
     NotAntidominant,
     UnsupportedBlock,
@@ -172,6 +173,21 @@ def test_a_decomposition_matrix_of_another_block_is_refused():
     assert table == layers_multiplicity_free(
         SumFormulaInput(block=b2, w=b2.params[1], y=b2.params[3]), regular
     )
+
+
+def test_a_decomposition_matrix_that_is_not_lower_unitriangular_is_refused():
+    block = make_block(build_root_system("A2"), weight(-2, -2))
+    n = len(block.params)
+    # the first case turned [e] into 2[e] + [sts] on the round trip
+    # simple -> Verma -> simple
+    for edits in ({(0, 0): 2, (0, 5): 1}, {(0, 0): 2}, {(0, 5): 1}, {(5, 0): -1}):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), c in edits.items():
+            rows[i][j] = c
+        with pytest.raises(BadDecompositionFile, match="nonnegative and lower unitriangular"):
+            DecompositionMatrix(block.params, tuple(map(tuple, rows)))
+    with pytest.raises(BadDecompositionFile, match="matrix shape"):
+        DecompositionMatrix(block.params, decomposition_matrix(block).rows[:-1])
 
 
 def test_change_basis_to_the_same_basis_copies():

@@ -21,15 +21,18 @@ from hypothesis import strategies as st
 
 from vermatwist import (
     CARTAN_BY_LABEL,
+    VERMA,
     InvariantViolated,
     NotARoot,
     Root,
+    SumFormulaInput,
     Weight,
     WeylElement,
     all_elements,
     build_root_system,
     classify_weight,
     coroot_pairing_roots,
+    dimension_at,
     dot_action,
     element_from_word,
     integral_positive_roots,
@@ -38,6 +41,8 @@ from vermatwist import (
     r_plus_of_weight,
     reflection_through,
     root_sequence_through,
+    sum_formula,
+    unit_vector,
     weight,
     weight_action,
 )
@@ -267,6 +272,13 @@ WRONG_RANK = {
     "weight_action": lambda rs, lam: weight_action(all_elements(rs)[-1], lam),
     "dot_action": lambda rs, lam: dot_action(rs, all_elements(rs)[-1], lam),
     "weight_to_root_coords": lambda rs, lam: rs.weight_to_root_coords(lam),
+    "dimension_at": lambda rs, lam: dimension_at(
+        make_block(rs, weight(-2, -2)), unit_vector(VERMA, all_elements(rs)[0]), lam
+    ),
+    "param_for_weight": lambda rs, lam: make_block(rs, weight(-2, -2)).param_for_weight(lam),
+    "sum_formula": lambda rs, lam: sum_formula(
+        SumFormulaInput(block=make_block(rs, weight(-2, -2)), w=all_elements(rs)[0], mu=lam)
+    ),
 }
 
 

@@ -3,9 +3,10 @@
 ``Reference`` below is the former implementation, kept as the oracle: it
 stores the reduced form itself, ``Fraction`` coefficients with the gcd
 cancelled by Euclid over Q after every operation.  The package stores
-integer polynomials without a gcd and reduces only when an element is
-hashed, printed or its ``num``/``den`` are read, so every observable of
-the two must agree on random expressions.
+integer polynomials without a gcd and reduces them, by Euclid on integer
+pseudo-remainders, only when an element is hashed, printed or its
+``num``/``den`` are read, so every observable of the two must agree on
+random expressions.
 """
 
 from __future__ import annotations

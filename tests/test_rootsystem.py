@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vermatwist import (
     CARTAN_BY_LABEL,
@@ -23,7 +25,7 @@ from vermatwist import (
     unit_vector,
     weight,
 )
-from vermatwist.rootsystem import KOSTANT_DEPTH_BOUND, RootSystem
+from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import all_elements, weight_action
 
 
@@ -31,7 +33,7 @@ def naive_partition_count(rs, nu):
     """Count multisets of positive roots summing to nu by direct search.
 
     Deliberately dumb: depth-first over the root list with only a
-    nonnegative-coordinate prune.  Used as an oracle for the memoized
+    nonnegative-coordinate prune.  Used as an oracle for the table
     counter, so it must share no code with it.
     """
     roots = rs.positive_roots
@@ -232,30 +234,12 @@ def test_kostant_partition_refuses_non_integer_coordinates():
     assert kostant_partition(b2, (Fraction(2), 1.0)) == kostant_partition(b2, (2, 1)) == 3
 
 
-def test_kostant_memo_is_dropped_above_the_cost_bound(monkeypatch):
-    from vermatwist import rootsystem
-
-    bound = 1000
-    monkeypatch.setattr(rootsystem, "KOSTANT_COST_BOUND", bound)
-    b2 = RootSystem(CARTAN_BY_LABEL["B2"], "B2")
-    sizes = []
-    for nu in ((14, 14), (10, 20), (20, 10), (6, 30), (30, 6), (14, 14)):
-        got = kostant_partition(b2, nu)
-        sizes.append(len(b2._kostant_memo))
-        assert got == kostant_partition(RootSystem(CARTAN_BY_LABEL["B2"], "B2"), nu), nu
-    # the memo crosses the bound, is dropped, and never reaches twice the bound
-    assert max(sizes) > bound and max(sizes) <= 2 * bound
-    assert sizes[-1] < sizes[-2]
-
-
 def test_kostant_partition_is_bounded():
     b2 = build_root_system("B2")
     block = make_block(b2, weight(-2, -2))
     e = block.params[0]
     top = block.weight_of(e)
-    # 2.4 s and a RecursionError unbounded; the last is inside the cost
-    # bound and outside the depth bound
-    for nu in ((400, 400), (1000, 1000), (0, 10**5), (0, 20_000)):
+    for nu in ((400, 400), (1000, 1000), (0, 10**5)):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="bound"):
             kostant_partition(b2, nu)
@@ -263,16 +247,46 @@ def test_kostant_partition_is_bounded():
             dimension_at(block, unit_vector(VERMA, e), top - b2.root_to_weight(Root(nu)))
         assert time.perf_counter() - start < 0.1
     assert kostant_partition(b2, (-1, 10**5)) == 0
-    # the deepest count admitted recurses once per unit of height
-    a1 = RootSystem(CARTAN_BY_LABEL["A1"], "A1")
-    assert kostant_partition(a1, (KOSTANT_DEPTH_BOUND - 1,)) == 1
-    with pytest.raises(ValueError, match="depth bound"):
-        kostant_partition(a1, (KOSTANT_DEPTH_BOUND,))
     # the largest vectors the suite counts: the naive searches' boxes and
     # the heights of the dimension checks
     for label, nu in (("A1", (6,)), ("A2", (6, 6)), ("B2", (6, 6)), ("G2", (6, 6)),
                       ("A3", (4, 4, 4)), ("B3", (4, 4, 4)), ("F4", (4, 4, 4, 4))):
         assert kostant_partition(build_root_system(label), nu) > 0
+
+
+def test_tall_vectors_inside_the_cost_bound_are_counted():
+    # both were refused for the depth of a recursion; each has one
+    # partition, as A1 has one positive root and B2 one with a1 = 0
+    a1 = build_root_system("A1")
+    b2 = build_root_system("B2")
+    assert kostant_partition(a1, (500,)) == 1
+    assert kostant_partition(b2, (0, 20_000)) == 1
+    block = make_block(b2, weight(-2, -2))
+    e = block.params[0]
+    mu = block.weight_of(e) - b2.root_to_weight(Root((0, 20_000)))
+    assert dimension_at(block, unit_vector(VERMA, e), mu) == 1
+
+
+def test_a_count_leaves_the_root_system_unchanged():
+    rs = RootSystem(CARTAN_BY_LABEL["B2"], "B2")
+    before = {k: repr(v) for k, v in vars(rs).items()}
+    assert kostant_partition(rs, (6, 6)) == naive_partition_count(rs, (6, 6))
+    assert {k: repr(v) for k, v in vars(rs).items()} == before
+
+
+@st.composite
+def small_vectors(draw):
+    label = draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3", "C3"]))
+    rs = build_root_system(label)
+    top = 5 if rs.rank <= 2 else 3
+    return rs, tuple(draw(st.integers(0, top)) for _ in range(rs.rank))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_vectors())
+def test_kostant_partition_matches_naive_search_on_every_small_type(case):
+    rs, nu = case
+    assert kostant_partition(rs, nu) == naive_partition_count(rs, nu)
 
 
 def test_dot_action_is_group_action():
