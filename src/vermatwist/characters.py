@@ -26,7 +26,11 @@ In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
 of the group's tables: those Weyl groups are dihedral, where all
 composition multiplicities of Verma modules are known to be 0 or 1.
-Anything larger needs a user supplied matrix.
+Anything larger needs a user supplied matrix.  Its entries are whole
+numbers, stored as ints.  Each matrix keeps, once, the nonzero entries
+of every row and of every inverse row as (position, entry) pairs, and
+``change_basis`` and the layer extraction of :mod:`vermatwist.jantzen`
+both rewrite a vector by accumulating over those sparse rows.
 """
 
 from __future__ import annotations
@@ -86,6 +90,15 @@ class CharVector:
                 if c:
                     self._coeffs[w] = c
 
+    @classmethod
+    def _of(cls, basis: str, coeffs: dict[WeylElement, int]) -> CharVector:
+        """A vector on ``coeffs``, a dict of nonzero ints the package itself
+        computed: no check and no copy."""
+        v = cls.__new__(cls)
+        v.basis = basis
+        v._coeffs = coeffs
+        return v
+
     def coeff(self, w: WeylElement) -> int:
         return self._coeffs.get(w, 0)
 
@@ -106,7 +119,7 @@ class CharVector:
         merged = dict(self._coeffs)
         for w, c in other._coeffs.items():
             merged[w] = merged.get(w, 0) + sign * c
-        return CharVector(self.basis, merged)
+        return CharVector._of(self.basis, {w: c for w, c in merged.items() if c})
 
     def __add__(self, other: CharVector) -> CharVector:
         return self._merge(other, 1)
@@ -115,7 +128,7 @@ class CharVector:
         return self._merge(other, -1)
 
     def __neg__(self) -> CharVector:
-        return CharVector(self.basis, {w: -c for w, c in self._coeffs.items()})
+        return CharVector._of(self.basis, {w: -c for w, c in self._coeffs.items()})
 
     def __rmul__(self, scalar: int) -> CharVector:
         return CharVector(self.basis, {w: scalar * c for w, c in self._coeffs.items()})
@@ -162,7 +175,7 @@ class BlockContext:
         self._root_mask = sum(1 << b for b, n in enumerate(nums) if n % d == 0)
 
         # the integral Weyl group is the coset of the identity
-        tables = _group_tables(rs)
+        tables = self._tables = _group_tables(rs)
         if self.integral:
             members = range(len(tables.elements))
             self.group = tables.elements
@@ -177,6 +190,7 @@ class BlockContext:
         self.params = tuple(tables.elements[k] for k in members if self._param_of[k] == k)
         self._param_set = frozenset(self.params)
         self._default_decomp: DecompositionMatrix | None = None
+        self._drops: dict[WeylElement, tuple[int, ...]] = {}
 
     @cached_property
     def _param_by_weight(self) -> dict[Weight, WeylElement]:
@@ -201,6 +215,19 @@ class BlockContext:
     def contains_param(self, w: WeylElement) -> bool:
         return w in self._param_set
 
+    def _drop(self, y: WeylElement) -> tuple[int, ...]:
+        """Root coordinates of y . lam - lam for a parameter y, converted once.
+
+        They are integers: y lies in the integral Weyl group, and the
+        reflection through an integral root moves a weight by an integer
+        multiple of that root.
+        """
+        drop = self._drops.get(y)
+        if drop is None:
+            coords = self.rs.weight_to_root_coords(self.weight_of(y) - self.base)
+            drop = self._drops[y] = tuple(map(int, coords))
+        return drop
+
 
 def make_block(rs: RootSystem, lam: Weight) -> BlockContext:
     """Build the block through the antidominant weight ``lam``.
@@ -219,7 +246,8 @@ class DecompositionMatrix:
     ``params[j]`` inside the Verma module of parameter ``params[i]``.
     Rows and columns follow the block parameter order, which is graded by
     length, so the matrix is lower unitriangular; one that is not, or that
-    has a negative entry, raises ``BadDecompositionFile``.
+    has a negative entry or one that is not a whole number, raises
+    ``BadDecompositionFile``.  Whole numbers of any type are stored as ints.
     """
 
     params: tuple[WeylElement, ...]
@@ -229,6 +257,11 @@ class DecompositionMatrix:
         n = len(self.params)
         if len(self.rows) != n or any(len(row) != n for row in self.rows):
             raise BadDecompositionFile("matrix shape does not match the parameter count")
+        if any(type(c) is not int for row in self.rows for c in row):
+            rows = tuple(tuple(map(_whole, row)) for row in self.rows)
+            if any(c is None for row in rows for c in row):
+                raise BadDecompositionFile("matrix entries must be whole numbers")
+            object.__setattr__(self, "rows", rows)
         for i, row in enumerate(self.rows):
             if row[i] != 1 or any(row[i + 1 :]) or min(row) < 0:
                 raise BadDecompositionFile(
@@ -260,6 +293,36 @@ class DecompositionMatrix:
 
     def inverse_entry(self, y: WeylElement, x: WeylElement) -> int:
         return self.inverse_rows[self._index[y]][self._index[x]]
+
+    @cached_property
+    def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero entries of each row as (position, multiplicity) pairs."""
+        return _nonzero(self.rows)
+
+    @cached_property
+    def _sparse_inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero entries of each inverse row as (position, entry) pairs."""
+        return _nonzero(self.inverse_rows)
+
+    @cached_property
+    def _in_table_order(self) -> bool:
+        """Whether position j holds the element of table index j, so that
+        the sparse rows are keyed by table index."""
+        return all(w._k == j for j, w in enumerate(self.params))
+
+
+def _nonzero(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
+
+
+def _combine(rows, coeffs) -> dict[int, int]:
+    """Sum of c times sparse row i over the (i, c) pairs of ``coeffs``,
+    keyed by position; entries that cancel stay, as zeros."""
+    out: dict[int, int] = {}
+    for i, c in coeffs:
+        for j, m in rows[i]:
+            out[j] = out.get(j, 0) + c * m
+    return out
 
 
 def decomposition_matrix(block: BlockContext, source=None) -> DecompositionMatrix:
@@ -386,15 +449,14 @@ def change_basis(
         raise ValueError(f"unknown basis {to!r}")
     _check_vector(block, v)
     if v.basis == to:
-        return CharVector(to, v._coeffs)
+        return CharVector._of(to, dict(v._coeffs))
     dm = _block_matrix(block, decomposition)
-    out: dict[WeylElement, int] = {}
-    rows = dm.rows if v.basis == VERMA else dm.inverse_rows
-    for y, c in v._coeffs.items():
-        for x, m in zip(dm.params, rows[dm._index[y]]):
-            if m:
-                out[x] = out.get(x, 0) + c * m
-    return CharVector(to, out)
+    index, params = dm._index, dm.params
+    out = _combine(
+        dm._sparse if v.basis == VERMA else dm._sparse_inverse,
+        [(index[y], c) for y, c in v._coeffs.items()],
+    )
+    return CharVector._of(to, {params[j]: c for j, c in out.items() if c})
 
 
 def dimension_at(
@@ -413,9 +475,14 @@ def dimension_at(
     if v.basis == SIMPLE:
         v = change_basis(block, v, VERMA, decomposition)
     _check_vector(block, v)
+    # y . lam - mu is the drop of y plus lam - mu, and every drop lies in
+    # the root lattice, so no term counts when lam - mu lies outside it
+    base = rs.weight_to_root_coords(block.base - mu)
+    if any(x.denominator != 1 for x in base):
+        return 0
+    base = tuple(map(int, base))
     total = 0
     for y, c in v.items():
-        nu = rs.weight_to_root_coords(block.weight_of(y) - mu)
-        if all(x.denominator == 1 for x in nu):
-            total += c * kostant_partition(rs, nu)
+        nu = tuple(b + d for b, d in zip(base, block._drop(y)))
+        total += c * kostant_partition(rs, nu)
     return total

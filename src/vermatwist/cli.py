@@ -55,7 +55,7 @@ def _layers_json(table: LayerTable) -> dict[str, int]:
 
 
 def _simple_json(table: LayerTable) -> dict[str, int]:
-    # _layer_table checks that the sum vector's simple basis
+    # _layers checks that the sum vector's simple basis
     # coefficients are exactly the depths it reports
     return {word: depth for word, depth in _layers_json(table).items() if depth}
 
@@ -182,23 +182,23 @@ def _table_lines(table: LayerTable) -> list[str]:
 
 def cmd_sum_formula(args, parser) -> int:
     from .characters import load_decomposition_file
-    from .jantzen import _layer_matrix, _layer_table, _orbit_param, sum_formula
+    from .jantzen import _layer_matrix, _layers, _sum_counts, _sum_result
     from .weyl import word_text
 
     inp = _resolve_input(args, parser)
     # evaluated before the decomposition file is read: a y outside the
     # block's orbit is reported as such whatever the file holds
-    result = sum_formula(inp)
+    y, counts = _sum_counts(inp)
+    result = _sum_result(inp, y, counts)
     block = inp.block
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
     try:
-        table, blocked = _layer_table(inp, result, _layer_matrix(block, decomp)), None
+        table, blocked = _layers(_layer_matrix(block, decomp), y, counts), None
     except VermatwistError as exc:
         table, blocked = None, exc
     if args.format == "json":
         print(_dumps(_payload(inp, result, table)))
         return 0
-    y = _orbit_param(inp)
     lines = ["sum formula"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")
     lines.append(f"w = {word_text(inp.w)}")
@@ -218,7 +218,7 @@ def cmd_sum_formula(args, parser) -> int:
 
 def cmd_layers(args, parser) -> int:
     from .characters import load_decomposition_file
-    from .jantzen import _layer_matrix, _layer_table, _orbit_param, sum_formula
+    from .jantzen import _layer_matrix, _layers, _sum_counts, _sum_result
     from .weyl import word_text
 
     inp = _resolve_input(args, parser)
@@ -227,15 +227,12 @@ def cmd_layers(args, parser) -> int:
     # raises before the orbit parameter is resolved, so a nonintegral block
     # is refused as such even when y lies outside its integral orbit
     dm = _layer_matrix(block, decomp)
-    result = sum_formula(inp)
-    table = _layer_table(inp, result, dm)
+    y, counts = _sum_counts(inp)
+    table = _layers(dm, y, counts)
     if args.format == "json":
-        print(_dumps(_payload(inp, result, table)))
+        print(_dumps(_payload(inp, _sum_result(inp, y, counts), table)))
         return 0
-    lines = [
-        f"layers of the twisted module at w = {word_text(inp.w)}, "
-        f"y = {word_text(_orbit_param(inp))}"
-    ]
+    lines = [f"layers of the twisted module at w = {word_text(inp.w)}, y = {word_text(y)}"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")
     lines.extend(_table_lines(table))
     print("\n".join(lines))

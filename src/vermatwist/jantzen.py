@@ -28,6 +28,13 @@ s_beta . mu = (t_beta y) . lam.  :func:`sum_formula` therefore reads
 t_beta y off the reflection table, maps it to its parameter, and builds
 no weight.
 
+Layer tables are read off the same walk, in integers.  The sum vector's
+Verma coefficients, keyed by table index, go to the simple basis through
+the sparse rows of the decomposition matrix.  Layers exist only in
+regular integral blocks, whose parameters are the whole group in table
+order, so a matrix position is a table index; no character vector is
+built, and elements are looked up only for the returned table.
+
 The two-letter form :func:`sum_formula_xy` keeps the literal route
 through the reflection matrix of each root and the dot action; it is the
 independent oracle that :func:`check_xy_consistency` and the tests
@@ -39,16 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import (
-    SIMPLE,
     VERMA,
     BlockContext,
     CharVector,
     DecompositionMatrix,
     _block_matrix,
-    change_basis,
+    _combine,
 )
 from .errors import (
     BadDecompositionFile,
+    InvariantViolated,
     MixedRootSystems,
     NotInBlockOrbit,
     NotMultiplicityFree,
@@ -58,7 +65,6 @@ from .rootsystem import Root, Weight, _shifted_pairings
 from .weyl import (
     WeylElement,
     _bits,
-    _group_tables,
     dot_action,
     longest_element,
     reflection_through,
@@ -154,7 +160,44 @@ def _param_index(inp: SumFormulaInput) -> int:
 
 def _orbit_param(inp: SumFormulaInput) -> WeylElement:
     """The block parameter of the module's highest weight."""
-    return _group_tables(inp.block.rs).elements[_param_index(inp)]
+    return inp.block._tables.elements[_param_index(inp)]
+
+
+def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[int, int]]:
+    """The block parameter of the module's highest weight, and the sum
+    vector as Verma coefficients keyed by table index; coefficients that
+    cancel stay, as zeros."""
+    block = inp.block
+    tables = block._tables
+    k = _param_index(inp)
+    in_w = tables.masks[inp.w._k]
+    rplus = tables.masks[k] & block._root_mask
+    param_of, refl = block._param_of, tables.refl
+    # [y] gains 1 for each beta in R+(w): s_beta moves mu, so no
+    # parameter t_beta y is y itself
+    counts = {k: (rplus & in_w).bit_count()}
+    for b in _bits(rplus):
+        lower = param_of[refl[b][k]]
+        counts[lower] = counts.get(lower, 0) + (-1 if in_w >> b & 1 else 1)
+    return tables.elements[k], counts
+
+
+def _sum_result(inp: SumFormulaInput, y: WeylElement, counts: dict[int, int]) -> SumFormulaResult:
+    """The result of :func:`sum_formula` from :func:`_sum_counts`."""
+    block = inp.block
+    tables = block._tables
+    elements = tables.elements
+    inversions = tables.masks[y._k]
+    rplus = inversions & block._root_mask
+    # y's cached inversions when no root is cut: rebuilding the tuple from
+    # the bits costs about 3 us of a 17 us call in the F4 regular block
+    return SumFormulaResult(
+        vector=CharVector._of(VERMA, {elements[j]: c for j, c in counts.items() if c}),
+        rplus_mu=y.inversions
+        if rplus == inversions
+        else tuple(block.rs.positive_roots[b] for b in _bits(rplus)),
+        rplus_w=inp.w.inversions,
+    )
 
 
 def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
@@ -164,31 +207,8 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     nonintegral blocks as well: contributions land on orbit parameters,
     so coincident reflected weights merge.
     """
-    block = inp.block
-    tables = _group_tables(block.rs)
-    k = _param_index(inp)
-    kw = inp.w._k
-    in_w = tables.masks[kw]
-    param_of = block._param_of
-    rplus = tables.masks[k] & block._root_mask
-    counts: dict[int, int] = {}
-    for b in _bits(rplus):
-        lower = param_of[tables.refl[b][k]]
-        if in_w >> b & 1:
-            counts[k] = counts.get(k, 0) + 1
-            counts[lower] = counts.get(lower, 0) - 1
-        else:
-            counts[lower] = counts.get(lower, 0) + 1
-    y = tables.elements[k]
-    # y's cached inversions when no root is cut: rebuilding the tuple from
-    # the bits costs about 3 us of a 17 us call in the F4 regular block
-    return SumFormulaResult(
-        vector=CharVector(VERMA, {tables.elements[j]: c for j, c in counts.items()}),
-        rplus_mu=y.inversions
-        if rplus == tables.masks[k]
-        else tuple(block.rs.positive_roots[b] for b in _bits(rplus)),
-        rplus_w=tables.elements[kw].inversions,
-    )
+    y, counts = _sum_counts(inp)
+    return _sum_result(inp, y, counts)
 
 
 def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaResult:
@@ -252,49 +272,55 @@ def layers_multiplicity_free(
     outside the composition series, or a negative depth.
     """
     dm = _layer_matrix(inp.block, decomposition)
-    return _layer_table(inp, sum_formula(inp), dm)
+    y, counts = _sum_counts(inp)
+    return _layers(dm, y, counts)
 
 
 def _layer_matrix(
     block: BlockContext, decomposition: DecompositionMatrix | None
 ) -> DecompositionMatrix:
-    """The refusals that come before the sum formula: the block, then the matrix."""
+    """The refusals that come before the sum formula: the block, then the matrix.
+
+    The matrix returned is in table order: a regular integral block's
+    parameters are the whole group in table order, and ``_block_matrix``
+    gives a matrix on the block's parameters.
+    """
     if not (block.regular and block.integral):
         raise UnsupportedBlock(
             "layer extraction is only supported in regular integral blocks"
         )
-    return _block_matrix(block, decomposition)
+    dm = _block_matrix(block, decomposition)
+    if not dm._in_table_order:
+        raise InvariantViolated("a regular integral block's matrix must be in table order")
+    return dm
 
 
-def _layer_table(
-    inp: SumFormulaInput, result: SumFormulaResult, dm: DecompositionMatrix
-) -> LayerTable:
-    """The layer table of ``layers_multiplicity_free``, from its sum formula ``result``."""
-    block = inp.block
-    y_param = _orbit_param(inp)
+def _layers(dm: DecompositionMatrix, y: WeylElement, counts: dict[int, int]) -> LayerTable:
+    """The layer table of ``layers_multiplicity_free`` from :func:`_sum_counts`.
 
-    support = []
-    for x, c in zip(dm.params, dm.rows[dm._index[y_param]]):
-        if c == 0:
-            continue
+    Positions in ``dm`` are table indices (see :func:`_layer_matrix`), so
+    the sum vector's counts go through the sparse rows as they are.
+    """
+    params = dm.params
+    row = dm._sparse[y._k]
+    for j, c in row:
         if c > 1:
             raise NotMultiplicityFree(
-                f"factor {word_text(x)} occurs {c} times in the Verma module "
-                f"of {word_text(y_param)}"
+                f"factor {word_text(params[j])} occurs {c} times in the Verma module "
+                f"of {word_text(y)}"
             )
-        support.append(x)
-
-    simple_vec = change_basis(block, result.vector, SIMPLE, dm)
-    support_set = set(support)
-    for x in simple_vec.support():
-        if x not in support_set:
-            raise BadDecompositionFile(
-                f"sum formula hit {word_text(x)} outside the composition series"
-            )
-    depths = {x: simple_vec.coeff(x) for x in support}
-    if any(d < 0 for d in depths.values()):
+    simple = _combine(dm._sparse, counts.items())
+    depths = {params[j]: simple.pop(j, 0) for j, _ in row}
+    outside = [j for j, c in simple.items() if c]
+    if outside:
+        raise BadDecompositionFile(
+            f"sum formula hit {word_text(params[min(outside)])} outside the composition series"
+        )
+    # the row holds its diagonal entry, so there is a depth
+    low = min(depths.values())
+    if low < 0:
         raise BadDecompositionFile("negative filtration depth")
-    return LayerTable(layers=depths, zero_top=all(d > 0 for d in depths.values()))
+    return LayerTable(layers=depths, zero_top=low > 0)
 
 
 def duality_partner(w: WeylElement, y: WeylElement) -> tuple[WeylElement, WeylElement]:

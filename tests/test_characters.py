@@ -190,6 +190,29 @@ def test_a_decomposition_matrix_that_is_not_lower_unitriangular_is_refused():
         DecompositionMatrix(block.params, decomposition_matrix(block).rows[:-1])
 
 
+def test_decomposition_matrix_entries_must_be_whole_numbers():
+    block = make_block(build_root_system("A2"), weight(-2, -2))
+    bruhat = decomposition_matrix(block).rows
+    # the row of w0 = sts is all ones, and every row of it is used
+    for bad in (Fraction(1, 2), 2.9, float("nan"), float("inf")):
+        rows = [list(r) for r in bruhat]
+        rows[5][1] = bad
+        with pytest.raises(BadDecompositionFile, match="^matrix entries must be whole numbers$"):
+            DecompositionMatrix(block.params, tuple(map(tuple, rows)))
+    # whole numbers of any type are stored as ints
+    rows = [list(r) for r in bruhat]
+    rows[5][1], rows[5][5], rows[3][0] = 1.0, Fraction(2, 2), True
+    dm = DecompositionMatrix(block.params, tuple(map(tuple, rows)))
+    assert dm.rows == bruhat
+    assert all(type(c) is int for row in dm.rows for c in row)
+    w0 = block.params[5]
+    table = layers_multiplicity_free(SumFormulaInput(block=block, w=block.params[0], y=w0), dm)
+    assert all(type(d) is int for d in table.layers.values())
+    assert change_basis(block, unit_vector(VERMA, w0), SIMPLE, dm) == CharVector(
+        SIMPLE, dict.fromkeys(block.params, 1)
+    )
+
+
 def test_change_basis_to_the_same_basis_copies():
     block = b2_block()
     v = CharVector(SIMPLE, {block.params[5]: 2, block.params[1]: -3})
@@ -234,6 +257,39 @@ def test_dimension_at_skips_off_lattice_weights():
     e = block.params[0]
     mu = block.weight_of(e) + weight(Fraction(1, 2), 0)
     assert dimension_at(block, unit_vector(VERMA, e), mu) == 0
+
+
+def test_dimension_at_matches_the_weight_route_on_b3_blocks():
+    """Every parameter of a regular and a singular B3 block, against the
+    route that converts y . lam - mu to root coordinates for each term."""
+    rs = build_root_system("B3")
+    alpha = [rs.root_to_weight(Root(tuple(int(i == j) for j in range(3)))) for i in range(3)]
+
+    def weight_route(block, y, mu):
+        nu = rs.weight_to_root_coords(block.weight_of(y) - mu)
+        return kostant_partition(rs, nu) if all(x.denominator == 1 for x in nu) else 0
+
+    for coords in ((-2, -2, -2), (-1, -2, -2)):
+        lam = weight(*coords)
+        block = make_block(rs, lam)
+        top = block.weight_of(block.params[-1])
+        mus = (
+            lam,
+            lam - alpha[0],
+            lam - alpha[0] - alpha[1] - alpha[2] - alpha[2],
+            lam - weight(0, 0, 1),  # off the root lattice
+            top - alpha[1],
+            top + alpha[2],  # above every orbit weight
+        )
+        total = CharVector(VERMA)
+        for k, y in enumerate(block.params):
+            v = unit_vector(VERMA, y)
+            total = total + (k % 3 - 1) * v
+            for mu in mus:
+                assert dimension_at(block, v, mu) == weight_route(block, y, mu), (coords, k, mu)
+        for mu in mus:
+            expected = sum(c * weight_route(block, y, mu) for y, c in total.items())
+            assert dimension_at(block, total, mu) == expected
 
 
 def test_dimension_of_antidominant_simple():

@@ -433,16 +433,17 @@ def test_weyl_cover_counts_rank_4():
     ids=["sum-formula", "sum-formula-json", "layers-json", "layers"],
 )
 def test_one_sum_formula_evaluation_per_run(monkeypatch, argv):
+    # every route to the sum vector, sum_formula included, goes through _sum_counts
     from vermatwist import jantzen
 
     calls = []
-    real = jantzen.sum_formula
+    real = jantzen._sum_counts
 
     def counted(inp):
         calls.append(inp)
         return real(inp)
 
-    monkeypatch.setattr(jantzen, "sum_formula", counted)
+    monkeypatch.setattr(jantzen, "_sum_counts", counted)
     code, out, err = run_cli(*argv)
     assert (code, err) == (0, "")
     assert len(calls) == 1

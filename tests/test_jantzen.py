@@ -385,6 +385,24 @@ def test_layers_refuse_a_wrong_decomposition_matrix():
         )
 
 
+def test_layers_go_through_neither_change_basis_nor_the_checked_constructor(monkeypatch):
+    import vermatwist
+    from vermatwist import characters, jantzen
+
+    block = block_of("G2", -2, -2)
+    inputs = [SumFormulaInput(block=block, w=w, y=y) for y in block.params for w in block.group]
+    expected = [layers_multiplicity_free(inp) for inp in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the layer path must not get here")
+
+    for module in (vermatwist, characters, jantzen):
+        monkeypatch.setattr(module, "change_basis", refuse, raising=False)
+    monkeypatch.setattr(CharVector, "__init__", refuse)
+    assert [layers_multiplicity_free(inp) for inp in inputs] == expected
+    assert len(expected) == 144
+
+
 def test_duality_partner():
     w0 = longest_element(B2.rs)
     st = el(B2, "st")

@@ -20,7 +20,11 @@ reverse under right multiplication by w0, x <= y iff y w0 <= x w0.
 
 ``change_basis`` from the Verma basis to the simple basis and back is
 the identity, with the built-in matrices of rank 2 and with a random
-user matrix, unitriangular along the Bruhat order, in type A3.
+user matrix, unitriangular along the Bruhat order, in type A3.  With
+random nonnegative lower unitriangular matrices on the regular blocks of
+A2, B2 and G2, ``change_basis`` and ``layers_multiplicity_free`` must
+give what the dense row walks of ``layer_path.py`` give, refusals
+included.
 """
 
 import random
@@ -35,15 +39,19 @@ from vermatwist import (
     SIMPLE,
     VERMA,
     CharVector,
+    DecompositionMatrix,
     NotAntidominant,
     SumFormulaInput,
+    VermatwistError,
     Weight,
     all_elements,
     bruhat_leq,
     build_root_system,
     change_basis,
+    decomposition_matrix,
     dot_action,
     element_from_word,
+    layers_multiplicity_free,
     load_decomposition_file,
     longest_element,
     make_block,
@@ -56,6 +64,7 @@ from vermatwist import (
     word_text,
 )
 from vermatwist.weyl import _group_tables
+import layer_path
 import matrix_path
 from weight_path import _dot_reflect, _weight_sum, outcome
 
@@ -232,3 +241,45 @@ def test_change_basis_round_trip(data):
         there = change_basis(blk, v, other, dm)
         assert there.basis == other
         assert change_basis(blk, there, basis, dm) == v
+
+
+@st.composite
+def unitriangular(draw, n, base):
+    """A nonnegative lower unitriangular matrix: ``base`` with up to eight
+    entries below the diagonal redrawn from 0, 1 and 2."""
+    rows = [list(row) for row in base]
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(1, n - 1))
+        rows[i][draw(st.integers(0, i - 1))] = draw(st.sampled_from((0, 1, 2)))
+    return tuple(map(tuple, rows))
+
+
+def layers_or_refusal(layers, inp, dm):
+    try:
+        return layers(inp, dm)
+    except VermatwistError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_rows_match_the_dense_walks(data):
+    label = data.draw(st.sampled_from(("A2", "B2", "G2")))
+    blk = regular_block(label)
+    n = len(blk.params)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    base = data.draw(st.sampled_from((decomposition_matrix(blk).rows, identity)))
+    dm = DecompositionMatrix(blk.params, data.draw(unitriangular(n, base)))
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for basis, other in ((VERMA, SIMPLE), (SIMPLE, VERMA)):
+        v = CharVector(basis, dict(zip(blk.params, coeffs)))
+        there = change_basis(blk, v, other, dm)
+        assert there == layer_path.change_basis(dm, v, other)
+        assert change_basis(blk, there, basis, dm) == v
+    group = all_elements(blk.rs)
+    for y in blk.params:
+        for w in group:
+            inp = SumFormulaInput(block=blk, w=w, y=y)
+            assert layers_or_refusal(layers_multiplicity_free, inp, dm) == layers_or_refusal(
+                layer_path.layer_table, inp, dm
+            )
