@@ -28,9 +28,10 @@ of the group's tables: those Weyl groups are dihedral, where all
 composition multiplicities of Verma modules are known to be 0 or 1.
 Anything larger needs a user supplied matrix.  Its entries are whole
 numbers, stored as ints.  Each matrix keeps, once, the nonzero entries
-of every row and of every inverse row as (position, entry) pairs, and
-``change_basis`` and the layer extraction of :mod:`vermatwist.jantzen`
-both rewrite a vector by accumulating over those sparse rows.
+of every row as (position, entry) pairs.  Verma to simple sums those
+rows, in ``change_basis`` and the layer extraction of
+:mod:`vermatwist.jantzen`; simple to Verma is a triangular solve on them,
+as the matrix is unitriangular, and needs no inverse.
 """
 
 from __future__ import annotations
@@ -248,6 +249,8 @@ class DecompositionMatrix:
     length, so the matrix is lower unitriangular; one that is not, or that
     has a negative entry or one that is not a whole number, raises
     ``BadDecompositionFile``.  Whole numbers of any type are stored as ints.
+    Its two primitives, the row sum and the triangular solve, read only
+    the nonzero entries of its rows.
     """
 
     params: tuple[WeylElement, ...]
@@ -277,19 +280,15 @@ class DecompositionMatrix:
 
     @cached_property
     def inverse_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Exact inverse via back substitution on the unitriangular rows."""
+        """The exact inverse, dense: row i solves for the unit vector at i."""
         n = len(self.params)
-        inv: list[list[int]] = []
+        inv = []
         for i in range(n):
             row = [0] * n
-            row[i] = 1
-            for k in range(i):
-                c = self.rows[i][k]
-                if c:
-                    for j in range(k + 1):
-                        row[j] -= c * inv[k][j]
-            inv.append(row)
-        return tuple(tuple(r) for r in inv)
+            for j, c in _solve(self._sparse, ((i, 1),)).items():
+                row[j] = c
+            inv.append(tuple(row))
+        return tuple(inv)
 
     def inverse_entry(self, y: WeylElement, x: WeylElement) -> int:
         return self.inverse_rows[self._index[y]][self._index[x]]
@@ -297,22 +296,13 @@ class DecompositionMatrix:
     @cached_property
     def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries of each row as (position, multiplicity) pairs."""
-        return _nonzero(self.rows)
-
-    @cached_property
-    def _sparse_inverse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero entries of each inverse row as (position, entry) pairs."""
-        return _nonzero(self.inverse_rows)
+        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.rows)
 
     @cached_property
     def _in_table_order(self) -> bool:
         """Whether position j holds the element of table index j, so that
         the sparse rows are keyed by table index."""
         return all(w._k == j for j, w in enumerate(self.params))
-
-
-def _nonzero(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
 
 
 def _combine(rows, coeffs) -> dict[int, int]:
@@ -322,6 +312,21 @@ def _combine(rows, coeffs) -> dict[int, int]:
     for i, c in coeffs:
         for j, m in rows[i]:
             out[j] = out.get(j, 0) + c * m
+    return out
+
+
+def _solve(rows, coeffs) -> dict[int, int]:
+    """The x, keyed by position and nonzero only, whose sum of x_i times
+    sparse row i is given by the (i, c) pairs of ``coeffs``.  Row i is 1
+    at i and 0 above it, so walking down, x_i is what remains at i."""
+    rest = dict(coeffs)
+    out: dict[int, int] = {}
+    for i in range(max(rest, default=-1), -1, -1):
+        c = rest.get(i)
+        if c:
+            out[i] = c
+            for j, m in rows[i]:
+                rest[j] = rest.get(j, 0) - c * m
     return out
 
 
@@ -441,9 +446,9 @@ def change_basis(
 ) -> CharVector:
     """Rewrite a character vector in the other basis, exactly.
 
-    Verma to simple uses the decomposition matrix rows; simple to Verma
-    uses its unitriangular inverse, making the two directions mutually
-    inverse on the nose.
+    Verma to simple sums the decomposition matrix rows; simple to Verma
+    solves the unitriangular system on the same rows, making the two
+    directions mutually inverse on the nose.
     """
     if to not in (VERMA, SIMPLE):
         raise ValueError(f"unknown basis {to!r}")
@@ -452,10 +457,8 @@ def change_basis(
         return CharVector._of(to, dict(v._coeffs))
     dm = _block_matrix(block, decomposition)
     index, params = dm._index, dm.params
-    out = _combine(
-        dm._sparse if v.basis == VERMA else dm._sparse_inverse,
-        [(index[y], c) for y, c in v._coeffs.items()],
-    )
+    coeffs = [(index[y], c) for y, c in v._coeffs.items()]
+    out = _combine(dm._sparse, coeffs) if v.basis == VERMA else _solve(dm._sparse, coeffs)
     return CharVector._of(to, {params[j]: c for j, c in out.items() if c})
 
 

@@ -160,13 +160,15 @@ def _resolve_input(args, parser) -> SumFormulaInput:
     return SumFormulaInput(block=block, w=w, y=y)
 
 
-def _payload(inp: SumFormulaInput, result: SumFormulaResult, table: LayerTable | None) -> dict:
-    from .jantzen import _orbit_param
+def _payload(
+    inp: SumFormulaInput, y: WeylElement, result: SumFormulaResult, table: LayerTable | None
+) -> dict:
+    """``y`` is the block parameter of the module's highest weight."""
     from .weyl import word_text
 
     return {
         "w": word_text(inp.w),
-        "y": word_text(_orbit_param(inp)),
+        "y": word_text(y),
         "verma": _vector_json(result.vector),
         "simple": _simple_json(table) if table is not None else None,
         "layers": _layers_json(table) if table is not None else None,
@@ -197,7 +199,7 @@ def cmd_sum_formula(args, parser) -> int:
     except VermatwistError as exc:
         table, blocked = None, exc
     if args.format == "json":
-        print(_dumps(_payload(inp, result, table)))
+        print(_dumps(_payload(inp, y, result, table)))
         return 0
     lines = ["sum formula"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")
@@ -230,7 +232,7 @@ def cmd_layers(args, parser) -> int:
     y, counts = _sum_counts(inp)
     table = _layers(dm, y, counts)
     if args.format == "json":
-        print(_dumps(_payload(inp, _sum_result(inp, y, counts), table)))
+        print(_dumps(_payload(inp, y, _sum_result(inp, y, counts), table)))
         return 0
     lines = [f"layers of the twisted module at w = {word_text(inp.w)}, y = {word_text(y)}"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")

@@ -158,11 +158,6 @@ def _param_index(inp: SumFormulaInput) -> int:
     return k
 
 
-def _orbit_param(inp: SumFormulaInput) -> WeylElement:
-    """The block parameter of the module's highest weight."""
-    return inp.block._tables.elements[_param_index(inp)]
-
-
 def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[int, int]]:
     """The block parameter of the module's highest weight, and the sum
     vector as Verma coefficients keyed by table index; coefficients that

@@ -143,15 +143,7 @@ class Weight(_Record):
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        _set(self, "coords", coords)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _set(
-            self,
-            "coords",
-            tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coords),
-        )
+        _set(self, "coords", tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords))
 
     @property
     def is_integral(self) -> bool:
@@ -483,7 +475,7 @@ def _whole(c) -> int | None:
     """``c`` as an int when it is a whole number, else None (inf and nan are not)."""
     try:
         whole = int(c)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         return None
     return whole if whole == c else None
 

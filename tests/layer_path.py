@@ -1,13 +1,16 @@
 """Change of basis and layer extraction on dense rows: the oracle for the sparse path.
 
 ``change_basis`` and ``layers_multiplicity_free`` read a decomposition
-matrix through the nonzero entries of its rows and inverse rows, kept
-once per matrix, and the layer table is computed on table indices from
-the sum formula's integer counts.  This module does the same work the
-way it was first written, on the public data only: it zips every dense
-row of ``rows`` or ``inverse_rows`` with the parameters, takes the sum
-formula's public result to the simple basis through that walk, and reads
-the depths off the dense row of y.  Its refusals come in the same order:
+matrix through the nonzero entries of its rows, kept once per matrix:
+Verma to simple sums them, and simple to Verma is a triangular solve on
+them.  The layer table is computed on table indices from the sum
+formula's integer counts.  This module does the same work the way it was
+first written, on the public data only: it inverts ``rows`` by back
+substitution, zips every dense row of ``rows`` or of that inverse with
+the parameters, takes the sum formula's public result to the simple
+basis through that walk, and reads the depths off the dense row of y.
+It never reads ``inverse_rows``, which comes from the solve it checks.
+Its refusals come in the same order:
 a multiplicity above 1 in the row of y, then the first factor in
 parameter order that the sum vector hits outside the composition
 series, then a negative depth.
@@ -25,11 +28,28 @@ from vermatwist import (
 )
 
 
+def inverse_rows(dm):
+    """The exact inverse of ``dm.rows`` by back substitution on the
+    unitriangular rows."""
+    n = len(dm.params)
+    inv = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        for k in range(i):
+            c = dm.rows[i][k]
+            if c:
+                for j in range(k + 1):
+                    row[j] -= c * inv[k][j]
+        inv.append(row)
+    return tuple(tuple(r) for r in inv)
+
+
 def change_basis(dm, v, to):
     """``v`` in the basis ``to``, through the dense rows of ``dm`` or of its inverse."""
     if v.basis == to:
         return CharVector(to, dict(v.items()))
-    rows = dm.rows if v.basis == VERMA else dm.inverse_rows
+    rows = dm.rows if v.basis == VERMA else inverse_rows(dm)
     position = {w: i for i, w in enumerate(dm.params)}
     out = {}
     for y, c in v.items():

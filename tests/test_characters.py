@@ -31,6 +31,8 @@ from vermatwist import (
     weight,
     word_text,
 )
+from vermatwist.weyl import _group_tables
+import layer_path
 
 
 def b2_block():
@@ -124,6 +126,30 @@ def test_change_basis_round_trip():
     assert back == v
 
 
+def test_change_basis_and_dimension_at_build_no_inverse():
+    # the regular B4 block, with its Bruhat incidence matrix given as a file
+    rs = build_root_system("B4")
+    block = make_block(rs, weight(-2, -2, -2, -2))
+    params, n = block.params, len(block.params)
+    dm = load_decomposition_file(block, {
+        "params": [word_text(w) for w in params],
+        "matrix": [[ideal >> j & 1 for j in range(n)] for ideal in _group_tables(rs).ideals],
+    })
+    simple = CharVector(SIMPLE, {params[-1]: 1, params[300]: -2, params[7]: 3})
+    verma = CharVector(VERMA, {params[-1]: 2, params[200]: -1, params[0]: 1})
+    to_verma = change_basis(block, simple, VERMA, dm)
+    to_simple = change_basis(block, verma, SIMPLE, dm)
+    mus = [block.weight_of(w) for w in (params[-1], params[300], params[301])]
+    dims = [dimension_at(block, simple, mu, dm) for mu in mus]
+    assert "inverse_rows" not in vars(dm)
+    assert to_verma == layer_path.change_basis(dm, simple, VERMA)
+    assert to_simple == layer_path.change_basis(dm, verma, SIMPLE)
+    assert change_basis(block, to_verma, SIMPLE, dm) == simple
+    assert dims == [dimension_at(block, to_verma, mu, dm) for mu in mus]
+    # w0 . lam = 0, so the simple module of w0 is the trivial one
+    assert dims == [1, -2, -20]
+
+
 def test_change_basis_a1_simple_to_verma():
     rs = build_root_system("A1")
     block = make_block(rs, weight(-2))
@@ -194,7 +220,7 @@ def test_decomposition_matrix_entries_must_be_whole_numbers():
     block = make_block(build_root_system("A2"), weight(-2, -2))
     bruhat = decomposition_matrix(block).rows
     # the row of w0 = sts is all ones, and every row of it is used
-    for bad in (Fraction(1, 2), 2.9, float("nan"), float("inf")):
+    for bad in (Fraction(1, 2), 2.9, float("nan"), float("inf"), None, 1j, object()):
         rows = [list(r) for r in bruhat]
         rows[5][1] = bad
         with pytest.raises(BadDecompositionFile, match="^matrix entries must be whole numbers$"):
@@ -412,8 +438,9 @@ def test_char_vector_refuses_non_integer_coefficients():
         CharVector(VERMA, {e: Fraction(1, 2)})
     with pytest.raises(ValueError, match="not an integer"):
         CharVector(VERMA, {e: 2.9})
-    # int() raises OverflowError on the infinities and its own message on nan
-    for c in (float("inf"), float("-inf"), float("nan")):
+    # int() raises OverflowError on the infinities, its own message on nan
+    # and TypeError on what is not a number
+    for c in (float("inf"), float("-inf"), float("nan"), None, 1j, object()):
         with pytest.raises(ValueError, match="not an integer"):
             CharVector(VERMA, {e: c})
     v = CharVector(VERMA, {e: 1})

@@ -1,4 +1,4 @@
-"""Every command's output, pinned by one digest over a fixed sweep.
+"""Every command's output, pinned by a digest over a fixed sweep.
 
 The sweep runs ``main()`` in process on a fixed list of command lines and
 records each call as ``[argv, exit code, stdout, stderr]``, refusals
@@ -6,6 +6,13 @@ included.  The sha256 of the records, one JSON line each, was computed
 before the root system and Weyl group layers were rewritten without
 matrix algebra; a change that alters any byte of any output, or turns a
 refusal into an answer, changes it.
+
+A second digest pins the runs that read ``--decomp-file``: ``layers`` and
+``sum-formula`` on the regular A2, B2 and G2 blocks with their built-in
+matrices written as files, a sample of A3 with its Bruhat incidence file,
+and one B2 file for each kind of refusal, so the loader's messages and
+their order are pinned too.  It was computed before simple to Verma
+became a triangular solve.
 """
 
 import contextlib
@@ -16,6 +23,7 @@ import random
 
 from vermatwist import all_elements, build_root_system, word_text
 from vermatwist.cli import main
+from vermatwist.weyl import _group_tables
 
 #: sha256 of the sweep's records
 SWEEP_SHA256 = "93c91e87ba5b24858113f1f9ca1f91d73d5ad1d6ae7a8036e378a956ad3d7dd2"
@@ -83,3 +91,94 @@ def test_sweep_output_is_pinned():
     # the sweep reaches both answers and refusals
     assert codes == {0, 1}
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+#: sha256 of the decomposition-file sweep's records
+DECOMP_SHA256 = "62fdb202aa733a1bd3b0f444ea99005fca8c60ff39b57a9037144ef0cc2d8590"
+
+
+def bruhat_file(label):
+    """The regular block's Bruhat incidence matrix, as the loader reads it:
+    the built-in matrix in rank 2, read off the group's lower ideals."""
+    rs = build_root_system(label)
+    n = len(all_elements(rs))
+    return {
+        "params": [word_text(w) for w in all_elements(rs)],
+        "matrix": [[ideal >> j & 1 for j in range(n)] for ideal in _group_tables(rs).ideals],
+    }
+
+
+def b2_refusal_files():
+    """One B2 file for each kind of refusal, by name; the positions follow
+    the table order e, s, t, st, ts, sts, tst, stst."""
+    good = bruhat_file("B2")
+
+    def edited(i, j, value):
+        matrix = [list(row) for row in good["matrix"]]
+        matrix[i][j] = value
+        return {"params": names, "matrix": matrix}
+
+    names = good["params"]
+    return {
+        "missing_key.json": {"params": names},
+        "bad_word.json": {"params": names[:-1] + ["s,x"], "matrix": good["matrix"]},
+        "wrong_params.json": {"params": names[:-1] + ["e"], "matrix": good["matrix"]},
+        "wrong_shape.json": {"params": names, "matrix": good["matrix"][:-1]},
+        "non_integer.json": edited(3, 1, 1.0),
+        "negative.json": edited(1, 0, -1),
+        "diagonal_2.json": edited(4, 4, 2),
+        "outside_bruhat.json": edited(2, 1, 1),
+        "identity.json": {
+            "params": names,
+            "matrix": [[int(i == j) for j in range(8)] for i in range(8)],
+        },
+        "entry_2.json": edited(3, 1, 2),
+    }
+
+
+def decomp_argvs():
+    """The command lines of the sweep, and the files they read."""
+    files = {}
+    argvs = []
+
+    def runs(label, lam, name, pairs):
+        for w, y in pairs:
+            for command in ("sum-formula", "layers"):
+                for fmt in ("table", "json"):
+                    argvs.append([command, "--type", label, "--lambda", lam, "--w", w,
+                                  "--y", y, "--format", fmt, "--decomp-file", name])
+
+    for label in ("A2", "B2", "G2"):
+        name = f"{label}.json"
+        files[name] = bruhat_file(label)
+        words = files[name]["params"]
+        runs(label, "-2,-2", name, [(w, y) for w in words for y in words])
+    b2 = files["B2.json"]["params"]
+    few = [("e", "e"), ("s", "st"), ("stst", "tst")]
+    every = [(w, y) for w in b2 for y in b2]
+    for name, data in b2_refusal_files().items():
+        files[name] = data
+        runs("B2", "-2,-2", name, every if name in ("identity.json", "entry_2.json") else few)
+    runs("B2", "-1,-2", "B2.json", few)
+    runs("B2", "-2,-2", "missing.json", few)
+    files["A3.json"] = bruhat_file("A3")
+    a3 = files["A3.json"]["params"]
+    pick = random.Random(20018)
+    runs("A3", "-2,-2,-2", "A3.json", [(pick.choice(a3), pick.choice(a3)) for _ in range(24)])
+    return files, argvs
+
+
+def test_decomposition_file_runs_are_pinned(tmp_path, monkeypatch):
+    # bare file names in the current directory, so no record holds a path
+    monkeypatch.chdir(tmp_path)
+    files, argvs = decomp_argvs()
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in argvs:
+        rec = record(argv)
+        codes.add(rec[1])
+        digest.update(json.dumps(rec).encode() + b"\n")
+    assert codes == {0, 1}
+    assert digest.hexdigest() == DECOMP_SHA256

@@ -22,9 +22,10 @@ reverse under right multiplication by w0, x <= y iff y w0 <= x w0.
 the identity, with the built-in matrices of rank 2 and with a random
 user matrix, unitriangular along the Bruhat order, in type A3.  With
 random nonnegative lower unitriangular matrices on the regular blocks of
-A2, B2 and G2, ``change_basis`` and ``layers_multiplicity_free`` must
-give what the dense row walks of ``layer_path.py`` give, refusals
-included.
+A2, B2 and G2, and on the Bruhat pattern of the regular A3 block,
+``change_basis``, ``layers_multiplicity_free`` and ``inverse_rows`` must
+give what the dense row walks and the back substitution of
+``layer_path.py`` give, refusals included.
 """
 
 import random
@@ -48,7 +49,6 @@ from vermatwist import (
     bruhat_leq,
     build_root_system,
     change_basis,
-    decomposition_matrix,
     dot_action,
     element_from_word,
     layers_multiplicity_free,
@@ -244,13 +244,14 @@ def test_change_basis_round_trip(data):
 
 
 @st.composite
-def unitriangular(draw, n, base):
+def unitriangular(draw, base, below):
     """A nonnegative lower unitriangular matrix: ``base`` with up to eight
-    entries below the diagonal redrawn from 0, 1 and 2."""
+    entries redrawn from 0, 1 and 2, each in row i at a position of
+    ``below[i]``, which lies below the diagonal."""
     rows = [list(row) for row in base]
     for _ in range(draw(st.integers(0, 8))):
-        i = draw(st.integers(1, n - 1))
-        rows[i][draw(st.integers(0, i - 1))] = draw(st.sampled_from((0, 1, 2)))
+        i = draw(st.integers(1, len(rows) - 1))
+        rows[i][draw(st.sampled_from(below[i]))] = draw(st.sampled_from((0, 1, 2)))
     return tuple(map(tuple, rows))
 
 
@@ -264,12 +265,20 @@ def layers_or_refusal(layers, inp, dm):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_rows_match_the_dense_walks(data):
-    label = data.draw(st.sampled_from(("A2", "B2", "G2")))
+    label = data.draw(st.sampled_from(("A2", "B2", "G2", "A3")))
     blk = regular_block(label)
     n = len(blk.params)
+    ideals = _group_tables(blk.rs).ideals
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = data.draw(st.sampled_from((decomposition_matrix(blk).rows, identity)))
-    dm = DecompositionMatrix(blk.params, data.draw(unitriangular(n, base)))
+    bruhat = [[ideal >> j & 1 for j in range(n)] for ideal in ideals]
+    # any position below the diagonal in rank 2, the Bruhat pattern in A3
+    if label == "A3":
+        below = [[j for j in range(i) if ideals[i] >> j & 1] for i in range(n)]
+    else:
+        below = [range(i) for i in range(n)]
+    base = data.draw(st.sampled_from((bruhat, identity)))
+    dm = DecompositionMatrix(blk.params, data.draw(unitriangular(base, below)))
+    assert dm.inverse_rows == layer_path.inverse_rows(dm)
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     for basis, other in ((VERMA, SIMPLE), (SIMPLE, VERMA)):
         v = CharVector(basis, dict(zip(blk.params, coeffs)))

@@ -228,7 +228,10 @@ def test_kostant_partition_matches_naive_search():
 def test_kostant_partition_refuses_non_integer_coordinates():
     b2 = build_root_system("B2")
     # 1.5 was read as 1, giving the count of (1, 1)
-    for nu in ((1.5, 1), (Fraction(1, 2), 0), (float("inf"), 0), (float("nan"), 0)):
+    for nu in (
+        (1.5, 1), (Fraction(1, 2), 0), (float("inf"), 0), (float("nan"), 0),
+        (None, 0), (1j, 0), (object(), 0),
+    ):
         with pytest.raises(ValueError, match="integer coordinates"):
             kostant_partition(b2, nu)
     assert kostant_partition(b2, (Fraction(2), 1.0)) == kostant_partition(b2, (2, 1)) == 3

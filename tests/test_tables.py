@@ -425,13 +425,13 @@ def test_table_sum_formula_matches_the_weight_path_f4(data):
 def counted_weights(monkeypatch):
     """The list every ``Weight`` built from now on is appended to."""
     built = []
-    post_init = Weight.__post_init__
+    init = Weight.__init__
 
-    def counted(self):
+    def counted(self, coords):
         built.append(self)
-        post_init(self)
+        init(self, coords)
 
-    monkeypatch.setattr(Weight, "__post_init__", counted)
+    monkeypatch.setattr(Weight, "__init__", counted)
     return built
 
 
