@@ -376,12 +376,15 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and the digit limit
+        except (OSError, ValueError, RecursionError) as exc:
             raise BadDecompositionFile(f"cannot read decomposition file: {exc}") from exc
     else:
         data = source
     if not isinstance(data, dict) or "params" not in data or "matrix" not in data:
         raise BadDecompositionFile('decomposition data needs "params" and "matrix" keys')
+    if not isinstance(data["params"], list):
+        raise BadDecompositionFile('decomposition data "params" must be a list of words')
 
     rs = block.rs
     try:

@@ -80,7 +80,8 @@ def _resolve_system(args, parser: argparse.ArgumentParser) -> RootSystem:
 
         try:
             data = json.loads(Path(args.cartan_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and the digit limit
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"cannot read Cartan file: {exc}") from exc
         if not isinstance(data, dict) or "matrix" not in data:
             raise ValueError('Cartan file needs a "matrix" key')

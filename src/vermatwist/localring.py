@@ -11,6 +11,8 @@ exactly when X divides d more often than it divides n, so the
 represented ring is the localization of Q[X] at the ideal (X).
 
 Arithmetic multiplies and adds Python ints; equality cross-multiplies.
+Each binary operator reads its other operand, an element, an int or a
+``Fraction``, by one rule, ``_operand``; anything else is NotImplemented.
 Valuation, value at X = 0 and the zero test read the stored form
 directly.  Only hashing, printing and the public ``num`` and ``den``
 attributes need the canonical form: polynomials over Q as tuples of
@@ -32,6 +34,7 @@ their elements as integer polynomials, such as the rank 1 laboratory:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -54,13 +57,6 @@ def _z_add(a: list[int], b: list[int]) -> list[int]:
     out = a + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
         out[i] += y
-    return out
-
-
-def _z_sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
     return out
 
 
@@ -126,6 +122,20 @@ def _make(n: list[int], d: list[int]) -> LocalRingElem:
     _set(elem, "_d", d)
     elem.__post_init__()
     return elem
+
+
+def _operand(formula):
+    """The operator ``formula(self, on, od)`` on the lists of its other operand,
+    an element, int or ``Fraction``; any other operand is NotImplemented."""
+
+    @functools.wraps(formula)
+    def operator(self, other):
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        return formula(self, *parts)
+
+    return operator
 
 
 class LocalRingElem:
@@ -228,11 +238,8 @@ class LocalRingElem:
     def __hash__(self) -> int:
         return hash(self._canonical())
 
-    def __add__(self, other) -> LocalRingElem:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
+    @_operand
+    def __add__(self, on, od) -> LocalRingElem:
         return _make(_z_add(_z_mul(self._n, od), _z_mul(on, self._d)), _z_mul(self._d, od))
 
     __radd__ = __add__
@@ -240,45 +247,32 @@ class LocalRingElem:
     def __neg__(self) -> LocalRingElem:
         return _make([-c for c in self._n], self._d)
 
-    def __sub__(self, other) -> LocalRingElem:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return _make(_z_sub(_z_mul(self._n, od), _z_mul(on, self._d)), _z_mul(self._d, od))
+    @_operand
+    def __sub__(self, on, od) -> LocalRingElem:
+        n = _z_add(_z_mul(self._n, od), _z_mul([-c for c in on], self._d))
+        return _make(n, _z_mul(self._d, od))
 
-    def __rsub__(self, other) -> LocalRingElem:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
-        return _make(_z_sub(_z_mul(on, self._d), _z_mul(self._n, od)), _z_mul(self._d, od))
+    @_operand
+    def __rsub__(self, on, od) -> LocalRingElem:
+        n = _z_add(_z_mul(on, self._d), _z_mul([-c for c in self._n], od))
+        return _make(n, _z_mul(self._d, od))
 
-    def __mul__(self, other) -> LocalRingElem:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
+    @_operand
+    def __mul__(self, on, od) -> LocalRingElem:
         return _make(_z_mul(self._n, on), _z_mul(self._d, od))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> LocalRingElem:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        on, od = parts
+    @_operand
+    def __truediv__(self, on, od) -> LocalRingElem:
         if not on:
             raise ZeroDivisionError("division by zero in the local ring")
         return _make(_z_mul(self._n, od), _z_mul(self._d, on))
 
-    def __rtruediv__(self, other) -> LocalRingElem:
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
+    @_operand
+    def __rtruediv__(self, on, od) -> LocalRingElem:
         if not self._n:
             raise ZeroDivisionError("division by zero in the local ring")
-        on, od = parts
         return _make(_z_mul(on, self._d), _z_mul(od, self._n))
 
     def __pow__(self, exponent: int) -> LocalRingElem:

@@ -25,6 +25,11 @@ map builds its backward partner once, on first use.
 With lam = p/q, z - k = (qX + p - qk) / q for every integer k, so the
 forward map and the checks run on integer polynomial lists: ``phi`` builds
 one ring element per entry, and ``check_equivariance`` none.
+
+The four term and cokernel checks compare the maps with one pattern: for
+natural lam the forward map vanishes at X = 0 exactly above lam and the
+backward map exactly up to lam.  Both refuse a truncation below 2 lam + 4
+before they build a map.
 """
 
 from __future__ import annotations
@@ -195,12 +200,22 @@ def jantzen_layers_sl2(lam, truncation: int = DEFAULT_TRUNCATION) -> dict[int, i
     return {i: v for i, v in enumerate(_forward(lam, truncation).valuations())}
 
 
-def _require_window(lam: int, truncation: int) -> None:
-    needed = 2 * lam + 4
-    if truncation < needed:
+def _natural_window(lam: Fraction, truncation: int) -> int | None:
+    """int(lam) on the natural locus, refusing a truncation below 2 lam + 4; else None."""
+    if not is_natural(lam):
+        return None
+    lam = int(lam)
+    if truncation < 2 * lam + 4:
         raise TruncationTooSmall(
-            f"truncation {truncation} cannot certify lam = {lam}; need at least {needed}"
+            f"truncation {truncation} cannot certify lam = {lam}; need at least {2 * lam + 4}"
         )
+    return lam
+
+
+def _vanishing(lam: int | None, truncation: int) -> list[tuple[int, int]]:
+    """Per index, 1 where the forward and the backward map vanish at X = 0, else 0."""
+    natural = lam is not None
+    return [(int(natural and i > lam), int(natural and i <= lam)) for i in range(truncation + 1)]
 
 
 def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
@@ -213,19 +228,12 @@ def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     backward entry exactly up to lam.
     """
     lam, truncation, forward_map = _given(lam, truncation)
-    if not is_natural(lam):
+    lam_int = _natural_window(lam, truncation)
+    if lam_int is None:
         raise ValueError("the four term sequence needs a natural highest weight")
-    lam_int = int(lam)
-    _require_window(lam_int, truncation)
     forward_map = forward_map or phi(lam, truncation)
-    forward = forward_map.specialized()
-    backward = forward_map._backward.specialized()
-    for i in range(truncation + 1):
-        if (forward[i] == 0) != (i > lam_int):
-            return False
-        if (backward[i] == 0) != (i <= lam_int):
-            return False
-    return True
+    profile = zip(forward_map.specialized(), forward_map._backward.specialized())
+    return [(int(f == 0), int(b == 0)) for f, b in profile] == _vanishing(lam_int, truncation)
 
 
 def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
@@ -237,16 +245,7 @@ def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     lam all entries are units and the check is trivially true.
     """
     lam, truncation, forward_map = _given(lam, truncation)
-    natural = is_natural(lam)
-    if natural:
-        _require_window(int(lam), truncation)
-    lam_int = int(lam) if natural else None
+    lam_int = _natural_window(lam, truncation)
     forward_map = forward_map or phi(lam, truncation)
-    forward = forward_map.valuations()
-    backward = forward_map._backward.valuations()
-    for i in range(truncation + 1):
-        want_forward = 1 if natural and i > lam_int else 0
-        want_backward = 1 if natural and i <= lam_int else 0
-        if forward[i] != want_forward or backward[i] != want_backward:
-            return False
-    return True
+    profile = zip(forward_map.valuations(), forward_map._backward.valuations())
+    return list(profile) == _vanishing(lam_int, truncation)

@@ -398,11 +398,11 @@ def all_elements(rs: RootSystem, bound: int = GROUP_BOUND) -> tuple[WeylElement,
 def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
     """Bruhat order test by the lifting property, walking table indices.
 
-    With s a right descent of y: if xs < x then x <= y iff xs <= ys,
-    otherwise x <= y iff x <= ys.  The walk runs on the inverses, where
-    right descents of y are the simple roots in ``masks`` of y^{-1} and
-    (ys)^{-1} = s y^{-1} is one lookup.  Each step shortens y by one, so a
-    call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
+    With s a left descent of y: if sx < x then x <= y iff sx <= sy,
+    otherwise x <= y iff x <= sy (Bjorner and Brenti, Combinatorics of Coxeter
+    Groups, 2.2).  The left descents of y are the simple roots in ``masks``
+    of y, and sy is one lookup in the column of s.  Each step shortens y by
+    one, so a call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
     """
     _same_system(x, y)
     tables = _group_tables(x.rs)
@@ -410,7 +410,7 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
     # the simple roots are the first positive roots, and refl[b] of a
     # simple root b is the left multiplication column of its reflection
     simple = (1 << x.rs.rank) - 1
-    u, v = tables.inverse[x._k], tables.inverse[y._k]
+    u, v = x._k, y._k
     gap = y.length - x.length
     while gap > 0:
         descents = masks[v] & simple

@@ -410,6 +410,31 @@ def test_load_decomposition_file_rejects_bad_data(tmp_path):
         load_decomposition_file(block, tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000 + b"]" * 100_000,  # too deep for the parser
+        b'{"params": ["e"]}\xff\xfe',  # not UTF-8
+        b'{"params": [], "matrix": [[' + b"7" * 5000 + b"]]}",  # over the digit limit
+    ],
+    ids=["deep", "not_utf8", "digits"],
+)
+def test_load_decomposition_file_refuses_unreadable_files(tmp_path, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(BadDecompositionFile, match="^cannot read decomposition file: "):
+        load_decomposition_file(b2_block(), path)
+
+
+def test_load_decomposition_file_refuses_params_that_are_not_a_list():
+    block = make_block(build_root_system("A1"), weight(-2))
+    good = {"params": ["e", "s"], "matrix": [[1, 0], [1, 1]]}
+    assert load_decomposition_file(block, good).rows == ((1, 0), (1, 1))
+    for params in ("es", {"e": 0, "s": 1}, None, 2):
+        with pytest.raises(BadDecompositionFile, match='"params" must be a list of words'):
+            load_decomposition_file(block, {**good, "params": params})
+
+
 def test_load_decomposition_file_rejects_singular_block():
     rs = build_root_system("B2")
     block = make_block(rs, weight(-1, -2))

@@ -507,6 +507,44 @@ def test_malformed_cartan_files_are_refused(tmp_path, matrix, rank):
     assert err.startswith("error: ValueError: ") and err.count("\n") == 1
 
 
+#: files that no JSON reader accepts: too deep for the parser, not UTF-8,
+#: and an integer over the interpreter's digit limit
+UNREADABLE = {
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "not_utf8": b'{"matrix": [[2]]}\xff\xfe',
+    "digits": b'{"matrix": [[' + b"7" * 5000 + b"]]}",
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_files_are_refused(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE[name])
+    code, out, err = run_cli("weyl", "--cartan-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: cannot read Cartan file: ") and err.count("\n") == 1
+    code, out, err = run_cli(
+        "layers", "--type", "B2", "--w", "st", "--y", "sts", "--decomp-file", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BadDecompositionFile: cannot read decomposition file: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params", ["e1", {"e": 0, "1": 1}], ids=["string", "object"])
+def test_decomp_file_params_must_be_a_list(tmp_path, params):
+    # iterated as they stand, both would spell the two A1 words
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"params": params, "matrix": [[1, 0], [1, 1]]}))
+    code, out, err = run_cli(
+        "layers", "--type", "A1", "--w", "e", "--y", "1", "--decomp-file", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        'error: BadDecompositionFile: decomposition data "params" must be a list of words\n'
+    )
+
+
 def test_cartan_file_rank_is_bounded_before_anything_is_built(tmp_path, monkeypatch):
     from vermatwist import rootsystem
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,6 +274,23 @@ def test_integer_and_fraction_coercion():
     assert x - Fraction(1, 2) == -(Fraction(1, 2) - x)
     assert (1 / (one() + x)).specialize() == 1
     assert str(Fraction(1, 2) * x * 2) == "X"
+
+
+BINARY = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")
+
+
+@pytest.mark.parametrize("other", [None, "1", 0.5, [1]], ids=repr)
+def test_other_operands_are_not_implemented(other):
+    # only elements, ints and Fractions are operands; anything else is left
+    # to Python, which raises TypeError, even where division by zero looms
+    for elem in (variable() + 1, zero()):
+        for name in BINARY:
+            assert getattr(elem, name)(other) is NotImplemented, (elem, name)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(elem, other)
+            with pytest.raises(TypeError):
+                op(other, elem)
 
 
 def test_reduction_cancels_common_factor():

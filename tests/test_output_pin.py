@@ -13,6 +13,12 @@ matrices written as files, a sample of A3 with its Bruhat incidence file,
 and one B2 file for each kind of refusal, so the loader's messages and
 their order are pinned too.  It was computed before simple to Verma
 became a triangular solve.
+
+A third digest pins the rank 1 laboratory: ``sl2`` on natural, negative
+and nonintegral lambda, with truncations on both sides of the window that
+the four term check needs, every ``--check`` and both formats.  It was
+computed before the local ring's operators and the two natural-window
+checks were each written once.
 """
 
 import contextlib
@@ -182,3 +188,29 @@ def test_decomposition_file_runs_are_pinned(tmp_path, monkeypatch):
         digest.update(json.dumps(rec).encode() + b"\n")
     assert codes == {0, 1}
     assert digest.hexdigest() == DECOMP_SHA256
+
+
+#: sha256 of the rank 1 sweep's records
+SL2_SHA256 = "b20ef88f99f8cc6e3be48086301d52cabf83dec680a40ff4af00a4946314efbe"
+
+
+def sl2_argvs():
+    return [
+        ["sl2", "--lambda", lam, "--trunc", trunc, "--check", check, "--format", fmt]
+        for lam in ("0", "1", "2", "3", "-1", "-2", "-3", "1/2", "-7/2", "5/3")
+        for trunc in ("1", "4", "9", "10", "30")
+        for check in ("all", "phi", "psi", "four-term", "jantzen")
+        for fmt in ("table", "json")
+    ]
+
+
+def test_sl2_runs_are_pinned():
+    digest = hashlib.sha256()
+    refused = 0
+    for argv in sl2_argvs():
+        rec = record(argv)
+        refused += rec[3].startswith("error: TruncationTooSmall: ")
+        digest.update(json.dumps(rec).encode() + b"\n")
+    # natural lambda below the window of 2 lambda + 4, under "all" and "four-term"
+    assert refused == 32
+    assert digest.hexdigest() == SL2_SHA256

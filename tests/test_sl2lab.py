@@ -134,24 +134,58 @@ def test_jantzen_layers_examples():
 
 
 def test_four_term_rank_check():
-    for lam in (0, 1, 2, 3):
-        assert four_term_rank_check(lam, 12)
-    with pytest.raises(ValueError):
-        four_term_rank_check(-2, 12)
-    with pytest.raises(ValueError):
-        four_term_rank_check(Fraction(1, 2), 12)
+    for lam in (0, 1, 2, 3, 7):
+        assert four_term_rank_check(lam, 12 if lam < 4 else 18)
+    for lam in (-2, -1, Fraction(1, 2), Fraction(-7, 2), Fraction(5, 3)):
+        with pytest.raises(ValueError, match="natural highest weight"):
+            four_term_rank_check(lam, 12)
     with pytest.raises(TruncationTooSmall):
         four_term_rank_check(3, 9)  # needs at least 2*3 + 4 = 10
     assert four_term_rank_check(3, 10)
+    message = "^truncation 3 cannot certify lam = 0; need at least 4$"
+    with pytest.raises(TruncationTooSmall, match=message):
+        four_term_rank_check(0, 3)
+    assert four_term_rank_check(0, 4)
 
 
 def test_coker_check_over_A():
-    for lam in (0, 1, 2, 3):
-        assert coker_check_over_A(lam, 12)
+    for lam in (0, 1, 2, 3, 7):
+        assert coker_check_over_A(lam, 12 if lam < 4 else 18)
     # off the natural locus the cokernel condition is vacuous but the
-    # bookkeeping must still succeed
-    assert coker_check_over_A(Fraction(-7, 2), 8)
-    assert coker_check_over_A(-3, 8)
+    # bookkeeping must still succeed, at any truncation
+    for lam in (Fraction(-7, 2), -3, -1, Fraction(1, 2), Fraction(5, 3)):
+        assert coker_check_over_A(lam, 8)
+        assert coker_check_over_A(lam, 1)
+    message = "^truncation 9 cannot certify lam = 3; need at least 10$"
+    with pytest.raises(TruncationTooSmall, match=message):
+        coker_check_over_A(3, 9)
+    assert coker_check_over_A(3, 10)
+
+
+def test_checks_refuse_before_building_a_map(monkeypatch):
+    from vermatwist import sl2lab
+
+    backward = psi(phi(3, 12))
+    calls = []
+    real = sl2lab.phi
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sl2lab, "phi", counted)
+    # off the natural locus the four term check refuses before the window,
+    # however small, and however large, the truncation
+    for truncation in (1, 10**6):
+        with pytest.raises(ValueError) as exc:
+            four_term_rank_check(Fraction(1, 2), truncation)
+        assert not isinstance(exc.value, TruncationTooSmall)
+    for check in (four_term_rank_check, coker_check_over_A):
+        with pytest.raises(TruncationTooSmall):
+            check(3, 9)
+        with pytest.raises(ValueError, match="forward map"):
+            check(backward)
+    assert calls == []
 
 
 def test_truncated_window_equivariance():

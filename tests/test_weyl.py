@@ -23,6 +23,7 @@ from vermatwist import (
     simple_reflection,
     word_text,
 )
+from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import _group_tables
 
 
@@ -212,6 +213,20 @@ def test_bruhat_against_subword_oracle_sampled_b3():
         x = rng.choice(elems)
         y = rng.choice(elems)
         assert bruhat_leq(x, y) == subword_leq(rs, x, y), (x.word, y.word)
+
+
+def test_bruhat_walk_builds_no_inverse_table():
+    # the lifting property holds for left descents too, so the walk reads
+    # x and y themselves and never needs the table of inverses; the root
+    # system is a fresh one, whose tables no other test has used
+    rs = RootSystem(build_root_system("B3").cartan, "B3")
+    elems = all_elements(rs)
+    tables = _group_tables(rs)
+    assert "inverse" not in vars(tables)
+    w0 = longest_element(rs)
+    assert all(bruhat_leq(x, w0) and bruhat_leq(elems[0], x) for x in elems)
+    assert not bruhat_leq(w0, elems[1])
+    assert "inverse" not in vars(tables)
 
 
 @pytest.mark.parametrize("label", ["B4", "F4"])
