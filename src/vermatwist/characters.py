@@ -383,12 +383,14 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
         data = source
     if not isinstance(data, dict) or "params" not in data or "matrix" not in data:
         raise BadDecompositionFile('decomposition data needs "params" and "matrix" keys')
-    if not isinstance(data["params"], list):
+    words = data["params"]
+    # a number is not read as a word: 1 is not the word "1"
+    if not isinstance(words, list) or not all(isinstance(p, str) for p in words):
         raise BadDecompositionFile('decomposition data "params" must be a list of words')
 
     rs = block.rs
     try:
-        given = [element_from_word(rs, parse_word_text(rs, str(p))) for p in data["params"]]
+        given = [element_from_word(rs, parse_word_text(rs, p)) for p in words]
     except Exception as exc:
         raise BadDecompositionFile(f"cannot parse parameter words: {exc}") from exc
     if len(given) != len(block.params) or set(given) != set(block.params):

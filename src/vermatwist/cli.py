@@ -20,7 +20,7 @@ from .errors import GroupTooLarge, UnsupportedBlock, VermatwistError
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .characters import CharVector
-    from .jantzen import LayerTable, SumFormulaInput, SumFormulaResult
+    from .jantzen import LayerTable, SumFormulaInput
     from .rootsystem import Root, RootSystem, Weight
     from .weyl import WeylElement
 
@@ -162,15 +162,15 @@ def _resolve_input(args, parser) -> SumFormulaInput:
 
 
 def _payload(
-    inp: SumFormulaInput, y: WeylElement, result: SumFormulaResult, table: LayerTable | None
+    inp: SumFormulaInput, y: WeylElement, vector: CharVector, table: LayerTable | None
 ) -> dict:
-    """``y`` is the block parameter of the module's highest weight."""
+    """``y`` is the module's block parameter and ``vector`` its sum vector."""
     from .weyl import word_text
 
     return {
         "w": word_text(inp.w),
         "y": word_text(y),
-        "verma": _vector_json(result.vector),
+        "verma": _vector_json(vector),
         "simple": _simple_json(table) if table is not None else None,
         "layers": _layers_json(table) if table is not None else None,
         "zero_top": table.zero_top if table is not None else None,
@@ -184,31 +184,31 @@ def _table_lines(table: LayerTable) -> list[str]:
 
 
 def cmd_sum_formula(args, parser) -> int:
-    from .characters import load_decomposition_file
-    from .jantzen import _layer_matrix, _layers, _sum_counts, _sum_result
+    from .characters import VERMA, CharVector, load_decomposition_file
+    from .jantzen import _layer_matrix, _layers, _rplus_mu, _sum_counts
     from .weyl import word_text
 
     inp = _resolve_input(args, parser)
     # evaluated before the decomposition file is read: a y outside the
     # block's orbit is reported as such whatever the file holds
-    y, counts = _sum_counts(inp)
-    result = _sum_result(inp, y, counts)
+    y, coeffs = _sum_counts(inp)
+    vector = CharVector._of(VERMA, coeffs)
     block = inp.block
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
     try:
-        table, blocked = _layers(_layer_matrix(block, decomp), y, counts), None
+        table, blocked = _layers(_layer_matrix(block, decomp), y, coeffs), None
     except VermatwistError as exc:
         table, blocked = None, exc
     if args.format == "json":
-        print(_dumps(_payload(inp, y, result, table)))
+        print(_dumps(_payload(inp, y, vector, table)))
         return 0
     lines = ["sum formula"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")
     lines.append(f"w = {word_text(inp.w)}")
     lines.append(f"y = {word_text(y)}  (mu = {_weight_text(block.weight_of(y))})")
-    lines.append("R+(mu): " + (" ".join(_root_text(b) for b in result.rplus_mu) or "-"))
-    lines.append("R+(w): " + (" ".join(_root_text(b) for b in result.rplus_w) or "-"))
-    lines.append(f"verma vector: {_vector_text(_vector_json(result.vector))}")
+    lines.append("R+(mu): " + (" ".join(_root_text(b) for b in _rplus_mu(block, y)) or "-"))
+    lines.append("R+(w): " + (" ".join(_root_text(b) for b in inp.w.inversions) or "-"))
+    lines.append(f"verma vector: {_vector_text(_vector_json(vector))}")
     if table is None:
         lines.append(f"layers: unavailable ({type(blocked).__name__}: {blocked})")
     else:
@@ -220,8 +220,8 @@ def cmd_sum_formula(args, parser) -> int:
 
 
 def cmd_layers(args, parser) -> int:
-    from .characters import load_decomposition_file
-    from .jantzen import _layer_matrix, _layers, _sum_counts, _sum_result
+    from .characters import VERMA, CharVector, load_decomposition_file
+    from .jantzen import _layer_matrix, _layers, _sum_counts
     from .weyl import word_text
 
     inp = _resolve_input(args, parser)
@@ -230,10 +230,10 @@ def cmd_layers(args, parser) -> int:
     # raises before the orbit parameter is resolved, so a nonintegral block
     # is refused as such even when y lies outside its integral orbit
     dm = _layer_matrix(block, decomp)
-    y, counts = _sum_counts(inp)
-    table = _layers(dm, y, counts)
+    y, coeffs = _sum_counts(inp)
+    table = _layers(dm, y, coeffs)
     if args.format == "json":
-        print(_dumps(_payload(inp, y, _sum_result(inp, y, counts), table)))
+        print(_dumps(_payload(inp, y, CharVector._of(VERMA, coeffs), table)))
         return 0
     lines = [f"layers of the twisted module at w = {word_text(inp.w)}, y = {word_text(y)}"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")

@@ -24,16 +24,20 @@ coset y Stab(lam + rho), which is the coset's unique shortest element
 (Dyer; see :mod:`vermatwist.characters`).  With lam + rho antidominant,
 y sends the positive roots of the stabilizer to positive roots, so
 R+(mu) is the inversion set of y cut down to the integral roots, and
-s_beta . mu = (t_beta y) . lam.  :func:`sum_formula` therefore reads
-t_beta y off the reflection table, maps it to its parameter, and builds
-no weight.
+s_beta . mu = (t_beta y) . lam.  :func:`sum_formula` therefore makes one
+integer walk over the bits of that mask, reads t_beta y off the
+reflection table and writes the term straight into the Verma vector,
+keyed by element; it builds no weight.  The terms never merge:
+s_beta . mu = mu - n beta with n > 0, so distinct roots give distinct
+orbit weights, none of them mu, and each term is written once, at the
+parameter of the coset of t_beta y (t_beta y itself in a regular block,
+whose stabilizer is trivial).
 
 Layer tables are read off the same walk, in integers.  The sum vector's
-Verma coefficients, keyed by table index, go to the simple basis through
-the sparse rows of the decomposition matrix.  Layers exist only in
-regular integral blocks, whose parameters are the whole group in table
-order, so a matrix position is a table index; no character vector is
-built, and elements are looked up only for the returned table.
+Verma coefficients go to the simple basis through the sparse rows of the
+decomposition matrix.  Layers exist only in regular integral blocks,
+whose parameters are the whole group in table order, so the coefficient
+of x goes through row ``x._k``; no character vector is built.
 
 The two-letter form :func:`sum_formula_xy` keeps the literal route
 through the reflection matrix of each root and the dot action; it is the
@@ -122,14 +126,11 @@ class LayerTable:
     def by_depth(self) -> tuple[tuple[WeylElement, ...], ...]:
         """The factors regrouped as rows: index k lists the depth k factors."""
         top = max(self.layers.values(), default=0)
-        return tuple(
-            tuple(
-                x
-                for x in sorted(self.layers, key=lambda w: (w.length, w.word))
-                if self.layers[x] == k
-            )
-            for k in range(top + 1)
-        )
+        rows: list[list[WeylElement]] = [[] for _ in range(top + 1)]
+        for x in sorted(self.layers, key=lambda w: (w.length, w.word)):
+            if self.layers[x] >= 0:
+                rows[self.layers[x]].append(x)
+        return tuple(map(tuple, rows))
 
 
 def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
@@ -158,52 +159,53 @@ def _param_index(inp: SumFormulaInput) -> int:
     return k
 
 
-def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[int, int]]:
+def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, int]]:
     """The block parameter of the module's highest weight, and the sum
-    vector as Verma coefficients keyed by table index; coefficients that
-    cancel stay, as zeros."""
+    vector as the coefficient dict of its Verma basis ``CharVector``.
+
+    One walk over the bits of R+(mu) writes the terms straight into the
+    dict, keyed by element and holding no zeros.
+    """
     block = inp.block
     tables = block._tables
     k = _param_index(inp)
+    elements, refl = tables.elements, tables.refl
+    y = elements[k]
     in_w = tables.masks[inp.w._k]
-    rplus = tables.masks[k] & block._root_mask
-    param_of, refl = block._param_of, tables.refl
-    # [y] gains 1 for each beta in R+(w): s_beta moves mu, so no
-    # parameter t_beta y is y itself
-    counts = {k: (rplus & in_w).bit_count()}
-    for b in _bits(rplus):
-        lower = param_of[refl[b][k]]
-        counts[lower] = counts.get(lower, 0) + (-1 if in_w >> b & 1 else 1)
-    return tables.elements[k], counts
+    rplus = m = tables.masks[k] & block._root_mask
+    # each term lands on its own parameter, never on y (see the module
+    # docstring), and [y] gains 1 for each beta in R+(w)
+    n = (rplus & in_w).bit_count()
+    coeffs = {y: n} if n else {}
+    param_of = block._param_of
+    while m:
+        low = m & -m
+        m ^= low
+        coeffs[elements[param_of[refl[low.bit_length() - 1][k]]]] = -1 if in_w & low else 1
+    return y, coeffs
 
 
-def _sum_result(inp: SumFormulaInput, y: WeylElement, counts: dict[int, int]) -> SumFormulaResult:
-    """The result of :func:`sum_formula` from :func:`_sum_counts`."""
-    block = inp.block
-    tables = block._tables
-    elements = tables.elements
-    inversions = tables.masks[y._k]
-    rplus = inversions & block._root_mask
-    # y's cached inversions when no root is cut: rebuilding the tuple from
-    # the bits costs about 3 us of a 17 us call in the F4 regular block
-    return SumFormulaResult(
-        vector=CharVector._of(VERMA, {elements[j]: c for j, c in counts.items() if c}),
-        rplus_mu=y.inversions
-        if rplus == inversions
-        else tuple(block.rs.positive_roots[b] for b in _bits(rplus)),
-        rplus_w=inp.w.inversions,
-    )
+def _rplus_mu(block: BlockContext, y: WeylElement) -> tuple[Root, ...]:
+    """R+(mu) for the block parameter y of mu: y's inversions, cut to the
+    block's integral roots."""
+    # in an integral block no root is cut, and y's inversions are cached
+    if block.integral:
+        return y.inversions
+    roots = block.rs.positive_roots
+    return tuple(roots[b] for b in _bits(block._tables.masks[y._k] & block._root_mask))
 
 
 def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     """Evaluate the sum formula by lookups in the group's tables.
 
-    See the module docstring for the shape.  Works in singular and
-    nonintegral blocks as well: contributions land on orbit parameters,
-    so coincident reflected weights merge.
+    See the module docstring for the shape.  One walk over the bits of
+    R+(mu) writes each term into the Verma vector once, at the parameter
+    of the coset of t_beta y.
     """
-    y, counts = _sum_counts(inp)
-    return _sum_result(inp, y, counts)
+    y, coeffs = _sum_counts(inp)
+    return SumFormulaResult(
+        CharVector._of(VERMA, coeffs), _rplus_mu(inp.block, y), inp.w.inversions
+    )
 
 
 def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaResult:
@@ -267,8 +269,8 @@ def layers_multiplicity_free(
     outside the composition series, or a negative depth.
     """
     dm = _layer_matrix(inp.block, decomposition)
-    y, counts = _sum_counts(inp)
-    return _layers(dm, y, counts)
+    y, coeffs = _sum_counts(inp)
+    return _layers(dm, y, coeffs)
 
 
 def _layer_matrix(
@@ -290,11 +292,11 @@ def _layer_matrix(
     return dm
 
 
-def _layers(dm: DecompositionMatrix, y: WeylElement, counts: dict[int, int]) -> LayerTable:
+def _layers(dm: DecompositionMatrix, y: WeylElement, coeffs: dict[WeylElement, int]) -> LayerTable:
     """The layer table of ``layers_multiplicity_free`` from :func:`_sum_counts`.
 
     Positions in ``dm`` are table indices (see :func:`_layer_matrix`), so
-    the sum vector's counts go through the sparse rows as they are.
+    each Verma coefficient of x goes through sparse row ``x._k``.
     """
     params = dm.params
     row = dm._sparse[y._k]
@@ -304,7 +306,7 @@ def _layers(dm: DecompositionMatrix, y: WeylElement, counts: dict[int, int]) -> 
                 f"factor {word_text(params[j])} occurs {c} times in the Verma module "
                 f"of {word_text(y)}"
             )
-    simple = _combine(dm._sparse, counts.items())
+    simple = _combine(dm._sparse, [(x._k, c) for x, c in coeffs.items()])
     depths = {params[j]: simple.pop(j, 0) for j, _ in row}
     outside = [j for j, c in simple.items() if c]
     if outside:

@@ -435,6 +435,15 @@ def test_load_decomposition_file_refuses_params_that_are_not_a_list():
             load_decomposition_file(block, {**good, "params": params})
 
 
+def test_load_decomposition_file_refuses_params_entries_that_are_not_strings():
+    # ["e", 1] loaded as if it said "1" when entries went through str()
+    block = make_block(build_root_system("A1"), weight(-2))
+    good = {"params": ["e", "s"], "matrix": [[1, 0], [1, 1]]}
+    for params in (["e", 1], [None, "s"], ["e", ["s"]], ["e", True], [0, 1]):
+        with pytest.raises(BadDecompositionFile, match='"params" must be a list of words'):
+            load_decomposition_file(block, {**good, "params": params})
+
+
 def test_load_decomposition_file_rejects_singular_block():
     rs = build_root_system("B2")
     block = make_block(rs, weight(-1, -2))

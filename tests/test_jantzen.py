@@ -280,6 +280,13 @@ def test_layer_tables_well_formed_across_types():
                 assert sum(len(r) for r in rows) == len(t.layers)
 
 
+def test_by_depth_drops_negative_depths():
+    # a hand-built table: only depths 0, 1, ... have rows
+    e, s = B2.params[:2]
+    assert LayerTable({e: -1}, False).by_depth() == ()
+    assert LayerTable({e: -1, s: 1}, True).by_depth() == ((), (s,))
+
+
 def test_untwisted_top_is_always_visible():
     # w = e gives the classical filtration: y itself sits at depth 0
     for y in B2.params:

@@ -91,10 +91,16 @@ def test_closed_form_reflection_is_the_dot_action(data):
     assert _dot_reflect(rs, mu, beta, n) == dot_action(rs, reflection_through(rs, beta), mu)
 
 
-# regular integral, singular integral and regular nonintegral base weights
+# regular integral, singular integral and regular nonintegral base weights,
+# and in F4 a singular nonintegral one
 BASES = {
     "B3": ((-2, -2, -2), (-1, -2, -2), (Fraction(-1, 2), -2, -2)),
-    "F4": ((-2, -2, -2, -2), (-2, -2, -2, -1), (Fraction(-1, 2), -2, -2, -2)),
+    "F4": (
+        (-2, -2, -2, -2),
+        (-2, -2, -2, -1),
+        (Fraction(-1, 2), -2, -2, -2),
+        (Fraction(-1, 2), -1, -2, -2),
+    ),
 }
 
 
@@ -129,8 +135,12 @@ def test_sum_formula_matches_reflection_matrices(data):
     # y must lie in the integral Weyl group for its weight to be in the orbit
     y = blk.group[data.draw(st.integers(0, len(blk.group) - 1))]
     got = sum_formula(SumFormulaInput(block=blk, w=w, y=y))
-    assert got.vector == reflection_matrix_sum(blk, w, y)
+    want = reflection_matrix_sum(blk, w, y)
+    assert got.vector == want
     assert got.rplus_mu == r_plus_of_weight(blk, blk.weight_of(y))
+    # no two roots of R+(mu) reflect mu to one weight, so no terms merge
+    top = blk.param_for_weight(blk.weight_of(y))
+    assert [abs(c) for x, c in want.items() if x != top] == [1] * len(got.rplus_mu)
 
 
 #: coordinates of the drawn base weights: integral, half and third integral

@@ -437,8 +437,13 @@ def counted_weights(monkeypatch):
 
 def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
     # regular integral, singular integral (J = {1, 3} and {3}), regular
-    # nonintegral and singular nonintegral
+    # nonintegral and singular nonintegral; nor does the walk build a
+    # Fraction, once the inputs and their inversion sets exist
     built = counted_weights(monkeypatch)
+
+    def refuse(cls, *args, **kwargs):
+        pytest.fail("a Fraction")
+
     rs = build_root_system("B3")
     for lam in ("-2,-2,-2", "-1,-2,-1", "-2,-2,-1", "-1/2,-2,-2", "-1,-1/2,-2"):
         base = parse_weight(lam)
@@ -447,12 +452,28 @@ def test_regular_integral_sum_formula_builds_no_weight(monkeypatch):
         assert built == []  # not even lam + rho
         pairs = [(w, y) for w in all_elements(rs)[::7] for y in block.group[::5]]
         pairs.append((element_from_word(rs, (1, 3, 2)), element_from_word(rs, (2, 3, 2, 1))))
+        inputs = [SumFormulaInput(block=block, w=w, y=y) for w, y in pairs if y in block.group]
+        for inp in inputs:
+            inp.w.inversions, inp.y.inversions
         built.clear()
-        for w, y in pairs:
-            if y in block.group:
-                sum_formula(SumFormulaInput(block=block, w=w, y=y))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__new__", refuse)
+            for inp in inputs:
+                sum_formula(inp)
         assert built == []
         assert "_param_by_weight" not in vars(block)
+    # and the layer path, on every B2 pair
+    block = make_block(build_root_system("B2"), weight(-2, -2))
+    layer_inputs = [SumFormulaInput(block=block, w=w, y=y) for w in block.group for y in block.params]
+    layers_multiplicity_free(layer_inputs[0])
+    built.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", refuse)
+        with pytest.raises(pytest.fail.Exception):
+            Fraction(1)
+        for inp in layer_inputs:
+            layers_multiplicity_free(inp)
+    assert built == [] and len(layer_inputs) == 64
 
 
 @pytest.mark.parametrize(
