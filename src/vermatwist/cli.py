@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import GroupTooLarge, UnsupportedBlock, VermatwistError
+from .errors import GroupTooLarge, VermatwistError
 
 # Each command imports the layers it runs inside its body, so that a
 # ``weyl`` run never loads the character, sum-formula or rank 1 modules.
@@ -50,7 +50,7 @@ def _vector_json(vec: CharVector) -> dict[str, int]:
 def _layers_json(table: LayerTable) -> dict[str, int]:
     from .weyl import word_text
 
-    ordered = sorted(table.layers, key=lambda w: (w.length, w.word))
+    ordered = sorted(table.layers, key=lambda w: w._k)
     return {word_text(w): table.layers[w] for w in ordered}
 
 
@@ -147,17 +147,14 @@ def _resolve_input(args, parser) -> SumFormulaInput:
     the module at twist x * w0 and orbit parameter x * y.
     """
     from .characters import make_block
-    from .jantzen import SumFormulaInput
-    from .weyl import longest_element
+    from .jantzen import SumFormulaInput, _xy_input
 
     rs = _resolve_system(args, parser)
     block = make_block(rs, _resolve_lambda(rs, args.lam))
     w = _resolve_element(rs, args.w)
     y = _resolve_element(rs, args.y)
     if getattr(args, "xy", False):
-        if not (block.regular and block.integral):
-            raise UnsupportedBlock("the two-letter form needs a regular integral block")
-        w, y = w * longest_element(rs), w * y
+        return _xy_input(block, w, y)
     return SumFormulaInput(block=block, w=w, y=y)
 
 

@@ -39,10 +39,8 @@ decomposition matrix.  Layers exist only in regular integral blocks,
 whose parameters are the whole group in table order, so the coefficient
 of x goes through row ``x._k``; no character vector is built.
 
-The two-letter form :func:`sum_formula_xy` keeps the literal route
-through the reflection matrix of each root and the dot action; it is the
-independent oracle that :func:`check_xy_consistency` and the tests
-compare against.
+The two-letter form :func:`sum_formula_xy` is one rewrite of its input,
+to twist x * w0 and parameter x * y, and goes through the same walk.
 """
 
 from __future__ import annotations
@@ -69,9 +67,7 @@ from .rootsystem import Root, Weight, _shifted_pairings
 from .weyl import (
     WeylElement,
     _bits,
-    dot_action,
     longest_element,
-    reflection_through,
     word_text,
 )
 
@@ -127,7 +123,7 @@ class LayerTable:
         """The factors regrouped as rows: index k lists the depth k factors."""
         top = max(self.layers.values(), default=0)
         rows: list[list[WeylElement]] = [[] for _ in range(top + 1)]
-        for x in sorted(self.layers, key=lambda w: (w.length, w.word)):
+        for x in sorted(self.layers, key=lambda w: w._k):
             if self.layers[x] >= 0:
                 rows[self.layers[x]].append(x)
         return tuple(map(tuple, rows))
@@ -208,46 +204,40 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     )
 
 
-def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaResult:
-    """The sum formula in its two-letter form, implemented literally.
+def _xy_input(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaInput:
+    """The module the two-letter form names: twist x * w0 at parameter x * y.
 
-    For parameters written as a product x * y the formula reads: over
-    beta in R+(xy) outside R+(x), add ch M(xy . lam) - ch M(s_beta xy . lam);
-    over beta in R+(xy) inside R+(x), add ch M(s_beta xy . lam).  This
-    agrees with ``sum_formula`` at twist x * w0 and parameter x * y, which
-    :func:`check_xy_consistency` verifies on demand.
+    Refuses a block that is not regular and integral, then elements of
+    another root system.
     """
     if not (block.regular and block.integral):
         raise UnsupportedBlock("the two-letter form needs a regular integral block")
     if x.rs is not block.rs or y.rs is not block.rs:
         raise MixedRootSystems("elements do not belong to the block's root system")
-    rs = block.rs
-    xy = x * y
-    mu = block.weight_of(xy)
-    x_inversions = set(b.coords for b in x.inversions)
+    return SumFormulaInput(block=block, w=x * longest_element(block.rs), y=x * y)
 
-    coeffs: dict[WeylElement, int] = {}
 
-    def bump(param: WeylElement, c: int) -> None:
-        coeffs[param] = coeffs.get(param, 0) + c
+def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaResult:
+    """The sum formula in its two-letter form.
 
-    for beta in xy.inversions:
-        reflected = dot_action(rs, reflection_through(rs, beta), mu)
-        lower = block.param_for_weight(reflected)
-        if beta.coords not in x_inversions:
-            bump(xy, 1)
-            bump(lower, -1)
-        else:
-            bump(lower, 1)
-    return SumFormulaResult(
-        vector=CharVector(VERMA, coeffs),
-        rplus_mu=xy.inversions,
-        rplus_w=(x * longest_element(rs)).inversions,
-    )
+    For parameters written as a product x * y the formula reads: over
+    beta in R+(xy) outside R+(x), add ch M(xy . lam) - ch M(s_beta xy . lam);
+    over beta in R+(xy) inside R+(x), add ch M(s_beta xy . lam).  The
+    inversion set of x * w0 is the complement of R+(x) in R+, so this is
+    exactly ``sum_formula`` at twist x * w0 and parameter x * y, and it is
+    evaluated as that.  Only regular integral blocks are accepted
+    (``UnsupportedBlock``).
+    """
+    return sum_formula(_xy_input(block, x, y))
 
 
 def check_xy_consistency(block: BlockContext, x: WeylElement, y: WeylElement) -> bool:
-    """Confirm the two-letter form against the direct formula."""
+    """Confirm the two-letter form against the direct formula at (x * w0, x * y).
+
+    Both sides go through the one evaluator, so this checks the rewrite of
+    the input, not the formula: the two-letter form's split on R+(x) is the
+    direct form's split on R+(x * w0), the complement of R+(x) in R+.
+    """
     direct = sum_formula(
         SumFormulaInput(block=block, w=x * longest_element(block.rs), y=x * y)
     )

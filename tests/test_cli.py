@@ -429,8 +429,9 @@ def test_weyl_cover_counts_rank_4():
         ("sum-formula", "--type", "B2", "--w", "st", "--y", "sts", "--format", "json"),
         ("layers", "--type", "B2", "--w", "st", "--y", "sts", "--format", "json"),
         ("layers", "--type", "B2", "--w", "st", "--y", "sts"),
+        ("sum-formula", "--type", "B2", "--w", "st", "--y", "s", "--xy"),
     ],
-    ids=["sum-formula", "sum-formula-json", "layers-json", "layers"],
+    ids=["sum-formula", "sum-formula-json", "layers-json", "layers", "sum-formula-xy"],
 )
 def test_one_sum_formula_evaluation_per_run(monkeypatch, argv):
     # every route to the sum vector, sum_formula included, goes through _sum_counts

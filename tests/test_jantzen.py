@@ -38,6 +38,8 @@ from vermatwist import (
     weight,
     word_text,
 )
+from hecke_path import twist_difference
+from xy_path import xy_sum
 
 
 def block_of(label, *coords):
@@ -300,22 +302,92 @@ def test_xy_form_frozen_example():
     y = el(B2, "s")
     result = sum_formula_xy(B2, x, y)
     assert result.vector == vec(B2, sts=1, st=-1, ts=1, e=1)
+    assert result == xy_sum(B2, x, y)
+
+
+REGULAR = (("A2", (-2, -2)), ("B2", (-2, -2)), ("G2", (-2, -2)), ("A3", (-2, -2, -2)))
 
 
 def test_xy_consistency_all_pairs():
-    for label, coords in (("A2", (-2, -2)), ("B2", (-2, -2))):
+    # the whole result against the two-letter form written out: the
+    # vector, R+(mu) = R+(xy) and R+(w) = R+(x w0)
+    for label, coords in REGULAR:
         block = block_of(label, *coords)
         for x in block.params:
             for y in block.params:
-                assert check_xy_consistency(block, x, y), (label, word_text(x), word_text(y))
+                where = (label, word_text(x), word_text(y))
+                assert sum_formula_xy(block, x, y) == xy_sum(block, x, y), where
+                assert check_xy_consistency(block, x, y), where
 
 
 def test_xy_form_needs_regular_integral():
     rs = build_root_system("B2")
     singular = make_block(rs, weight(-1, -2))
     e = element_from_word(rs, ())
-    with pytest.raises(UnsupportedBlock):
+    with pytest.raises(UnsupportedBlock, match="^the two-letter form needs a regular integral block$"):
         sum_formula_xy(singular, e, e)
+    # the block is refused before the elements' root system
+    foreign = element_from_word(build_root_system("A2"), ())
+    with pytest.raises(UnsupportedBlock):
+        sum_formula_xy(singular, foreign, e)
+    message = "^elements do not belong to the block's root system$"
+    for x, y in ((foreign, e), (e, foreign)):
+        with pytest.raises(MixedRootSystems, match=message):
+            sum_formula_xy(B2, x, y)
+
+
+def test_xy_form_is_one_sum_formula_evaluation(monkeypatch):
+    from vermatwist import jantzen
+
+    calls = []
+    real = jantzen._sum_counts
+
+    def counted(inp):
+        calls.append(inp)
+        return real(inp)
+
+    monkeypatch.setattr(jantzen, "_sum_counts", counted)
+    sum_formula_xy(B2, el(B2, "st"), el(B2, "s"))
+    assert [(word_text(inp.w), word_text(inp.y)) for inp in calls] == [("ts", "sts")]
+
+
+def test_twisting_functors_give_every_twisted_sum_vector():
+    # G = (1 + k eps) H_w H_{w^-1 x} in the Hecke algebra at v = 1 + eps
+    # is x at eps = 0, and its eps part is the twisted sum vector less the
+    # untwisted one (hecke_path.py); y runs over the block's parameters,
+    # the shortest elements of their cosets in a singular block
+    blocks = REGULAR + (
+        ("A2", (-1, -2)),
+        ("B2", (-1, -2)),
+        ("B2", (-2, -1)),
+        ("G2", (-1, -2)),
+        ("A3", (-1, -2, -2)),
+        ("A3", (-2, -1, -2)),
+    )
+    for label, coords in blocks:
+        block = block_of(label, *coords)
+        w0 = longest_element(block.rs)
+        e = el(block, "e")
+        for y in block.params:
+            untwisted = sum_formula(SumFormulaInput(block=block, w=e, y=y)).vector
+            for w in block.group:
+                difference, at_zero = twist_difference(block, w, y)
+                twisted = sum_formula(SumFormulaInput(block=block, w=w, y=y)).vector
+                where = (label, coords, word_text(w), word_text(y))
+                assert at_zero == {y * w0: 1}, where
+                assert difference == twisted - untwisted, where
+
+
+def test_hecke_oracle_reads_no_private_name():
+    # the oracle shares no code with the kernel or the tables it walks
+    import ast
+    import hecke_path
+    from pathlib import Path
+
+    tree = ast.parse(Path(hecke_path.__file__).read_text())
+    names = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    names += [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert [n for n in names if n.startswith("_")] == []
 
 
 def test_sum_formula_singular_block():

@@ -6,7 +6,10 @@ The weight-path oracle (``weight_path.py``) reflects each orbit weight
 as s_beta . mu = mu - n * beta with n = <mu + rho, beta^vee>.  These
 tests compare that closed form, on random weights, and ``sum_formula``,
 on random (w, y) in rank 3 and rank 4 blocks, with the literal route:
-the reflection matrix of beta pushed through the dot action.
+the reflection matrix of beta pushed through the dot action.  On the
+integral blocks, the twisted sum vector less the untwisted one must be
+the eps part of a product in the Hecke algebra at v = 1 + eps, the
+twisting functors' action (``hecke_path.py``).
 
 Blocks through random rational weights of A3, B3 and C3, of every kind,
 must have as parameters the first elements to reach each orbit weight,
@@ -66,6 +69,7 @@ from vermatwist import (
 from vermatwist.weyl import _group_tables
 import layer_path
 import matrix_path
+from hecke_path import twist_difference
 from weight_path import _dot_reflect, _weight_sum, outcome
 
 
@@ -141,6 +145,27 @@ def test_sum_formula_matches_reflection_matrices(data):
     # no two roots of R+(mu) reflect mu to one weight, so no terms merge
     top = blk.param_for_weight(blk.weight_of(y))
     assert [abs(c) for x, c in want.items() if x != top] == [1] * len(got.rplus_mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twisting_functors_give_the_twisted_sum_vector(data):
+    # the Hecke algebra oracle (hecke_path.py) on the integral bases;
+    # in a nonintegral block w need not lie in W_lambda
+    label = data.draw(st.sampled_from(sorted(BASES)))
+    index = data.draw(st.sampled_from([
+        i for i, coords in enumerate(BASES[label]) if all(c == int(c) for c in coords)
+    ]))
+    blk = block(label, index)
+    w = data.draw(st.sampled_from(all_elements(blk.rs)))
+    y = data.draw(st.sampled_from(blk.params))
+    difference, at_zero = twist_difference(blk, w, y)
+    assert at_zero == {y * longest_element(blk.rs): 1}
+    e = all_elements(blk.rs)[0]
+    assert difference == (
+        sum_formula(SumFormulaInput(block=blk, w=w, y=y)).vector
+        - sum_formula(SumFormulaInput(block=blk, w=e, y=y)).vector
+    )
 
 
 #: coordinates of the drawn base weights: integral, half and third integral
