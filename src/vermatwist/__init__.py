@@ -12,8 +12,10 @@ layer.  Each name in ``__all__`` is imported from its module on first
 access and then kept in the package namespace, so ``from vermatwist
 import X`` works for every exported name.  The command line front end
 does the same inside each command, so a command loads only the layers it
-runs: ``weyl`` needs ``rootsystem`` and ``weyl``, ``sl2`` needs
-``localring`` and ``sl2lab``.
+runs: ``weyl`` needs ``rootsystem`` and ``weyl``, ``sl2`` needs only
+``localring`` and ``sl2lab``, and ``sum-formula``, ``layers`` and
+``b2-table`` need ``rootsystem``, ``weyl``, ``characters`` and
+``jantzen``, neither of the rank 1 modules.
 """
 
 from importlib import import_module as _import_module

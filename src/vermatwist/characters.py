@@ -8,19 +8,23 @@ combinations of parameters in either the Verma basis or the simple basis;
 the two are related by the block's decomposition matrix.
 
 Every block is read off the Weyl group's integer tables and the integer
-pairings of lam + rho with the coroots, with no weight built.  The
-integral Weyl group, generated by the reflections through the integral
-roots, is the coset of the identity in the walk below.  The stabilizer
-of lam + rho is generated by the reflections that fix it (Steinberg),
-all of them in integral roots, so one coset rule serves every kind of
-block: an orbit weight's parameter is the first element, in table order,
-of its coset w Stab(lam + rho).  The stabilizer is trivial in a regular
-block, the parabolic W_J in a singular integral one, and a reflection
-subgroup that need not be parabolic in a singular nonintegral one.  Each
-coset of a reflection subgroup has a unique element of minimal length
-(Dyer, Reflection subgroups of Coxeter systems, 1990), and table order
-is (length, word), so the first element is that shortest one.  Only a
-``mu`` input and ``param_for_weight`` build the weight to parameter map.
+pairings of lam + rho with the coroots, with no weight built, in one
+pass over the group in table order.  The integral Weyl group W_lam is
+generated by the reflections through the integral roots, and the
+stabilizer of lam + rho by the reflections that fix it (Steinberg), all
+of them integral: trivial in a regular block, the parabolic W_J in a
+singular integral one, and a reflection subgroup that need not be
+parabolic in a singular nonintegral one.  An orbit weight's parameter is
+the shortest element of its coset w Stab(lam + rho), which is unique
+(Dyer, Reflection subgroups of Coxeter systems, 1990) and so the first
+in table order, (length, word).  One right descent rule gives both:
+w t_beta comes before w exactly when w(beta) < 0, and w is the shortest
+element of w W', for W' a reflection subgroup, exactly when it sends no
+positive root of W' negative (Dyer), which for w in W' means w = e.  So
+w lies in W_lam iff w = e or w t_beta does, for any integral beta with
+w(beta) < 0, and its parameter is that of w t_beta for any such beta
+fixing lam + rho, or w itself when there is none.  Only a ``mu`` input
+and ``param_for_weight`` build the weight to parameter map.
 
 In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
@@ -175,20 +179,19 @@ class BlockContext:
         self.regular = 0 not in nums
         self._root_mask = sum(1 << b for b, n in enumerate(nums) if n % d == 0)
 
-        # the integral Weyl group is the coset of the identity
+        # the right descent rule of the module docstring, in table order
         tables = self._tables = _group_tables(rs)
-        if self.integral:
-            members = range(len(tables.elements))
-            self.group = tables.elements
-        else:
-            coset = tables.coset_minima((0,), self._root_mask)
-            members = [k for k, m in enumerate(coset) if m == 0]
-            self.group = tuple(tables.elements[k] for k in members)
-        # the stabilizer of lam + rho is generated by the reflections fixing it,
-        # and each orbit weight's parameter is the first element of its coset
-        zero_mask = sum(1 << b for b, n in enumerate(nums) if n == 0)
-        self._param_of = tables.coset_minima(members, zero_mask)
-        self.params = tuple(tables.elements[k] for k in members if self._param_of[k] == k)
+        fixing = sum(1 << b for b, n in enumerate(nums) if n == 0)
+        inv, masks, refl = tables.inverse, tables.masks, tables.refl
+        param_of = [0]
+        for k in range(1, len(inv)):
+            descents = masks[inv[k]]
+            step = descents & fixing or descents & self._root_mask
+            p = param_of[inv[refl[(step & -step).bit_length() - 1][inv[k]]]] if step else -1
+            param_of.append(p if p < 0 or descents & fixing else k)
+        self._param_of = param_of
+        self.group = tuple(w for w, p in zip(tables.elements, param_of) if p >= 0)
+        self.params = tuple(w for w in self.group if param_of[w._k] == w._k)
         self._param_set = frozenset(self.params)
         self._default_decomp: DecompositionMatrix | None = None
         self._drops: dict[WeylElement, tuple[int, ...]] = {}

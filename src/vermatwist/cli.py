@@ -16,7 +16,9 @@ from fractions import Fraction
 from .errors import GroupTooLarge, VermatwistError
 
 # Each command imports the layers it runs inside its body, so that a
-# ``weyl`` run never loads the character, sum-formula or rank 1 modules.
+# ``weyl`` run never loads the character, sum-formula or rank 1 modules,
+# ``sl2`` loads only the rank 1 ones, and ``sum-formula``, ``layers`` and
+# ``b2-table`` load no rank 1 module.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .characters import CharVector

@@ -107,14 +107,18 @@ class Root(_Record):
     """A root written in simple root coordinates.
 
     Roots of a finite system are either positive (all coordinates >= 0) or
-    negative (all <= 0); mixed signs are rejected.
+    negative (all <= 0); mixed signs are rejected, and so are coordinates
+    that are not whole numbers.
     """
 
     coords: tuple[int, ...]
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]) -> None:
-        coords = tuple(int(c) for c in coords)
+        given = tuple(coords)
+        coords = tuple(map(_whole, given))
+        if None in coords:
+            raise NotARoot(f"root coordinates must be whole numbers: {given!r}")
         _set(self, "coords", coords)
         if not coords or all(c == 0 for c in coords):
             raise NotARoot(f"zero vector is not a root: {coords}")

@@ -21,10 +21,10 @@ positive:
 Two more tables are built on first use: ``inverse[k]``, the index of
 w_k^{-1}, read off ``left`` along the word of w_k, and the Bruhat lower
 ideals as bitsets over the indices, refused above ``IDEALS_BOUND``
-elements.  Right multiplication needs no table of its own: w t =
-(t w^{-1})^{-1} for any reflection t, so
-:meth:`_GroupTables.coset_minima` walks the cosets of a reflection
-subgroup through ``inverse`` and ``refl``.  The tables, like
+elements.  Right multiplication needs no table of its own: w_k t_beta =
+(t_beta w_k^{-1})^{-1} is ``inverse[refl[b][inverse[k]]]``, shorter than
+w_k exactly when bit b of ``masks[inverse[k]]`` is set; the blocks of
+:mod:`vermatwist.characters` are read off that rule.  The tables, like
 :class:`RootSequence`, are a ``rootsystem._Record``.
 
 Every element is a row of the tables, one of the objects
@@ -57,7 +57,7 @@ from math import lcm
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
 from .rootsystem import Root, RootSystem, Weight, _check_rank, _coroot_of, _Frozen, _Record
-from .rootsystem import _reflect_root, _reflect_weight
+from .rootsystem import _reflect_root, _reflect_weight, _whole
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -156,7 +156,8 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
-    """Product of simple reflections; the word need not be reduced.
+    """Product of simple reflections; the word need not be reduced.  A
+    letter that is not a whole number in 1..rank raises ``IndexOutOfRange``.
 
     >>> from vermatwist.rootsystem import build_root_system
     >>> rs = build_root_system("B2")
@@ -165,10 +166,12 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     >>> element_from_word(rs, (1, 2, 1, 2)).length
     4
     """
-    letters = [int(i) for i in word]
-    for i in letters:
-        if not 1 <= i <= rs.rank:
-            raise IndexOutOfRange(f"simple reflection index {i} outside 1..{rs.rank}")
+    letters = []
+    for i in word:
+        letter = _whole(i)
+        if letter is None or not 1 <= letter <= rs.rank:
+            raise IndexOutOfRange(f"simple reflection index {i!r} outside 1..{rs.rank}")
+        letters.append(letter)
     tables = _group_tables(rs)
     return tables.elements[tables.times(letters, 0)]
 
@@ -264,32 +267,6 @@ class _GroupTables(_Record):
                 ideal |= 1 << column[x]
             ideals.append(ideal)
         return tuple(ideals)
-
-    def coset_minima(self, members, roots_mask: int) -> list[int]:
-        """For every k in ``members``, the first index in table order of the
-        coset w_k W', for W' generated by the reflections through the
-        positive roots in ``roots_mask``; -1 for every other index.
-
-        ``members`` lists, in table order, the indices whose cosets are
-        wanted; it need not be a subgroup, and ``(0,)`` gives W' itself.
-        Each coset is a breadth-first search from its first member along
-        right multiplication, w t_beta = (t_beta w^{-1})^{-1}.
-        """
-        columns = [self.refl[b] for b in _bits(roots_mask)]
-        inv = self.inverse if columns else ()
-        out = [-1] * len(self.elements)
-        for k in members:
-            if out[k] >= 0:
-                continue
-            out[k] = k
-            queue = [k]
-            for j in queue:
-                for column in columns:
-                    m = inv[column[inv[j]]]
-                    if out[m] < 0:
-                        out[m] = k
-                        queue.append(m)
-        return out
 
 
 def _build_tables(rs: RootSystem) -> _GroupTables:

@@ -79,7 +79,7 @@ def test_unknown_name_is_an_attribute_error():
         vermatwist.cli_main  # noqa: B018
 
 
-LOADED_BY_WEYL = """
+LOADED_BY_COMMAND = """
 import sys
 before = set(sys.modules)
 import vermatwist
@@ -87,28 +87,46 @@ front = set(sys.modules) - before
 import contextlib, io
 import vermatwist.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = vermatwist.cli.main(["weyl", "--type", "A3", "--format", "json"])
+    code = vermatwist.cli.main(sys.argv[1:])
 print(code)
 print(" ".join(sorted(front)))
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
+#: each command with the layers it runs, as the package and ``cli``
+#: docstrings state them
+LAYERS_BY_COMMAND = {
+    ("weyl", "--type", "A3", "--format", "json"): {"rootsystem", "weyl"},
+    ("sl2", "--lambda", "2", "--trunc", "10"): {"localring", "sl2lab"},
+    ("sum-formula", "--type", "B2", "--lambda=-2,-2", "--w", "s", "--y", "e"): {
+        "rootsystem", "weyl", "characters", "jantzen",
+    },
+    ("layers", "--type", "B2", "--lambda=-2,-2", "--w", "s", "--y", "e"): {
+        "rootsystem", "weyl", "characters", "jantzen",
+    },
+    ("b2-table",): {"rootsystem", "weyl", "characters", "jantzen"},
+}
 
-def test_weyl_command_loads_only_its_layers():
+
+def test_each_command_loads_only_its_layers():
     src = str(Path(vermatwist.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_BY_WEYL], capture_output=True, text=True, env=env
-    )
-    assert proc.stderr == ""
-    code, front, loaded = proc.stdout.splitlines()
-    assert code == "0"
-    assert [m for m in front.split() if m.startswith("vermatwist")] == ["vermatwist"]
-    loaded = set(loaded.split())
-    assert {"vermatwist.cli", "vermatwist.rootsystem", "vermatwist.weyl"} <= loaded
-    unused = {f"vermatwist.{layer}" for layer in ("characters", "jantzen", "localring", "sl2lab")}
-    assert loaded & (unused | {"dataclasses"}) == set()
+    for args, layers in LAYERS_BY_COMMAND.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_BY_COMMAND, *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.stderr == ""
+        code, front, loaded = proc.stdout.splitlines()
+        assert code == "0"
+        assert [m for m in front.split() if m.startswith("vermatwist")] == ["vermatwist"]
+        loaded = set(loaded.split())
+        want = {"vermatwist", "vermatwist.cli", "vermatwist.errors"}
+        want |= {f"vermatwist.{layer}" for layer in layers}
+        assert {m for m in loaded if m.startswith("vermatwist")} == want, args
+        if args[0] == "weyl":
+            assert "dataclasses" not in loaded
 
 
 def assert_frozen(obj, names):

@@ -11,10 +11,13 @@ integral blocks, the twisted sum vector less the untwisted one must be
 the eps part of a product in the Hecke algebra at v = 1 + eps, the
 twisting functors' action (``hecke_path.py``).
 
-Blocks through random rational weights of A3, B3 and C3, of every kind,
-must have as parameters the first elements to reach each orbit weight,
-and their sum formula must equal the one evaluated through the weights
-(``weight_path.py``), refusals included.  The tables' ``inverse`` list
+Blocks through random rational weights of A3, B3, C3, D4 and B4, of
+every kind, must have as parameters the first elements to reach each
+orbit weight, and their sum formula must equal the one evaluated through
+the weights (``weight_path.py``), refusals included.  Renumbering the
+nodes of the Dynkin diagram, in the Cartan matrix, the weight and every
+word, must carry the block parameters, lengths, inversion sets, sum
+vectors and, in rank 2, layer tables along.  The tables' ``inverse`` list
 and products must equal the matrix ones (``matrix_path.py``), and they
 and the dot action must obey the group laws.
 
@@ -180,8 +183,9 @@ def drawn_block(label, coords):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_blocks_of_rational_weights_match_the_orbit_weights(data):
-    label = data.draw(st.sampled_from(("A3", "B3", "C3")))
-    coords = tuple(data.draw(st.sampled_from(COORDS)) for _ in range(3))
+    label = data.draw(st.sampled_from(("A3", "B3", "C3", "D4", "B4")))
+    rank = build_root_system(label).rank
+    coords = tuple(data.draw(st.sampled_from(COORDS)) for _ in range(rank))
     try:
         blk = drawn_block(label, coords)
     except NotAntidominant:
@@ -200,6 +204,74 @@ def test_blocks_of_rational_weights_match_the_orbit_weights(data):
         y = group[data.draw(st.integers(0, len(group) - 1))]
         inp = SumFormulaInput(block=blk, w=w, y=y)
         assert outcome(sum_formula, inp) == outcome(_weight_sum, inp)
+
+
+#: the blocks of ``BASES`` and the regular blocks of rank 2
+RELABELLED = (
+    *((label, coords) for label, bases in sorted(BASES.items()) for coords in bases),
+    *((label, (-2, -2)) for label in ("A2", "B2", "G2")),
+)
+
+
+@cache
+def relabelled_block(label, coords, sigma):
+    """The block through ``coords`` of ``label`` with node i renumbered sigma[i]."""
+    cartan = CARTAN_BY_LABEL[label]
+    n = len(cartan)
+    moved = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            moved[sigma[i]][sigma[j]] = cartan[i][j]
+    return make_block(build_root_system(moved), weight(*relabel(sigma, coords)))
+
+
+def relabel(sigma, coords):
+    """Coordinates indexed by nodes, with coordinate i moved to sigma[i]."""
+    out = [None] * len(coords)
+    for i, c in enumerate(coords):
+        out[sigma[i]] = c
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelling_the_nodes_carries_the_block_along(data):
+    # "first in table order" must not depend on how the nodes are numbered
+    label, coords = data.draw(st.sampled_from(RELABELLED))
+    blk = make_block(build_root_system(label), weight(*coords))
+    sigma = tuple(data.draw(st.permutations(range(blk.rs.rank))))
+    moved = relabelled_block(label, coords, sigma)
+    rs = moved.rs
+
+    def carry(w):
+        return element_from_word(rs, tuple(sigma[i - 1] + 1 for i in w.word))
+
+    def roots(betas):
+        return {relabel(sigma, beta.coords) for beta in betas}
+
+    def vector(v):
+        return CharVector(v.basis, {carry(x): c for x, c in v.items()})
+
+    assert {carry(y) for y in blk.params} == set(moved.params)
+    group = all_elements(blk.rs)
+    if blk.rs.rank == 2:
+        pairs = [(w, y) for w in group for y in blk.group]
+    else:
+        pairs = [(data.draw(st.sampled_from(group)), data.draw(st.sampled_from(blk.group)))
+                 for _ in range(4)]
+    for w, y in pairs:
+        for x in (w, y):
+            assert carry(x).length == x.length
+            assert {beta.coords for beta in carry(x).inversions} == roots(x.inversions)
+        got = sum_formula(SumFormulaInput(block=moved, w=carry(w), y=carry(y)))
+        want = sum_formula(SumFormulaInput(block=blk, w=w, y=y))
+        assert got.vector == vector(want.vector)
+        assert {beta.coords for beta in got.rplus_mu} == roots(want.rplus_mu)
+        if blk.rs.rank == 2:
+            table = layers_multiplicity_free(SumFormulaInput(block=moved, w=carry(w), y=carry(y)))
+            want_table = layers_multiplicity_free(SumFormulaInput(block=blk, w=w, y=y))
+            assert table.zero_top == want_table.zero_top
+            assert table.layers == {carry(x): d for x, d in want_table.layers.items()}
 
 
 @settings(max_examples=80, deadline=None)

@@ -122,6 +122,12 @@ def test_root_validation():
     assert rs.is_root((2, 1))
     assert rs.is_root((-2, -1))
     assert Root((-1, -1)) == -Root((1, 1))
+    # coordinates that are not whole numbers are refused, not truncated
+    for bad in ((1.7, 0), (2.2, 1), ("1", "1"), (None, 1)):
+        with pytest.raises(NotARoot):
+            Root(bad)
+    for whole in ((True, Fraction(1)), (1.0, 1)):
+        assert Root(whole).coords == (1, 1) and all(type(c) is int for c in Root(whole).coords)
 
 
 def test_pairing_against_hand_values():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,15 @@ def test_simple_reflection_bounds():
         simple_reflection(rs, 0)
     with pytest.raises(IndexOutOfRange):
         simple_reflection(rs, 3)
+    # a letter that is not a whole number is refused, not truncated
+    for bad in (1.5, 1.9, "2", None):
+        with pytest.raises(IndexOutOfRange):
+            simple_reflection(rs, bad)
+        with pytest.raises(IndexOutOfRange):
+            element_from_word(rs, (1, bad))
+    s = simple_reflection(rs, 1)
+    assert simple_reflection(rs, True) is s and simple_reflection(rs, Fraction(1)) is s
+    assert element_from_word(rs, (1.0, 2.0)) is element_from_word(rs, (1, 2))
 
 
 def test_mixed_systems_rejected():
