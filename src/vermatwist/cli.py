@@ -307,15 +307,8 @@ def cmd_weyl(args, parser) -> int:
 
     rs = _resolve_system(args, parser)
     tables = _group_tables(rs)
-    elements, masks, refl = tables.elements, tables.masks, tables.refl
+    elements, masks = tables.elements, tables.masks
     names = [word_text(w) for w in elements]
-    # x is covered by y iff x = y * t for a reflection t and l(x) = l(y) - 1;
-    # as sets, {y * t} = {t * y}, and t_beta * y is shorter than y iff beta
-    # lies in the inversion set of y
-    covers = []
-    for k, y in enumerate(elements):
-        below = sorted(refl[b][k] for b in _bits(masks[k]))
-        covers.extend((j, k) for j in below if elements[j].length + 1 == y.length)
     if args.format == "json":
         # json.dumps(payload, indent=2), written directly: the layout is
         # fixed, and only the leaf strings go through the encoder
@@ -327,7 +320,7 @@ def cmd_weyl(args, parser) -> int:
             + "\n    }"
             for w, name, mask in zip(elements, quoted, masks)
         ]
-        pairs = [_json_list([quoted[j], quoted[k]], 2) for j, k in covers]
+        pairs = [_json_list([quoted[j], quoted[k]], 2) for j, k in tables.covers()]
         label = "null" if rs.label is None else json.dumps(rs.label)
         print(
             f'{{\n  "type": {label},\n  "rank": {rs.rank},\n  "elements": '
@@ -345,8 +338,7 @@ def cmd_weyl(args, parser) -> int:
         invs = " ".join(roots[b] for b in _bits(mask)) or "-"
         lines.append(f"  {name}: {w.length}, {invs}")
     lines.append("bruhat covers:")
-    for j, k in covers:
-        lines.append(f"  {names[j]} < {names[k]}")
+    lines.extend(f"  {names[j]} < {names[k]}" for j, k in tables.covers())
     print("\n".join(lines))
     return 0
 

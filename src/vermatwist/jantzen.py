@@ -135,12 +135,6 @@ def r_plus_of_weight(block: BlockContext, mu: Weight) -> tuple[Root, ...]:
     return tuple(b for b, n in zip(block.rs.positive_roots, nums) if n > 0 and n % d == 0)
 
 
-def _outside(y: WeylElement) -> NotInBlockOrbit:
-    return NotInBlockOrbit(
-        f"y = {word_text(y)} lies outside the block's integral Weyl group"
-    )
-
-
 def _param_index(inp: SumFormulaInput) -> int:
     """Table index of the block parameter of the module's highest weight.
 
@@ -151,7 +145,9 @@ def _param_index(inp: SumFormulaInput) -> int:
         return block.param_for_weight(inp.mu)._k
     k = block._param_of[inp.y._k]
     if k < 0:
-        raise _outside(inp.y)
+        raise NotInBlockOrbit(
+            f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
+        )
     return k
 
 

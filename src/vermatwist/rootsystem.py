@@ -115,7 +115,7 @@ class Root(_Record):
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]) -> None:
-        given = tuple(coords)
+        given = _sequence(coords, NotARoot, "root coordinates")
         coords = tuple(map(_whole, given))
         if None in coords:
             raise NotARoot(f"root coordinates must be whole numbers: {given!r}")
@@ -141,13 +141,14 @@ class Root(_Record):
 
 
 class Weight(_Record):
-    """A weight written in fundamental weight coordinates."""
+    """A weight in fundamental weight coordinates, stored as Fractions; floats must be whole."""
 
     coords: tuple[Fraction, ...]
     _fields = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        _set(self, "coords", tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords))
+        given = _sequence(coords, ValueError, "weight coordinates")
+        _set(self, "coords", tuple(c if isinstance(c, Fraction) else _fraction(c) for c in given))
 
     @property
     def is_integral(self) -> bool:
@@ -168,7 +169,7 @@ class Weight(_Record):
 
 def weight(*coords) -> Weight:
     """Convenience constructor: ``weight(-2, -2)`` for rational coordinates."""
-    return Weight(tuple(Fraction(c) for c in coords))
+    return Weight(coords)
 
 
 class WeightClassification(_Record):
@@ -346,14 +347,8 @@ class RootSystem:
         ``form(a_i, a_j) = d_i * cartan[i][j]`` where d is the symmetrizer,
         so every short root has squared length 2 * min(d).
         """
-        total = Fraction(0)
-        for i in range(self.rank):
-            if x[i] == 0:
-                continue
-            row = self.cartan[i]
-            di = self.symmetrizer[i]
-            total += sum(Fraction(x[i] * di * row[j]) * y[j] for j in range(self.rank) if y[j] != 0)
-        return total
+        rows = zip(x, self.symmetrizer, self.cartan)
+        return Fraction(sum(xi * d * a * yj for xi, d, row in rows for a, yj in zip(row, y)))
 
     def root_to_weight(self, beta: Root) -> Weight:
         """Rewrite a root, or any root lattice vector, in fundamental weight coordinates."""
@@ -482,6 +477,22 @@ def _whole(c) -> int | None:
     except (OverflowError, TypeError, ValueError):
         return None
     return whole if whole == c else None
+
+
+def _fraction(c) -> Fraction:
+    """``c`` as a Fraction; a float must be whole, as its binary value is not what was meant."""
+    try:
+        return Fraction(_whole(c) if isinstance(c, float) else c)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ValueError(f"weight coordinate {c!r} is not a rational or a whole float") from None
+
+
+def _sequence(given, error: type[Exception], what: str) -> tuple:
+    """``given`` as a tuple; ``error`` when it is not iterable."""
+    try:
+        return tuple(given)
+    except TypeError:
+        raise error(f"{what} must be a sequence, not {given!r}") from None
 
 
 #: bound on |R+| * prod(nu_i + 1), which bounds the table updates of a count

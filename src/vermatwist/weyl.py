@@ -20,12 +20,13 @@ positive:
 
 Two more tables are built on first use: ``inverse[k]``, the index of
 w_k^{-1}, read off ``left`` along the word of w_k, and the Bruhat lower
-ideals as bitsets over the indices, refused above ``IDEALS_BOUND``
-elements.  Right multiplication needs no table of its own: w_k t_beta =
-(t_beta w_k^{-1})^{-1} is ``inverse[refl[b][inverse[k]]]``, shorter than
-w_k exactly when bit b of ``masks[inverse[k]]`` is set; the blocks of
-:mod:`vermatwist.characters` are read off that rule.  The tables, like
-:class:`RootSequence`, are a ``rootsystem._Record``.
+ideals, bitsets over the indices unioned along the covers t_beta w_k of w_k,
+beta in ``masks[k]``, that the ``weyl`` command prints; they are refused
+above ``IDEALS_BOUND`` elements.  Right multiplication needs no table of its
+own: w_k t_beta = (t_beta w_k^{-1})^{-1} is ``inverse[refl[b][inverse[k]]]``,
+shorter than w_k exactly when bit b of ``masks[inverse[k]]`` is set; the
+blocks of :mod:`vermatwist.characters` are read off that rule.  The tables,
+like :class:`RootSequence`, are a ``rootsystem._Record``.
 
 Every element is a row of the tables, one of the objects
 :func:`all_elements` holds: the rows are made once, with the tables, and
@@ -57,7 +58,7 @@ from math import lcm
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
 from .rootsystem import Root, RootSystem, Weight, _check_rank, _coroot_of, _Frozen, _Record
-from .rootsystem import _reflect_root, _reflect_weight, _whole
+from .rootsystem import _reflect_root, _reflect_weight, _sequence, _whole
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -167,7 +168,7 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     4
     """
     letters = []
-    for i in word:
+    for i in _sequence(word, IndexOutOfRange, "a word"):
         letter = _whole(i)
         if letter is None or not 1 <= letter <= rs.rank:
             raise IndexOutOfRange(f"simple reflection index {i!r} outside 1..{rs.rank}")
@@ -219,13 +220,8 @@ def _bits(mask: int):
 
 
 class _GroupTables(_Record):
-    """The whole group as integer tables, indexed in the order of ``all_elements``.
-
-    ``index`` maps w_k(rho), in fundamental weight coordinates, to k; ``left[i][k]`` is the
-    index of s_{i+1} w_k; ``refl[b][k]`` is the index of t w_k, for t the
-    reflection through the b-th positive root; bit b of ``masks[k]`` is set
-    when the b-th positive root lies in the inversion set of w_k.
-    """
+    """The whole group as integer tables, indexed in the order of
+    ``all_elements``; the module docstring describes each table."""
 
     elements: tuple[WeylElement, ...]
     index: dict[tuple[int, ...], int]
@@ -245,27 +241,32 @@ class _GroupTables(_Record):
         """``inverse[k]`` is the index of w_k^{-1}: the word of w_k read backwards."""
         return tuple(self.times(w.word[::-1], 0) for w in self.elements)
 
+    def covers(self) -> list[tuple[int, int]]:
+        """The Bruhat covers (j, k), by k, then j: w_j = t_beta w_k for beta in the
+        inversion set of w_k, one shorter ({w t} = {t w} as sets of reflections t)."""
+        elements, masks, refl = self.elements, self.masks, self.refl
+        covers = []
+        for k, y in enumerate(elements):
+            below = sorted(refl[b][k] for b in _bits(masks[k]))
+            covers.extend((j, k) for j in below if elements[j].length + 1 == y.length)
+        return covers
+
     @cached_property
     def ideals(self) -> tuple[int, ...]:
         """Bit x of ``ideals[k]`` is set iff w_x <= w_k in the Bruhat order.
 
-        For a left descent s of y, {x <= y} = {x <= sy} + s{x <= sy} by the
-        lifting property; sy comes before y in table order.  Raises
-        ``GroupTooLarge`` first if the group has more than ``IDEALS_BOUND``
-        elements.
-        """
+        The order is the transitive closure of its covers (Bjorner and
+        Brenti, Combinatorics of Coxeter Groups, 2.2); each cover (j, k) has
+        j < k, so ``ideals[j]`` is complete when k reads it.  Raises
+        ``GroupTooLarge`` first above ``IDEALS_BOUND`` elements."""
         if len(self.elements) > IDEALS_BOUND:
             raise GroupTooLarge(
                 f"Bruhat ideals are built for at most {IDEALS_BOUND} elements, "
                 f"not {len(self.elements)}"
             )
-        ideals = [1]
-        for k in range(1, len(self.elements)):
-            column = self.left[self.elements[k].word[0] - 1]
-            below = ideal = ideals[column[k]]
-            for x in _bits(below):
-                ideal |= 1 << column[x]
-            ideals.append(ideal)
+        ideals = [1 << k for k in range(len(self.elements))]
+        for j, k in self.covers():
+            ideals[k] |= ideals[j]
         return tuple(ideals)
 
 
@@ -338,9 +339,9 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     return _GroupTables(tuple(elements), index, tuple(left), tuple(refl), tuple(masks))
 
 
-#: the largest group whose Bruhat lower ideals are built: the bitsets cost
-#: about |W| / 64 word operations per Bruhat pair, so F4 (1152 elements)
-#: and D5 (1920) pass, and B5 (3840), A6 and E6 are refused
+#: the largest group whose Bruhat lower ideals are built: F4 takes 6 ms and B5 32 ms on
+#: a 2-core VM, but readers walk all |W|^2 pairs (0.6 s to check an F4 decomposition
+#: file), so F4 (1152 elements) and D5 (1920) pass, and B5 (3840), A6 and E6 are refused
 IDEALS_BOUND = 2000
 
 #: the default largest group enumerated: E6 (51,840 elements) passes, and

@@ -17,7 +17,9 @@ orbit weight, and their sum formula must equal the one evaluated through
 the weights (``weight_path.py``), refusals included.  Renumbering the
 nodes of the Dynkin diagram, in the Cartan matrix, the weight and every
 word, must carry the block parameters, lengths, inversion sets, sum
-vectors and, in rank 2, layer tables along.  The tables' ``inverse`` list
+vectors and, in rank 2, layer tables along, and in A3, B3, C3 and D4 the
+Bruhat covers and lower ideals; the diagram automorphisms of A3 and D4
+map covers to covers.  The tables' ``inverse`` list
 and products must equal the matrix ones (``matrix_path.py``), and they
 and the dot action must obey the group laws.
 
@@ -38,6 +40,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +72,7 @@ from vermatwist import (
     weight_action,
     word_text,
 )
-from vermatwist.weyl import _group_tables
+from vermatwist.weyl import _bits, _group_tables
 import layer_path
 import matrix_path
 from hecke_path import twist_difference
@@ -213,16 +216,21 @@ RELABELLED = (
 )
 
 
-@cache
-def relabelled_block(label, coords, sigma):
-    """The block through ``coords`` of ``label`` with node i renumbered sigma[i]."""
+def relabelled_system(label, sigma):
+    """The root system of ``label`` with node i renumbered sigma[i]."""
     cartan = CARTAN_BY_LABEL[label]
     n = len(cartan)
     moved = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             moved[sigma[i]][sigma[j]] = cartan[i][j]
-    return make_block(build_root_system(moved), weight(*relabel(sigma, coords)))
+    return build_root_system(moved)
+
+
+@cache
+def relabelled_block(label, coords, sigma):
+    """The block through ``coords`` of ``label`` with node i renumbered sigma[i]."""
+    return make_block(relabelled_system(label, sigma), weight(*relabel(sigma, coords)))
 
 
 def relabel(sigma, coords):
@@ -272,6 +280,50 @@ def test_relabelling_the_nodes_carries_the_block_along(data):
             want_table = layers_multiplicity_free(SumFormulaInput(block=blk, w=w, y=y))
             assert table.zero_top == want_table.zero_top
             assert table.layers == {carry(x): d for x, d in want_table.layers.items()}
+
+
+def carried_covers_and_ideals(rs, moved, sigma):
+    """The covers and lower ideals of ``rs``, each element w carried to the
+    element of ``moved`` whose word is w's with letter i read as sigma[i]."""
+    carry = [
+        element_from_word(moved, tuple(sigma[i - 1] + 1 for i in w.word))._k
+        for w in all_elements(rs)
+    ]
+    tables = _group_tables(rs)
+    covers = {(carry[j], carry[k]) for j, k in tables.covers()}
+    ideals = {
+        carry[k]: sum(1 << carry[j] for j in _bits(ideal)) for k, ideal in enumerate(tables.ideals)
+    }
+    return covers, ideals
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("A3", "B3", "C3", "D4")), st.data())
+def test_relabelling_the_nodes_carries_the_covers_along(label, data):
+    # the covers are read off the tables in table order, and the order
+    # depends on the numbering; the Bruhat order does not
+    rs = build_root_system(label)
+    sigma = tuple(data.draw(st.permutations(range(rs.rank))))
+    moved = relabelled_system(label, sigma)
+    covers, ideals = carried_covers_and_ideals(rs, moved, sigma)
+    tables = _group_tables(moved)
+    assert covers == set(tables.covers())
+    assert ideals == dict(enumerate(tables.ideals))
+
+
+@pytest.mark.parametrize(
+    "label, sigma",
+    [("A3", (2, 1, 0)), ("D4", (2, 1, 3, 0)), ("D4", (3, 1, 0, 2)), ("D4", (2, 1, 0, 3))],
+)
+def test_diagram_automorphisms_map_covers_to_covers(label, sigma):
+    # A3's flip, D4's triality and one of its transpositions: each fixes
+    # the Cartan matrix, so it is an automorphism of W and of its Bruhat order
+    rs = build_root_system(label)
+    assert relabelled_system(label, sigma) is rs
+    covers, ideals = carried_covers_and_ideals(rs, rs, sigma)
+    tables = _group_tables(rs)
+    assert covers == set(tables.covers())
+    assert ideals == dict(enumerate(tables.ideals))
 
 
 @settings(max_examples=80, deadline=None)

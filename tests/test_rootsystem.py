@@ -123,11 +123,34 @@ def test_root_validation():
     assert rs.is_root((-2, -1))
     assert Root((-1, -1)) == -Root((1, 1))
     # coordinates that are not whole numbers are refused, not truncated
-    for bad in ((1.7, 0), (2.2, 1), ("1", "1"), (None, 1)):
+    for bad in ((1.7, 0), (2.2, 1), ("1", "1"), (None, 1), None, 5):
         with pytest.raises(NotARoot):
             Root(bad)
     for whole in ((True, Fraction(1)), (1.0, 1)):
         assert Root(whole).coords == (1, 1) and all(type(c) is int for c in Root(whole).coords)
+
+
+def test_weight_validation():
+    # a float's binary value is not the rational it stands for, so a float
+    # coordinate that is not a whole number is refused, by both constructors
+    for bad in ((1.7, 0), (-1.7, -2), (0.5, 1), (float("nan"), 1), (float("inf"), 1)):
+        with pytest.raises(ValueError, match="not a rational or a whole float"):
+            Weight(bad)
+        with pytest.raises(ValueError, match="not a rational or a whole float"):
+            weight(*bad)
+    for bad in ((None, 1), (1j, 1), ("1/0", 1)):
+        with pytest.raises(ValueError):
+            weight(*bad)
+    for bad in (None, 5):
+        with pytest.raises(ValueError, match="must be a sequence"):
+            Weight(bad)
+    rs = build_root_system("B2")
+    with pytest.raises(ValueError):
+        make_block(rs, weight(-1.7, -2))
+    # whole floats read as ints; every other rational is kept exactly
+    for whole in (weight(-2.0, 1.0), Weight((-2.0, True)), weight(Fraction(-2), 1)):
+        assert whole.coords == (-2, 1) and all(type(c) is Fraction for c in whole.coords)
+    assert weight("-3/2", Fraction(1, 3)).coords == (Fraction(-3, 2), Fraction(1, 3))
 
 
 def test_pairing_against_hand_values():

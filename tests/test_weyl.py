@@ -24,6 +24,7 @@ from vermatwist import (
     simple_reflection,
     word_text,
 )
+from vermatwist import weyl
 from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import _group_tables
 
@@ -89,6 +90,9 @@ def test_simple_reflection_bounds():
             simple_reflection(rs, bad)
         with pytest.raises(IndexOutOfRange):
             element_from_word(rs, (1, bad))
+    for bad in (5, None):
+        with pytest.raises(IndexOutOfRange, match="must be a sequence"):
+            element_from_word(rs, bad)
     s = simple_reflection(rs, 1)
     assert simple_reflection(rs, True) is s and simple_reflection(rs, Fraction(1)) is s
     assert element_from_word(rs, (1.0, 2.0)) is element_from_word(rs, (1, 2))
@@ -286,6 +290,32 @@ def test_bruhat_is_the_closure_of_reflection_covers_d4():
     for j, y in enumerate(elems):
         for k, x in enumerate(elems):
             assert bruhat_leq(x, y) == bool(down[j] >> k & 1), (x.word, y.word)
+
+
+@pytest.mark.parametrize("label", ["G2", "A3", "B3", "C3"])
+def test_covers_are_the_bruhat_pairs_one_length_apart(label):
+    # the oracle is the lifting walk of bruhat_leq, which reads no
+    # reflection table; the pairs come ordered by the upper element, then
+    # by the lower one
+    rs = build_root_system(label)
+    elems = all_elements(rs)
+    want = [
+        (j, k)
+        for k, y in enumerate(elems)
+        for j, x in enumerate(elems)
+        if x.length + 1 == y.length and bruhat_leq(x, y)
+    ]
+    assert _group_tables(rs).covers() == want
+
+
+def test_ideals_are_refused_before_any_cover(monkeypatch):
+    def no_covers(self):
+        raise AssertionError("covers computed for a group over the bound")
+
+    monkeypatch.setattr(weyl, "IDEALS_BOUND", 7)
+    monkeypatch.setattr(weyl._GroupTables, "covers", no_covers)
+    with pytest.raises(GroupTooLarge):
+        _group_tables(RootSystem(build_root_system("B2").cartan, "B2")).ideals
 
 
 def test_root_sequence_through_all_elements():
