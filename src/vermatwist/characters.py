@@ -30,20 +30,22 @@ In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
 of the group's tables: those Weyl groups are dihedral, where all
 composition multiplicities of Verma modules are known to be 0 or 1.
-Anything larger needs a user supplied matrix.  Its entries are whole
-numbers, stored as ints.  Each matrix keeps, once, the nonzero entries
-of every row as (position, entry) pairs.  Verma to simple sums those
-rows, in ``change_basis`` and the layer extraction of
-:mod:`vermatwist.jantzen`; simple to Verma is a triangular solve on them,
-as the matrix is unitriangular, and needs no inverse.
+Anything larger needs a user supplied matrix, checked once, row by row,
+as it is loaded.  Its entries are whole numbers, stored as ints.  Each
+matrix keeps, once, the nonzero entries of every row as (position,
+entry) pairs.  Verma to simple sums those rows into one dense list of
+ints indexed by position, in ``change_basis`` and the layer extraction
+of :mod:`vermatwist.jantzen`; simple to Verma is a triangular solve on
+them, as the matrix is unitriangular, on the same dense lists, and
+needs no inverse.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -57,6 +59,7 @@ from .rootsystem import (
     RootSystem,
     Weight,
     _check_rank,
+    _Record,
     _shifted_pairings,
     _whole,
     kostant_partition,
@@ -242,8 +245,12 @@ def make_block(rs: RootSystem, lam: Weight) -> BlockContext:
     return BlockContext(rs, lam)
 
 
-@dataclass(frozen=True)
-class DecompositionMatrix:
+def _ints_only(rows) -> bool:
+    """Whether every entry of ``rows`` is an int: not a bool, a float or a string."""
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
+class DecompositionMatrix(_Record):
     """Composition multiplicities of simple modules inside Verma modules.
 
     ``rows[i][j]`` is the multiplicity of the simple module of parameter
@@ -253,26 +260,38 @@ class DecompositionMatrix:
     has a negative entry or one that is not a whole number, raises
     ``BadDecompositionFile``.  Whole numbers of any type are stored as ints.
     Its two primitives, the row sum and the triangular solve, read only
-    the nonzero entries of its rows.
+    the nonzero entries of its rows and write into one dense list of ints
+    indexed by position.
     """
 
     params: tuple[WeylElement, ...]
     rows: tuple[tuple[int, ...], ...]
+    _fields = ("params", "rows")
 
-    def __post_init__(self) -> None:
-        n = len(self.params)
-        if len(self.rows) != n or any(len(row) != n for row in self.rows):
+    def __init__(self, params: tuple[WeylElement, ...], rows: tuple[tuple[int, ...], ...]) -> None:
+        n = len(params)
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise BadDecompositionFile("matrix shape does not match the parameter count")
-        if any(type(c) is not int for row in self.rows for c in row):
-            rows = tuple(tuple(map(_whole, row)) for row in self.rows)
+        if not _ints_only(rows):
+            rows = tuple(tuple(map(_whole, row)) for row in rows)
             if any(c is None for row in rows for c in row):
                 raise BadDecompositionFile("matrix entries must be whole numbers")
-            object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if row[i] != 1 or any(row[i + 1 :]) or min(row) < 0:
                 raise BadDecompositionFile(
                     "a decomposition matrix must be nonnegative and lower unitriangular"
                 )
+        self.__dict__.update(params=params, rows=rows)
+
+    @classmethod
+    def _of(
+        cls, params: tuple[WeylElement, ...], rows: tuple[tuple[int, ...], ...]
+    ) -> DecompositionMatrix:
+        """A matrix on ``rows`` of ints the package itself built or checked
+        against the block's Bruhat order: no check and no copy."""
+        dm = cls.__new__(cls)
+        dm.__dict__.update(params=params, rows=rows)
+        return dm
 
     @cached_property
     def _index(self) -> dict[WeylElement, int]:
@@ -284,14 +303,7 @@ class DecompositionMatrix:
     @cached_property
     def inverse_rows(self) -> tuple[tuple[int, ...], ...]:
         """The exact inverse, dense: row i solves for the unit vector at i."""
-        n = len(self.params)
-        inv = []
-        for i in range(n):
-            row = [0] * n
-            for j, c in _solve(self._sparse, ((i, 1),)).items():
-                row[j] = c
-            inv.append(tuple(row))
-        return tuple(inv)
+        return tuple(tuple(_solve(self._sparse, ((i, 1),))) for i in range(len(self.params)))
 
     def inverse_entry(self, y: WeylElement, x: WeylElement) -> int:
         return self.inverse_rows[self._index[y]][self._index[x]]
@@ -299,7 +311,7 @@ class DecompositionMatrix:
     @cached_property
     def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries of each row as (position, multiplicity) pairs."""
-        return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.rows)
+        return tuple(tuple(compress(enumerate(row), row)) for row in self.rows)
 
     @cached_property
     def _in_table_order(self) -> bool:
@@ -308,28 +320,31 @@ class DecompositionMatrix:
         return all(w._k == j for j, w in enumerate(self.params))
 
 
-def _combine(rows, coeffs) -> dict[int, int]:
-    """Sum of c times sparse row i over the (i, c) pairs of ``coeffs``,
-    keyed by position; entries that cancel stay, as zeros."""
-    out: dict[int, int] = {}
+def _combine(rows, coeffs) -> list[int]:
+    """Sum of c times sparse row i over the (i, c) pairs of ``coeffs``, as
+    one dense list of ints indexed by position."""
+    out = [0] * len(rows)
     for i, c in coeffs:
         for j, m in rows[i]:
-            out[j] = out.get(j, 0) + c * m
+            out[j] += c * m
     return out
 
 
-def _solve(rows, coeffs) -> dict[int, int]:
-    """The x, keyed by position and nonzero only, whose sum of x_i times
-    sparse row i is given by the (i, c) pairs of ``coeffs``.  Row i is 1
-    at i and 0 above it, so walking down, x_i is what remains at i."""
-    rest = dict(coeffs)
-    out: dict[int, int] = {}
-    for i in range(max(rest, default=-1), -1, -1):
-        c = rest.get(i)
+def _solve(rows, coeffs) -> list[int]:
+    """The x, as one dense list of ints indexed by position, whose sum of
+    x_i times sparse row i is given by the (i, c) pairs of ``coeffs``.
+    Row i is 1 at i and 0 above it, so walking down, x_i is what remains
+    at i."""
+    n = len(rows)
+    rest = [0] * n
+    for i, c in coeffs:
+        rest[i] = c
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        c = out[i] = rest[i]
         if c:
-            out[i] = c
             for j, m in rows[i]:
-                rest[j] = rest.get(j, 0) - c * m
+                rest[j] -= c * m
     return out
 
 
@@ -357,7 +372,7 @@ def decomposition_matrix(block: BlockContext, source=None) -> DecompositionMatri
         rows = tuple(
             tuple(ideal >> j & 1 for j in range(n)) for ideal in _group_tables(block.rs).ideals
         )
-        block._default_decomp = DecompositionMatrix(block.params, rows)
+        block._default_decomp = DecompositionMatrix._of(block.params, rows)
     return block._default_decomp
 
 
@@ -407,28 +422,30 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
     if not square or any(not isinstance(row, list) or len(row) != n for row in matrix):
         raise BadDecompositionFile("matrix shape does not match the parameter count")
     # a JSON integer, not a float, a string or a boolean
-    if any(type(x) is not int for row in matrix for x in row):
+    if not _ints_only(matrix):
         raise BadDecompositionFile("matrix entries must be integers")
 
     position = {w: k for k, w in enumerate(given)}
     params = block.params
-    rows = tuple(
-        tuple(matrix[position[y]][position[x]] for x in params) for y in params
-    )
-    # the parameters are the whole group, in table order
-    for i, y in enumerate(params):
-        for j, x in enumerate(params):
-            c = rows[i][j]
+    # a group has at least two elements, so the getter gives tuples
+    pick = itemgetter(*(position[x] for x in params))
+    rows = tuple(map(pick, pick(matrix)))
+    # the parameters are the whole group, in table order; a row that fails
+    # is walked entry by entry to name its first fault
+    for i, (row, ideal) in enumerate(zip(rows, ideals)):
+        if min(row) >= 0 and row[i] == 1 and all(ideal >> j & 1 for j in compress(range(n), row)):
+            continue
+        for j, c in enumerate(row):
             if c < 0:
                 raise BadDecompositionFile("multiplicities must be nonnegative")
             if i == j and c != 1:
                 raise BadDecompositionFile("diagonal multiplicities must equal 1")
-            if c and not ideals[i] >> j & 1:
+            if c and not ideal >> j & 1:
                 raise BadDecompositionFile(
-                    f"nonzero entry at ({word_text(y)}, {word_text(x)}) "
+                    f"nonzero entry at ({word_text(params[i])}, {word_text(params[j])}) "
                     "violates Bruhat unitriangularity"
                 )
-    return DecompositionMatrix(params, rows)
+    return DecompositionMatrix._of(params, rows)
 
 
 def _block_matrix(block: BlockContext, dm: DecompositionMatrix | None) -> DecompositionMatrix:
@@ -467,7 +484,7 @@ def change_basis(
     index, params = dm._index, dm.params
     coeffs = [(index[y], c) for y, c in v._coeffs.items()]
     out = _combine(dm._sparse, coeffs) if v.basis == VERMA else _solve(dm._sparse, coeffs)
-    return CharVector._of(to, {params[j]: c for j, c in out.items() if c})
+    return CharVector._of(to, {params[j]: c for j, c in enumerate(out) if c})
 
 
 def dimension_at(

@@ -35,17 +35,23 @@ whose stabilizer is trivial).
 
 Layer tables are read off the same walk, in integers.  The sum vector's
 Verma coefficients go to the simple basis through the sparse rows of the
-decomposition matrix.  Layers exist only in regular integral blocks,
-whose parameters are the whole group in table order, so the coefficient
-of x goes through row ``x._k``; no character vector is built.
+decomposition matrix, summed by the one dense kernel
+:func:`vermatwist.characters._combine` into a list of ints indexed by
+position.  Layers exist only in regular integral blocks, whose
+parameters are the whole group in table order, so the coefficient of x
+goes through row ``x._k`` and each depth is read at its factor's table
+index; no character vector is built.
+
+The input, the result and the layer table are
+:class:`vermatwist.rootsystem._Record` classes, each with a positional
+constructor that stores its fields directly, so the block commands load
+no ``dataclasses``.
 
 The two-letter form :func:`sum_formula_xy` is one rewrite of its input,
 to twist x * w0 and parameter x * y, and goes through the same walk.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .characters import (
     VERMA,
@@ -63,7 +69,7 @@ from .errors import (
     NotMultiplicityFree,
     UnsupportedBlock,
 )
-from .rootsystem import Root, Weight, _shifted_pairings
+from .rootsystem import Root, Weight, _Record, _shifted_pairings
 from .weyl import (
     WeylElement,
     _bits,
@@ -72,8 +78,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class SumFormulaInput:
+class SumFormulaInput(_Record):
     """Pins down one sum formula evaluation.
 
     Exactly one of ``y`` (an orbit parameter) and ``mu`` (an orbit weight)
@@ -82,27 +87,46 @@ class SumFormulaInput:
 
     block: BlockContext
     w: WeylElement
-    y: WeylElement | None = None
-    mu: Weight | None = None
+    y: WeylElement | None
+    mu: Weight | None
+    _fields = ("block", "w", "y", "mu")
 
-    def __post_init__(self) -> None:
-        if (self.y is None) == (self.mu is None):
+    def __init__(
+        self,
+        block: BlockContext,
+        w: WeylElement,
+        y: WeylElement | None = None,
+        mu: Weight | None = None,
+    ) -> None:
+        if (y is None) == (mu is None):
             raise ValueError("give exactly one of y and mu")
-        if self.w.rs is not self.block.rs:
+        if w.rs is not block.rs:
             raise MixedRootSystems("twist does not belong to the block's root system")
-        if self.y is not None and self.y.rs is not self.block.rs:
+        if y is not None and y.rs is not block.rs:
             raise MixedRootSystems("parameter does not belong to the block's root system")
+        fields = self.__dict__
+        fields["block"] = block
+        fields["w"] = w
+        fields["y"] = y
+        fields["mu"] = mu
 
 
-@dataclass(frozen=True)
-class SumFormulaResult:
+class SumFormulaResult(_Record):
     vector: CharVector
     rplus_mu: tuple[Root, ...]
     rplus_w: tuple[Root, ...]
+    _fields = ("vector", "rplus_mu", "rplus_w")
+
+    def __init__(
+        self, vector: CharVector, rplus_mu: tuple[Root, ...], rplus_w: tuple[Root, ...]
+    ) -> None:
+        fields = self.__dict__
+        fields["vector"] = vector
+        fields["rplus_mu"] = rplus_mu
+        fields["rplus_w"] = rplus_w
 
 
-@dataclass(frozen=True)
-class LayerTable:
+class LayerTable(_Record):
     """Filtration depth of every composition factor of a twisted module.
 
     ``layers`` maps each simple factor's parameter to its layer index;
@@ -112,6 +136,12 @@ class LayerTable:
 
     layers: dict[WeylElement, int]
     zero_top: bool
+    _fields = ("layers", "zero_top")
+
+    def __init__(self, layers: dict[WeylElement, int], zero_top: bool) -> None:
+        fields = self.__dict__
+        fields["layers"] = layers
+        fields["zero_top"] = zero_top
 
     def depth_of(self, x: WeylElement) -> int:
         try:
@@ -282,7 +312,10 @@ def _layers(dm: DecompositionMatrix, y: WeylElement, coeffs: dict[WeylElement, i
     """The layer table of ``layers_multiplicity_free`` from :func:`_sum_counts`.
 
     Positions in ``dm`` are table indices (see :func:`_layer_matrix`), so
-    each Verma coefficient of x goes through sparse row ``x._k``.
+    each Verma coefficient of x goes through sparse row ``x._k``, and the
+    dense sum of :func:`_combine` holds the depth of each factor of y's
+    row at its table index.  Once those are read and cleared, any entry
+    left is a factor outside the composition series.
     """
     params = dm.params
     row = dm._sparse[y._k]
@@ -293,17 +326,19 @@ def _layers(dm: DecompositionMatrix, y: WeylElement, coeffs: dict[WeylElement, i
                 f"of {word_text(y)}"
             )
     simple = _combine(dm._sparse, [(x._k, c) for x, c in coeffs.items()])
-    depths = {params[j]: simple.pop(j, 0) for j, _ in row}
-    outside = [j for j, c in simple.items() if c]
-    if outside:
+    depths = {params[j]: simple[j] for j, _ in row}
+    for j, _ in row:
+        simple[j] = 0
+    if any(simple):
+        first = next(j for j, c in enumerate(simple) if c)
         raise BadDecompositionFile(
-            f"sum formula hit {word_text(params[min(outside)])} outside the composition series"
+            f"sum formula hit {word_text(params[first])} outside the composition series"
         )
     # the row holds its diagonal entry, so there is a depth
     low = min(depths.values())
     if low < 0:
         raise BadDecompositionFile("negative filtration depth")
-    return LayerTable(layers=depths, zero_top=low > 0)
+    return LayerTable(depths, low > 0)
 
 
 def duality_partner(w: WeylElement, y: WeylElement) -> tuple[WeylElement, WeylElement]:

@@ -28,10 +28,11 @@ The pairings of lam + rho with the positive coroots decide a weight's
 class, its integral roots, its block and R+(mu); ``_shifted_pairings``
 gives them as integers over one denominator, 1 for an integral weight.
 
-Roots, weights and the records of this module and ``weyl`` derive from
-:class:`_Record`, which names the fields once and gives them the
-equality, hash and repr a frozen dataclass would; the ``weyl`` command
-loads no ``dataclasses``.
+Roots, weights and the records of this module, ``weyl``, ``characters``
+and ``jantzen`` derive from :class:`_Record`, which names the fields
+once and gives them the equality, hash and repr a frozen dataclass
+would; the ``weyl`` command and the block commands load no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,14 @@ class _Frozen:
 
 class _Record(_Frozen):
     """A frozen record of the fields named in ``_fields``, set positionally
-    or by keyword, compared, hashed and shown as a frozen dataclass is."""
+    or by keyword, compared, hashed and shown as a frozen dataclass is.
+
+    A record that checks its fields, or is built once per sum formula
+    call, has its own ``__init__`` with the fields as parameters; the
+    ones on the sum formula's path store them in the instance dict
+    directly, as this generic one, which matches the arguments to
+    ``_fields``, costs about four times as much.
+    """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -488,7 +496,11 @@ def _fraction(c) -> Fraction:
 
 
 def _sequence(given, error: type[Exception], what: str) -> tuple:
-    """``given`` as a tuple; ``error`` when it is not iterable."""
+    """``given`` as a tuple; ``error`` when it is not iterable, or when it
+    is a string or bytes, whose characters or bytes would be read as
+    entries: ``"12"`` is not the sequence (1, 2)."""
+    if isinstance(given, (str, bytes, bytearray)):
+        raise error(f"{what} must be a sequence, not {given!r}")
     try:
         return tuple(given)
     except TypeError:

@@ -11,15 +11,23 @@ import pytest
 
 import vermatwist
 from vermatwist import (
+    DecompositionMatrix,
+    LayerTable,
     Root,
     RootSequence,
+    SumFormulaInput,
+    SumFormulaResult,
     Weight,
     WeightClassification,
     WeylElement,
     build_root_system,
     classify_weight,
+    decomposition_matrix,
     element_from_word,
+    layers_multiplicity_free,
+    make_block,
     root_sequence_through,
+    sum_formula,
     weight,
 )
 
@@ -125,8 +133,8 @@ def test_each_command_loads_only_its_layers():
         want = {"vermatwist", "vermatwist.cli", "vermatwist.errors"}
         want |= {f"vermatwist.{layer}" for layer in layers}
         assert {m for m in loaded if m.startswith("vermatwist")} == want, args
-        if args[0] == "weyl":
-            assert "dataclasses" not in loaded
+        # only the rank 1 laboratory's local ring is a dataclass
+        assert ("dataclasses" in loaded) == (args[0] == "sl2"), args
 
 
 def assert_frozen(obj, names):
@@ -204,3 +212,89 @@ def test_records_take_their_fields_positionally_or_by_keyword():
     ]:
         with pytest.raises(TypeError, match="takes the fields"):
             WeightClassification(*args, **kwargs)
+
+
+def test_sum_formula_input_record():
+    block = make_block(build_root_system("B2"), weight(-2, -2))
+    e, s, t = block.params[:3]
+    inp = SumFormulaInput(block=block, w=s, y=t)
+    assert inp == SumFormulaInput(block, s, t) == SumFormulaInput(block, s, y=t, mu=None)
+    assert inp != SumFormulaInput(block=block, w=e, y=t) and inp != (block, s, t, None)
+    assert hash(inp) == hash((block, s, t, None))
+    assert {inp: 1}[SumFormulaInput(block, s, t)] == 1
+    assert repr(inp) == (
+        "SumFormulaInput(block=BlockContext(RootSystem(B2, 4 positive roots), "
+        "regular integral, 8 parameters), w=WeylElement(s), y=WeylElement(t), mu=None)"
+    )
+    assert_frozen(inp, ["block", "w", "y", "mu"])
+    lam = weight(-2, -2)
+    by_weight = SumFormulaInput(block, s, mu=lam)
+    assert by_weight == SumFormulaInput(block, s, None, lam) and by_weight.y is None
+    assert hash(by_weight) == hash((block, s, None, lam))
+    for args, kwargs in [((block,), {}), ((block, s, t, None, None), {}), ((block, s), {"z": t})]:
+        with pytest.raises(TypeError):
+            SumFormulaInput(*args, **kwargs)
+
+
+def test_sum_formula_result_record():
+    block = make_block(build_root_system("B2"), weight(-2, -2))
+    e, s, t = block.params[:3]
+    got = sum_formula(SumFormulaInput(block, s, t))
+    same = SumFormulaResult(got.vector, got.rplus_mu, rplus_w=got.rplus_w)
+    assert got == same == SumFormulaResult(vector=got.vector, rplus_mu=got.rplus_mu,
+                                           rplus_w=got.rplus_w)
+    assert got != sum_formula(SumFormulaInput(block, e, t))
+    assert got != (got.vector, got.rplus_mu, got.rplus_w)
+    # the vector is unhashable, so the result is too
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(got)
+    assert repr(got) == (
+        "SumFormulaResult(vector=CharVector(verma, +[e]), "
+        "rplus_mu=(Root(0, 1),), rplus_w=(Root(1, 0),))"
+    )
+    assert_frozen(got, ["vector", "rplus_mu", "rplus_w"])
+    for args in [(got.vector, got.rplus_mu), (got.vector, got.rplus_mu, got.rplus_w, None)]:
+        with pytest.raises(TypeError):
+            SumFormulaResult(*args)
+
+
+def test_layer_table_record():
+    block = make_block(build_root_system("A2"), weight(-2, -2))
+    e, s = block.params[:2]
+    got = layers_multiplicity_free(SumFormulaInput(block, e, s))
+    assert got == LayerTable({e: 1, s: 0}, False)
+    assert got == LayerTable(layers={s: 0, e: 1}, zero_top=False)
+    assert got != LayerTable({e: 1, s: 0}, True) and got != ({e: 1, s: 0}, False)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(got)
+    assert repr(got) == "LayerTable(layers={WeylElement(e): 1, WeylElement(s): 0}, zero_top=False)"
+    assert_frozen(got, ["layers", "zero_top"])
+    for args, kwargs in [(({e: 0},), {}), (({e: 0}, False), {"zero_top": False})]:
+        with pytest.raises(TypeError):
+            LayerTable(*args, **kwargs)
+
+
+def test_decomposition_matrix_record():
+    block = make_block(build_root_system("A2"), weight(-2, -2))
+    dm = decomposition_matrix(block)
+    same = DecompositionMatrix(block.params, rows=dm.rows)
+    assert dm == same == DecompositionMatrix(params=block.params, rows=dm.rows)
+    # the cached views are no fields
+    assert dm.inverse_rows and dm == same and hash(dm) == hash(same)
+    assert hash(dm) == hash((block.params, dm.rows))
+    identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    assert dm != DecompositionMatrix(block.params, identity) and dm != (block.params, dm.rows)
+    assert repr(DecompositionMatrix(block.params, identity)) == (
+        "DecompositionMatrix(params=(WeylElement(e), WeylElement(s), WeylElement(t), "
+        "WeylElement(st), WeylElement(ts), WeylElement(sts)), rows=((1, 0, 0, 0, 0, 0), "
+        "(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), "
+        "(0, 0, 0, 0, 0, 1)))"
+    )
+    # whole numbers of any type are stored, and shown, as ints
+    assert DecompositionMatrix(block.params, tuple(tuple(map(float, r)) for r in identity)) == (
+        DecompositionMatrix(block.params, identity)
+    )
+    assert_frozen(dm, ["params", "rows"])
+    for args in [(block.params,), (block.params, identity, identity)]:
+        with pytest.raises(TypeError):
+            DecompositionMatrix(*args)

@@ -19,7 +19,9 @@ nodes of the Dynkin diagram, in the Cartan matrix, the weight and every
 word, must carry the block parameters, lengths, inversion sets, sum
 vectors and, in rank 2, layer tables along, and in A3, B3, C3 and D4 the
 Bruhat covers and lower ideals; the diagram automorphisms of A3 and D4
-map covers to covers.  The tables' ``inverse`` list
+map covers to covers, and those of A2, A3 and D4 carry (w, y, lam) to
+(sigma w, sigma y, sigma lam), and with them sum vectors, R+(mu) and, in
+A2, layer tables.  The tables' ``inverse`` list
 and products must equal the matrix ones (``matrix_path.py``), and they
 and the dot action must obey the group laws.
 
@@ -325,6 +327,55 @@ def test_diagram_automorphisms_map_covers_to_covers(label, sigma):
     assert covers == set(tables.covers())
     assert ideals == dict(enumerate(tables.ideals))
 
+
+
+#: A2's flip, A3's flip and D4's triality, both ways round
+AUTOMORPHISMS = (("A2", (1, 0)), ("A3", (2, 1, 0)), ("D4", (2, 1, 3, 0)), ("D4", (3, 1, 0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(AUTOMORPHISMS), st.data())
+def test_diagram_automorphisms_carry_the_sum_formula_along(automorphism, data):
+    # sigma fixes the Cartan matrix, so it carries the block through lam to
+    # the block through sigma(lam) of the same root system, (w, y) to
+    # (sigma w, sigma y), and with them the sum vectors, R+(mu) and, in A2,
+    # the layer tables of the built-in matrix
+    label, sigma = automorphism
+    rs = build_root_system(label)
+    assert relabelled_system(label, sigma) is rs
+    coords = tuple(
+        data.draw(st.sampled_from((-1, -2, -3, Fraction(-1, 2), Fraction(-3, 2))))
+        for _ in range(rs.rank)
+    )
+    try:
+        blk = make_block(rs, weight(*coords))
+    except NotAntidominant:
+        assume(False)
+    moved = make_block(rs, weight(*relabel(sigma, coords)))
+
+    def carry(w):
+        return element_from_word(rs, tuple(sigma[i - 1] + 1 for i in w.word))
+
+    def roots(betas):
+        return {relabel(sigma, beta.coords) for beta in betas}
+
+    assert {carry(y) for y in blk.params} == set(moved.params)
+    group = all_elements(rs)
+    if rs.rank == 2:
+        pairs = [(w, y) for w in group for y in blk.group]
+    else:
+        pairs = [(data.draw(st.sampled_from(group)), data.draw(st.sampled_from(blk.group)))
+                 for _ in range(4)]
+    for w, y in pairs:
+        got = sum_formula(SumFormulaInput(moved, carry(w), carry(y)))
+        want = sum_formula(SumFormulaInput(blk, w, y))
+        assert got.vector == CharVector(VERMA, {carry(x): c for x, c in want.vector.items()})
+        assert {beta.coords for beta in got.rplus_mu} == roots(want.rplus_mu)
+        if rs.rank == 2 and blk.regular and blk.integral:
+            table = layers_multiplicity_free(SumFormulaInput(moved, carry(w), carry(y)))
+            want_table = layers_multiplicity_free(SumFormulaInput(blk, w, y))
+            assert table.zero_top == want_table.zero_top
+            assert table.layers == {carry(x): d for x, d in want_table.layers.items()}
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())

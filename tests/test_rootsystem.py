@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vermatwist import (
     CARTAN_BY_LABEL,
     VERMA,
+    IndexOutOfRange,
     NotARoot,
     NotFiniteType,
     Root,
@@ -18,6 +19,7 @@ from vermatwist import (
     classify_weight,
     dimension_at,
     dot_action,
+    element_from_word,
     integral_positive_roots,
     kostant_partition,
     make_block,
@@ -152,6 +154,19 @@ def test_weight_validation():
         assert whole.coords == (-2, 1) and all(type(c) is Fraction for c in whole.coords)
     assert weight("-3/2", Fraction(1, 3)).coords == (Fraction(-3, 2), Fraction(1, 3))
 
+
+
+def test_a_string_is_no_sequence_of_entries():
+    rs = build_root_system("A2")
+    for given in ("12", b"12", bytearray(b"\x01\x01"), "", b""):
+        with pytest.raises(ValueError, match="weight coordinates must be a sequence, not"):
+            Weight(given)
+        with pytest.raises(NotARoot, match="root coordinates must be a sequence, not"):
+            Root(given)
+        with pytest.raises(IndexOutOfRange, match="a word must be a sequence, not"):
+            element_from_word(rs, given)
+    # a string is still read as one coordinate
+    assert Weight(("12", "-1/2")).coords == (12, Fraction(-1, 2))
 
 def test_pairing_against_hand_values():
     rs = build_root_system("B2")
