@@ -24,7 +24,9 @@ positive root of W' negative (Dyer), which for w in W' means w = e.  So
 w lies in W_lam iff w = e or w t_beta does, for any integral beta with
 w(beta) < 0, and its parameter is that of w t_beta for any such beta
 fixing lam + rho, or w itself when there is none.  Only a ``mu`` input
-and ``param_for_weight`` build the weight to parameter map.
+and ``param_for_weight`` build the weight to parameter map.  The drop
+y . lam - lam of a parameter is the displacement of lam + rho on the
+integer walk of ``weyl.dot_action``, so no weight is built for it.
 
 In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
@@ -42,7 +44,6 @@ needs no inverse.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
@@ -50,6 +51,7 @@ from pathlib import Path
 
 from .errors import (
     BadDecompositionFile,
+    InvariantViolated,
     NeedsUserMatrix,
     NotAntidominant,
     NotInBlockOrbit,
@@ -59,6 +61,8 @@ from .rootsystem import (
     RootSystem,
     Weight,
     _check_rank,
+    _numerators,
+    _read_json,
     _Record,
     _shifted_pairings,
     _whole,
@@ -67,6 +71,7 @@ from .rootsystem import (
 from .weyl import (
     WeylElement,
     _group_tables,
+    _walk,
     dot_action,
     element_from_word,
     parse_word_text,
@@ -197,7 +202,6 @@ class BlockContext:
         self.params = tuple(w for w in self.group if param_of[w._k] == w._k)
         self._param_set = frozenset(self.params)
         self._default_decomp: DecompositionMatrix | None = None
-        self._drops: dict[WeylElement, tuple[int, ...]] = {}
 
     @cached_property
     def _param_by_weight(self) -> dict[Weight, WeylElement]:
@@ -223,17 +227,18 @@ class BlockContext:
         return w in self._param_set
 
     def _drop(self, y: WeylElement) -> tuple[int, ...]:
-        """Root coordinates of y . lam - lam for a parameter y, converted once.
+        """Root coordinates of y . lam - lam for a parameter y: the walk's
+        displacement of lam + rho, over the denominator d of lam.
 
         They are integers: y lies in the integral Weyl group, and the
         reflection through an integral root moves a weight by an integer
-        multiple of that root.
+        multiple of that root; ``InvariantViolated`` if d does not divide them.
         """
-        drop = self._drops.get(y)
-        if drop is None:
-            coords = self.rs.weight_to_root_coords(self.weight_of(y) - self.base)
-            drop = self._drops[y] = tuple(map(int, coords))
-        return drop
+        m, d = _numerators(self.rs, self.base, 1)
+        moved = _walk(self.rs, y.word, m)[1]
+        if any(x % d for x in moved):
+            raise InvariantViolated(f"the drop of {y!r} is not in the root lattice")
+        return tuple([x // d for x in moved])
 
 
 def make_block(rs: RootSystem, lam: Weight) -> BlockContext:
@@ -270,7 +275,11 @@ class DecompositionMatrix(_Record):
 
     def __init__(self, params: tuple[WeylElement, ...], rows: tuple[tuple[int, ...], ...]) -> None:
         n = len(params)
-        if len(rows) != n or any(len(row) != n for row in rows):
+        try:
+            square = len(rows) == n and all(len(row) == n for row in rows)
+        except TypeError:  # rows, or one of them, is no sequence
+            square = False
+        if not square:
             raise BadDecompositionFile("matrix shape does not match the parameter count")
         if not _ints_only(rows):
             rows = tuple(tuple(map(_whole, row)) for row in rows)
@@ -392,11 +401,7 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
     # bound is refused here, before the file is read
     ideals = _group_tables(block.rs).ideals
     if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        # ValueError covers bad JSON, bytes that are not UTF-8 and the digit limit
-        except (OSError, ValueError, RecursionError) as exc:
-            raise BadDecompositionFile(f"cannot read decomposition file: {exc}") from exc
+        data = _read_json(source, BadDecompositionFile, "decomposition file")
     else:
         data = source
     if not isinstance(data, dict) or "params" not in data or "matrix" not in data:
@@ -449,10 +454,12 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
 
 
 def _block_matrix(block: BlockContext, dm: DecompositionMatrix | None) -> DecompositionMatrix:
-    """``dm``, or the built-in matrix when it is None; a matrix whose
-    parameters are not the block's raises ``BadDecompositionFile``."""
+    """``dm``, or the built-in matrix when it is None; anything else that
+    is not a matrix with the block's parameters raises ``BadDecompositionFile``."""
     if dm is None:
         return decomposition_matrix(block)
+    if not isinstance(dm, DecompositionMatrix):
+        raise BadDecompositionFile(f"decomposition must be a DecompositionMatrix, not {dm!r}")
     if dm.params != block.params:
         raise BadDecompositionFile("the decomposition matrix belongs to another block")
     return dm

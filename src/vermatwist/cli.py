@@ -71,20 +71,14 @@ def _layer_lines(table: LayerTable, name) -> list[str]:
 
 
 def _resolve_system(args, parser: argparse.ArgumentParser) -> RootSystem:
-    from .rootsystem import build_root_system
+    from .rootsystem import _read_json, build_root_system
 
     if args.type and args.cartan_file:
         parser.error("give only one of --type and --cartan-file")
     if args.type:
         return build_root_system(args.type)
     if args.cartan_file:
-        from pathlib import Path
-
-        try:
-            data = json.loads(Path(args.cartan_file).read_text())
-        # ValueError covers bad JSON, bytes that are not UTF-8 and the digit limit
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ValueError(f"cannot read Cartan file: {exc}") from exc
+        data = _read_json(args.cartan_file, ValueError, "Cartan file")
         if not isinstance(data, dict) or "matrix" not in data:
             raise ValueError('Cartan file needs a "matrix" key')
         matrix = data["matrix"]

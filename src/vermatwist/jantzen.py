@@ -100,10 +100,17 @@ class SumFormulaInput(_Record):
     ) -> None:
         if (y is None) == (mu is None):
             raise ValueError("give exactly one of y and mu")
-        if w.rs is not block.rs:
+        rs = block.rs
+        try:
+            twist, param = w.rs, rs if y is None else y.rs
+        except AttributeError:  # a twist or parameter that is no element
+            twist, param = getattr(w, "rs", None), None
+        if twist is not rs:
             raise MixedRootSystems("twist does not belong to the block's root system")
-        if y is not None and y.rs is not block.rs:
+        if param is not rs:
             raise MixedRootSystems("parameter does not belong to the block's root system")
+        if mu is not None and not isinstance(mu, Weight):
+            raise NotInBlockOrbit(f"mu = {mu!r} is not a Weight")
         fields = self.__dict__
         fields["block"] = block
         fields["w"] = w

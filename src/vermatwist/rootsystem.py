@@ -26,7 +26,8 @@ weight w_i; column i of the inverse is v_i / k_i, the one rational step.
 
 The pairings of lam + rho with the positive coroots decide a weight's
 class, its integral roots, its block and R+(mu); ``_shifted_pairings``
-gives them as integers over one denominator, 1 for an integral weight.
+gives them as integers over one denominator, 1 for an integral weight,
+from ``_numerators``, the one integer form the Weyl group actions walk.
 
 Roots, weights and the records of this module, ``weyl``, ``characters``
 and ``jantzen`` derive from :class:`_Record`, which names the fields
@@ -438,13 +439,19 @@ def coroot_pairing_roots(rs: RootSystem, gamma: Root, beta: Root) -> int:
     return sum(c * m for c, m in zip(coroot, _lattice_pairings(rs, gamma)) if c)
 
 
+def _numerators(rs: RootSystem, lam: Weight, shift: int = 0) -> tuple[tuple[int, ...], int]:
+    """``(m, d)`` with lam + shift * rho = m / d in fundamental weight
+    coordinates, d the lcm of the denominators of ``lam``."""
+    _check_rank(rs, lam)
+    d = lcm(*(c.denominator for c in lam.coords))
+    return tuple([c.numerator * (d // c.denominator) + shift * d for c in lam.coords]), d
+
+
 def _shifted_pairings(rs: RootSystem, lam: Weight) -> tuple[list[int], int]:
     """``(nums, d)`` with <lam + rho, beta_b^vee> = nums[b] / d for the b-th
     positive root, d the lcm of the denominators of ``lam``.  The simple
     roots come first, as the roots are ordered by height."""
-    _check_rank(rs, lam)
-    d = lcm(*(c.denominator for c in lam.coords))
-    m = [c.numerator * (d // c.denominator) + d for c in lam.coords]
+    m, d = _numerators(rs, lam, 1)
     coroots = [rs._coroots[beta.coords] for beta in rs.positive_roots]
     return [sum(c * x for c, x in zip(coroot, m) if c) for coroot in coroots], d
 
@@ -493,6 +500,19 @@ def _fraction(c) -> Fraction:
         return Fraction(_whole(c) if isinstance(c, float) else c)
     except (ArithmeticError, TypeError, ValueError):
         raise ValueError(f"weight coordinate {c!r} is not a rational or a whole float") from None
+
+
+def _read_json(path, error: type[Exception], what: str):
+    """The JSON value in the file at ``path``, or ``error`` naming ``what``;
+    imported here, ``json`` and ``pathlib`` load only when a file is read."""
+    import json
+    from pathlib import Path
+
+    try:
+        return json.loads(Path(path).read_text())
+    # ValueError covers bad JSON, bytes that are not UTF-8 and the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
 
 
 def _sequence(given, error: type[Exception], what: str) -> tuple:

@@ -39,11 +39,14 @@ on the row; its inversion set, from ``masks`` on first use; products
 Bruhat order.  So every element needs its group's tables, and a group
 over the bound is refused, from its size, before anything is enumerated.
 
-The actions on roots and weights build no matrix: they apply the simple
-reflections of the word right to left, by ``rootsystem._reflect_root``
-and ``_reflect_weight``, the rules the enumeration uses too.
-:func:`_word_image` gives the columns of ``mat`` and the roots of
-:func:`root_sequence_through`; :func:`weight_action` walks in integers.
+The actions on roots and weights build no matrix: one walk, :func:`_walk`,
+applies the simple reflections of the word right to left to integer
+fundamental weight coordinates, by ``rootsystem._reflect_weight``, the rule
+the enumeration uses too.  It gives the image, which :func:`weight_action`
+and :func:`dot_action` read on the numerators of ``rootsystem._numerators``,
+and w(v) - v in simple root coordinates, which :func:`_word_image` reads
+for the columns of ``mat`` and the roots of :func:`root_sequence_through`,
+and the blocks for their drops.
 
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
@@ -54,10 +57,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import Root, RootSystem, Weight, _check_rank, _coroot_of, _Frozen, _Record
+from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _numerators, _Record
 from .rootsystem import _reflect_root, _reflect_weight, _sequence, _whole
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -65,11 +67,12 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 def _word_image(rs: RootSystem, word, j: int) -> tuple[int, ...]:
     """The image of the j-th simple root (0-based) under the product of the
-    simple reflections in ``word``, in simple root coordinates."""
-    c = tuple(int(k == j) for k in range(rs.rank))
-    for k in reversed(word):
-        c = _reflect_root(rs.cartan, k - 1, c)
-    return c
+    simple reflections in ``word``, in simple root coordinates: a_j, whose
+    fundamental weight coordinates are column j of the Cartan matrix, plus
+    its displacement on :func:`_walk`."""
+    moved = _walk(rs, word, tuple([row[j] for row in rs.cartan]))[1]
+    moved[j] += 1
+    return tuple(moved)
 
 
 class WeylElement(_Frozen):
@@ -339,9 +342,10 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     return _GroupTables(tuple(elements), index, tuple(left), tuple(refl), tuple(masks))
 
 
-#: the largest group whose Bruhat lower ideals are built: F4 takes 6 ms and B5 32 ms on
-#: a 2-core VM, but readers walk all |W|^2 pairs (0.6 s to check an F4 decomposition
-#: file), so F4 (1152 elements) and D5 (1920) pass, and B5 (3840), A6 and E6 are refused
+#: the largest group whose Bruhat lower ideals, |W|^2 bits, are built (F4 6 ms, D5 9-12 ms,
+#: B5 22-24 ms on a 2-core VM): a loaded decomposition file checks |W| rows of |W| entries
+#: against them, 0.18-0.23 s for F4 from a parsed dict and 0.29-0.44 s from the file, so
+#: F4 (1152 elements) and D5 (1920) pass, and B5 (3840), A6 and E6 are refused
 IDEALS_BOUND = 2000
 
 #: the default largest group enumerated: E6 (51,840 elements) passes, and
@@ -409,29 +413,35 @@ def reflection_through(rs: RootSystem, beta: Root) -> WeylElement:
     return tables.elements[tables.refl[b][0]]
 
 
+def _walk(rs: RootSystem, word, m: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """``(w(m), w(m) - m)`` for w the product of ``word``, applied right to
+    left to m in fundamental weight coordinates; the displacement is in
+    simple root coordinates, as s_i moves v by -v_i a_i."""
+    cartan = rs.cartan
+    moved = [0] * rs.rank
+    for i in reversed(word):
+        moved[i - 1] -= m[i - 1]
+        m = _reflect_weight(cartan, i - 1, m)
+    return m, moved
+
+
 def weight_action(w: WeylElement, lam: Weight) -> Weight:
     """Natural (unshifted) action of w on a weight, exactly.
 
     Applies ``s_i(lam) = lam - lam.coords[i] * a_i`` along the word, right
-    to left; a_i has fundamental weight coordinates a_ji, column i of the
-    Cartan matrix.  The walk runs on integer numerators over the common
-    denominator d of the coordinates, divided by d once at the end.
+    to left, on integer numerators over the common denominator d of the
+    coordinates, divided by d once at the end.
     """
-    rs = w.rs
-    _check_rank(rs, lam)
-    d = lcm(*(x.denominator for x in lam.coords))
-    m = tuple(x.numerator * (d // x.denominator) for x in lam.coords)
-    for i in reversed(w.word):
-        m = _reflect_weight(rs.cartan, i - 1, m)
-    return Weight(tuple(Fraction(x, d) for x in m))
+    m, d = _numerators(w.rs, lam)
+    return Weight(tuple(Fraction(x, d) for x in _walk(w.rs, w.word, m)[0]))
 
 
 def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
-    """Shifted action w . lam = w(lam + rho) - rho."""
+    """Shifted action w . lam = w(lam + rho) - rho, on the numerators of lam + rho."""
     if w.rs is not rs:
         raise MixedRootSystems("element does not belong to the given root system")
-    _check_rank(rs, lam)
-    return weight_action(w, lam + rs.rho) - rs.rho
+    m, d = _numerators(rs, lam, 1)
+    return Weight(tuple(Fraction(x - d, d) for x in _walk(rs, w.word, m)[0]))
 
 
 class RootSequence(_Record):

@@ -192,6 +192,17 @@ def test_a_decomposition_matrix_of_another_block_is_refused():
             dimension_at(block, v, block.base, dm)
     with pytest.raises(BadDecompositionFile, match="^the decomposition matrix belongs to"):
         layers_multiplicity_free(SumFormulaInput(block=b2, w=b2.params[1], y=b2.params[3]), a2)
+    # nor is anything that is not a matrix, the block itself among them
+    v = unit_vector(SIMPLE, b2.params[-1])
+    for bad in ("x", 5, regular.rows, b2):
+        with pytest.raises(BadDecompositionFile, match="^decomposition must be a Decomposition"):
+            change_basis(b2, v, VERMA, bad)
+        with pytest.raises(BadDecompositionFile, match="^decomposition must be a Decomposition"):
+            change_basis(b2, change_basis(b2, v, VERMA), SIMPLE, bad)
+        with pytest.raises(BadDecompositionFile, match="^decomposition must be a Decomposition"):
+            dimension_at(b2, v, b2.base, bad)
+        with pytest.raises(BadDecompositionFile, match="^decomposition must be a Decomposition"):
+            layers_multiplicity_free(SumFormulaInput(b2, b2.params[1], b2.params[3]), bad)
     # the block's own matrix, given or built in, is accepted
     v = unit_vector(SIMPLE, b2.params[3])
     assert change_basis(b2, v, VERMA, regular) == change_basis(b2, v, VERMA)
@@ -212,8 +223,13 @@ def test_a_decomposition_matrix_that_is_not_lower_unitriangular_is_refused():
             rows[i][j] = c
         with pytest.raises(BadDecompositionFile, match="nonnegative and lower unitriangular"):
             DecompositionMatrix(block.params, tuple(map(tuple, rows)))
-    with pytest.raises(BadDecompositionFile, match="matrix shape"):
+    shape = "^matrix shape does not match the parameter count$"
+    with pytest.raises(BadDecompositionFile, match=shape):
         DecompositionMatrix(block.params, decomposition_matrix(block).rows[:-1])
+    # rows that are no sequence of sequences have no shape either
+    for rows in (None, 5, [None] * n, [5] * n, iter(decomposition_matrix(block).rows)):
+        with pytest.raises(BadDecompositionFile, match=shape):
+            DecompositionMatrix(block.params, rows)
 
 
 def test_decomposition_matrix_entries_must_be_whole_numbers():

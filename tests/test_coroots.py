@@ -49,6 +49,7 @@ from vermatwist import (
 from vermatwist import rootsystem
 
 import matrix_path
+import test_properties as props
 import weight_path
 from matrix_path import invert
 
@@ -190,14 +191,37 @@ def test_root_sequence_matches_the_matrix_route(label):
 def test_dot_action_builds_no_matrix_and_no_inverse_table():
     rs = rootsystem.RootSystem(CARTAN_BY_LABEL["F4"], "F4")
     lam = weight(-2, Fraction(1, 3), -1, 5)
-    for w in all_elements(rs):
-        dot_action(rs, w, lam)
+    # the regular, singular and nonintegral blocks of the property tests
+    bases = props.BASES
+    blocks = [props.block(label, i) for label in bases for i in range(len(bases[label]))]
+
+    def refused(*args):
+        raise AssertionError("the integer walk builds no weight and no root coordinates")
+
+    # dot_action and the drops walk integers: no Weight sum or difference,
+    # and no inverse Cartan matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Weight, "__add__", refused)
+        patch.setattr(Weight, "__sub__", refused)
+        patch.setattr(rootsystem.RootSystem, "weight_to_root_coords", refused)
+        images = [dot_action(rs, w, lam) for w in all_elements(rs)]
+        drops = {blk: [blk._drop(y) for y in blk.params] for blk in blocks}
     assert all("mat" not in vars(w) and "inv_mat" not in vars(w) for w in all_elements(rs))
     assert "inverse" not in vars(rs._weyl_tables)
     # the walk agrees with the matrix route on this system too
     w = element_from_word(rs, (1, 2, 3, 4, 3, 2))
     want = matrix_path.weight_action(rs, w.mat, (lam + rs.rho).coords)
-    assert (dot_action(rs, w, lam) + rs.rho).coords == want
+    assert (images[w._k] + rs.rho).coords == want
+    # each drop is y . lam - lam in simple root coordinates, through weights
+    for blk, got in drops.items():
+        to_roots = blk.rs.weight_to_root_coords
+        assert got == [to_roots(blk.weight_of(y) - blk.base) for y in blk.params]
+    # outside the integral Weyl group, y . lam - lam is no root lattice vector
+    outside = [(blk, y) for blk in blocks for y in all_elements(blk.rs) if y not in blk.group]
+    assert outside
+    for blk, y in outside:
+        with pytest.raises(InvariantViolated, match="is not in the root lattice$"):
+            blk._drop(y)
 
 
 def test_inverse_refuses_a_matrix_that_misses_a_simple_root():

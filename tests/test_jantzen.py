@@ -119,6 +119,21 @@ def test_sum_formula_input_validation():
     other = build_root_system("A2")
     with pytest.raises(MixedRootSystems):
         SumFormulaInput(block=B2, w=element_from_word(other, (1,)), y=y)
+    # arguments that are no element or weight are refused with the same
+    # classes, in the same order: the twist, then the parameter
+    for bad in (None, 5, "s", y.word):
+        with pytest.raises(MixedRootSystems, match="^twist does not belong"):
+            SumFormulaInput(B2, bad, y=y)
+        with pytest.raises(MixedRootSystems, match="^twist does not belong"):
+            SumFormulaInput(B2, bad, y=bad or 5)
+        if bad is not None:
+            with pytest.raises(MixedRootSystems, match="^parameter does not belong"):
+                SumFormulaInput(B2, y, y=bad)
+    for bad in (5, "s", (-2, -2), B2):
+        with pytest.raises(NotInBlockOrbit, match="^mu = .* is not a Weight$"):
+            SumFormulaInput(B2, y, mu=bad)
+    with pytest.raises(ValueError, match="^give exactly one"):
+        SumFormulaInput(B2, None)
 
 
 def test_r_plus_of_parameter_weights_matches_inversions():
