@@ -180,7 +180,10 @@ def _param_index(inp: SumFormulaInput) -> int:
     block = inp.block
     if inp.mu is not None:
         return block.param_for_weight(inp.mu)._k
-    k = block._param_of[inp.y._k]
+    try:
+        k = block._param_of[inp.y._k]
+    except AttributeError:  # a parameter that carries the block's rs but is no element
+        raise MixedRootSystems("parameter does not belong to the block's root system") from None
     if k < 0:
         raise NotInBlockOrbit(
             f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
@@ -197,10 +200,13 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
     """
     block = inp.block
     tables = block._tables
+    try:
+        in_w = tables.masks[inp.w._k]
+    except AttributeError:  # a twist that carries the block's rs but is no element
+        raise MixedRootSystems("twist does not belong to the block's root system") from None
     k = _param_index(inp)
     elements, refl = tables.elements, tables.refl
     y = elements[k]
-    in_w = tables.masks[inp.w._k]
     rplus = m = tables.masks[k] & block._root_mask
     # each term lands on its own parameter, never on y (see the module
     # docstring), and [y] gains 1 for each beta in R+(w)
@@ -241,13 +247,16 @@ def _xy_input(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormula
     """The module the two-letter form names: twist x * w0 at parameter x * y.
 
     Refuses a block that is not regular and integral, then elements of
-    another root system.
+    another root system and arguments that are no element.
     """
     if not (block.regular and block.integral):
         raise UnsupportedBlock("the two-letter form needs a regular integral block")
-    if x.rs is not block.rs or y.rs is not block.rs:
-        raise MixedRootSystems("elements do not belong to the block's root system")
-    return SumFormulaInput(block=block, w=x * longest_element(block.rs), y=x * y)
+    try:
+        if x.rs is block.rs and y.rs is block.rs:
+            return SumFormulaInput(block, x * longest_element(block.rs), x * y)
+    except (AttributeError, TypeError):  # an argument that is no element
+        pass
+    raise MixedRootSystems("elements do not belong to the block's root system")
 
 
 def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaResult:
@@ -267,14 +276,12 @@ def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFo
 def check_xy_consistency(block: BlockContext, x: WeylElement, y: WeylElement) -> bool:
     """Confirm the two-letter form against the direct formula at (x * w0, x * y).
 
-    Both sides go through the one evaluator, so this checks the rewrite of
-    the input, not the formula: the two-letter form's split on R+(x) is the
-    direct form's split on R+(x * w0), the complement of R+(x) in R+.
+    Both sides are the one rewrite :func:`_xy_input` through the one
+    evaluator, so this holds on every input the rewrite accepts and refuses
+    what it refuses.  The literal two-letter route, the split on R+(x)
+    itself, is the test oracle ``tests/xy_path.py``.
     """
-    direct = sum_formula(
-        SumFormulaInput(block=block, w=x * longest_element(block.rs), y=x * y)
-    )
-    return sum_formula_xy(block, x, y).vector == direct.vector
+    return sum_formula_xy(block, x, y).vector == sum_formula(_xy_input(block, x, y)).vector
 
 
 def layers_multiplicity_free(

@@ -11,6 +11,9 @@ exactly when X divides d more often than it divides n, so the
 represented ring is the localization of Q[X] at the ideal (X).
 
 Arithmetic multiplies and adds Python ints; equality cross-multiplies.
+A product loops over its shorter operand, so a scalar or a linear factor
+costs one pass over the other list, and a scalar 1 returns the other list
+itself: stored lists are shared and never written to.
 Each binary operator reads its other operand, an element, an int or a
 ``Fraction``, by one rule, ``_operand``; anything else is NotImplemented.
 Valuation, value at X = 0 and the zero test read the stored form
@@ -22,14 +25,22 @@ up to the last step: the gcd of the stored lists by Euclid on primitive
 pseudo-remainders, and exact division by it.
 
 Two entry points work on integer lists directly, for callers that know
-their elements as integer polynomials, such as the rank 1 laboratory:
+their elements as integer polynomials:
 
 * ``from_lists(num, den)`` builds the element num/den from two lists of
   ints, normalised as every other element is, without the ``Fraction``
   round trip of the constructor.
 * ``scaled_equal(u, a, v, b)`` decides u*a == v*b for integer
   polynomials u and v and elements a and b by one cross-multiplication,
-  building no element.
+  building no element.  Each side is a product of three lists, u, a's
+  numerator and b's denominator against v, b's numerator and a's
+  denominator.  The short factors are multiplied first: the scalars of
+  each side into one integer, and the two integers are divided by their
+  gcd before anything touches the longest list, which is multiplied
+  last.  Where the two sides differ by a scalar and a linear factor, as
+  in the rank 1 laboratory's identities, the comparison is one pass with
+  small multipliers over the long list rather than several with
+  factorials.
 """
 
 from __future__ import annotations
@@ -61,11 +72,20 @@ def _z_add(a: list[int], b: list[int]) -> list[int]:
 
 
 def _z_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(b) == 1:
-        c = b[0]
-        return [x * c for x in a]
+    """The product a*b, looping over the shorter operand; a scalar or a linear
+    factor takes one pass over the other, and a scalar 1 returns it unchanged."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) < 2:
+        if not a:
+            return []
+        c = a[0]
+        return b if c == 1 else [c * y for y in b]
+    if len(a) == 2:
+        c0, c1 = a
+        if not c0:
+            return [0] + [c1 * x for x in b]
+        return [c0 * y + c1 * x for x, y in zip([0] + b, b + [0])]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -176,10 +196,16 @@ class LocalRingElem:
                     )
                 n = n[shift:]
                 d = d[shift:]
-            g = math.gcd(*n, *d)
+            # leading coefficients first: their gcd is small for the rank 1
+            # laboratory's lists, and math.gcd passes cheaply over the rest
+            # once it has reached 1
+            g = math.gcd(n[-1], d[-1], *n, *d)
             if d[0] < 0:
                 g = -g
-            if g != 1:
+            if g == -1:
+                n = [-c for c in n]
+                d = [-c for c in d]
+            elif g != 1:
                 n = [c // g for c in n]
                 d = [c // g for c in d]
         _set(self, "_n", n)
@@ -331,7 +357,7 @@ def from_lists(num, den) -> LocalRingElem:
     LocalRingElem('1/2*X')
     """
     num, den = list(num), list(den)
-    if not all(type(c) is int for c in num + den):
+    if not set(map(type, num + den)) <= {int}:
         raise TypeError("coefficients must be ints")
     return _make(num, den)
 
@@ -343,8 +369,33 @@ def scaled_equal(u: list[int], a: LocalRingElem, v: list[int], b: LocalRingElem)
     >>> scaled_equal([2], x / 2, [0, 1], one())
     True
     """
-    u, v = _z_trim(u), _z_trim(v)
-    return _z_mul(_z_mul(u, a._n), b._d) == _z_mul(_z_mul(v, b._n), a._d)
+    left = _split(_z_trim(u), a._n, b._d)
+    right = _split(_z_trim(v), b._n, a._d)
+    if left is None or right is None:
+        return left is right
+    g = math.gcd(left[0], right[0])
+    return _join(left[0] // g, *left[1:]) == _join(right[0] // g, *right[1:])
+
+
+def _split(*factors: list[int]) -> tuple[int, list[int] | None, list[int]] | None:
+    """A product of three integer polynomials as the product of its scalar
+    factors, the product of its other short factors (None if there is
+    none) and its longest factor; None when a factor is zero."""
+    p, q, longest = sorted(factors, key=len)
+    if not p:
+        return None
+    if len(q) == 1:
+        return p[0] * q[0], None, longest
+    if len(p) == 1:
+        return p[0], q, longest
+    return 1, _z_mul(p, q), longest
+
+
+def _join(scalar: int, short: list[int] | None, longest: list[int]) -> list[int]:
+    """The product scalar * short * longest, taken in that order."""
+    if short is not None:
+        return _z_mul(_z_mul([scalar], short), longest)
+    return _z_mul([scalar], longest)
 
 
 def constant(value) -> LocalRingElem:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvariantViolated, TruncationTooSmall
-from .localring import LocalRingElem, from_lists, one, scaled_equal
+from .localring import LocalRingElem, _make, _z_mul, one, scaled_equal
 
 VERMA_TO_DUAL = "verma_to_dual"
 DUAL_TO_VERMA = "dual_to_verma"
@@ -47,10 +47,10 @@ DUAL_TO_VERMA = "dual_to_verma"
 #: Truncation used by the command line driver unless overridden.
 DEFAULT_TRUNCATION = 12
 
-#: Largest truncation the command line driver accepts.  The cost grows
-#: about quadratically: ``sl2 --trunc 100`` runs for about 0.14 s, of which
-#: 0.02 s is the report itself and the rest interpreter start and import,
-#: on a 2-core Intel Xeon VM with Python 3.11.7.
+#: Largest truncation the command line driver accepts.  At 100 one report
+#: takes about 5 ms in process, and a whole ``sl2 --trunc 100`` process
+#: about 75 ms, most of it interpreter start and import (2-core Intel Xeon
+#: VM, Python 3.11.7; ``BENCH_bigint.json`` in the repository root).
 MAX_TRUNCATION = 100
 
 
@@ -86,13 +86,14 @@ class WeightMap:
         return tuple(entry.specialize() for entry in self.entries)
 
     def valuations(self) -> tuple[int, ...]:
-        vals = []
-        for entry in self.entries:
-            v = entry.valuation()
-            if v == float("inf"):
-                raise InvariantViolated("weight map entries must be nonzero")
-            vals.append(int(v))
-        return tuple(vals)
+        return self._valuations
+
+    @cached_property
+    def _valuations(self) -> tuple[int, ...]:
+        """The entries' valuations, read once for the cokernel check and the layers."""
+        if any(entry.is_zero for entry in self.entries):
+            raise InvariantViolated("weight map entries must be nonzero")
+        return tuple(entry.valuation() for entry in self.entries)
 
 
 def is_natural(lam) -> bool:
@@ -121,17 +122,18 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     The entries run the product binomial(z, i) = binomial(z, i-1) * (z-i+1) / i
     on integers: with lam = p/q, entry i is prod_{k<i} (qX + p - qk) over
     q^i * i!, and each step multiplies the numerator list by one linear
-    factor and the denominator by q * i.
+    factor and the denominator by q * i.  The lists are ints by
+    construction, so each entry goes straight to the ring's private
+    constructor, without ``from_lists``'s type check.
     """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     num, den = [1], 1
-    entries = [from_lists(num, [den])]
+    entries = [_make(num, [den])]
     for i in range(1, truncation + 1):
-        c = p - q * (i - 1)
-        num = [c * a + q * b for a, b in zip(num + [0], [0] + num)]
+        num = _z_mul([p - q * (i - 1), q], num)
         den *= q * i
-        entries.append(from_lists(num, [den]))
+        entries.append(_make(num, [den]))
     return WeightMap(lam, truncation, VERMA_TO_DUAL, tuple(entries))
 
 

@@ -136,6 +136,25 @@ def test_sum_formula_input_validation():
         SumFormulaInput(B2, None)
 
 
+@pytest.mark.parametrize("position", ["twist", "parameter"])
+def test_an_object_with_the_blocks_root_system_is_no_element(position):
+    # the block carries B2's rs, so the constructor's root system check
+    # passes; the evaluation refuses it in the position where it stands,
+    # the twist before the parameter, on every route to the sum vector
+    y = el(B2, "s")
+    if position == "twist":
+        inputs = [SumFormulaInput(B2, B2, y=y), SumFormulaInput(B2, B2, mu=B2.weight_of(y)),
+                  SumFormulaInput(B2, B2, y=B2)]
+    else:
+        inputs = [SumFormulaInput(B2, y, y=B2)]
+    message = f"^{position} does not belong to the block's root system$"
+    for inp in inputs:
+        with pytest.raises(MixedRootSystems, match=message):
+            sum_formula(inp)
+        with pytest.raises(MixedRootSystems, match=message):
+            layers_multiplicity_free(inp)
+
+
 def test_r_plus_of_parameter_weights_matches_inversions():
     # in a regular integral block R+(y . lambda) is the inversion set of y
     for y in B2.params:
@@ -341,6 +360,12 @@ def test_xy_form_needs_regular_integral():
     e = element_from_word(rs, ())
     with pytest.raises(UnsupportedBlock, match="^the two-letter form needs a regular integral block$"):
         sum_formula_xy(singular, e, e)
+    # the check goes through the same rewrite, so it refuses what the rewrite
+    # refuses, in a nonintegral block too, before any evaluation
+    s = element_from_word(rs, (1,))
+    for block in (singular, make_block(rs, weight(Fraction(-5, 2), -2))):
+        with pytest.raises(UnsupportedBlock, match="^the two-letter form needs"):
+            check_xy_consistency(block, s, s)
     # the block is refused before the elements' root system
     foreign = element_from_word(build_root_system("A2"), ())
     with pytest.raises(UnsupportedBlock):
@@ -349,6 +374,13 @@ def test_xy_form_needs_regular_integral():
     for x, y in ((foreign, e), (e, foreign)):
         with pytest.raises(MixedRootSystems, match=message):
             sum_formula_xy(B2, x, y)
+    # arguments that are no element, the block itself included
+    for bad in (None, 5, "s", B2):
+        for x, y in ((bad, e), (e, bad)):
+            with pytest.raises(MixedRootSystems, match=message):
+                sum_formula_xy(B2, x, y)
+            with pytest.raises(MixedRootSystems, match=message):
+                check_xy_consistency(B2, x, y)
 
 
 def test_xy_form_is_one_sum_formula_evaluation(monkeypatch):

@@ -486,3 +486,148 @@ def test_scaled_equal_matches_element_arithmetic(u, tree_a, v, tree_b):
     want = LocalRingElem(u) * a == LocalRingElem(v) * b
     assert scaled_equal(u, a, v, b) == want
     assert scaled_equal(u, a, u, a)
+
+
+# The integer kernels on coefficients of the size the rank 1 laboratory
+# reaches (the largest stored coefficient of a map at truncation 30 has
+# 105 to 161 bits, across the benchmark's lambdas): the product against the
+# schoolbook double loop on each of its fast paths, the scaled comparison
+# against element arithmetic with large common factors in the scalar parts,
+# and no kernel writing into a list it was given, since a product by a
+# scalar 1 returns its other operand itself.
+
+BIG = st.integers(-(2**200), 2**200)
+NONZERO_BIG = BIG.filter(bool)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+#: every fast path of the product: zero, the scalar 1, any scalar, a linear
+#: factor (with a zero constant term too), and the general loop
+SHORT = st.one_of(
+    st.just([]),
+    st.just([1]),
+    st.lists(BIG, min_size=1, max_size=1),
+    st.lists(BIG, min_size=2, max_size=2),
+    st.tuples(st.just(0), NONZERO_BIG).map(list),
+    st.lists(BIG, min_size=3, max_size=5),
+)
+LONG = st.lists(BIG, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHORT, LONG, st.booleans())
+def test_z_mul_matches_the_schoolbook_product(short, long, short_first):
+    a, b = (short, long) if short_first else (long, short)
+    before = list(a), list(b)
+    assert localring._z_mul(a, b) == schoolbook(a, b)
+    assert (a, b) == before
+
+
+def _scaled(c, p):
+    return [c * x for x in p]
+
+
+def _elements(draw, g):
+    """An element whose denominator is a scalar multiple of ``g``, or a polynomial."""
+    num = draw(st.lists(BIG, max_size=6))
+    if draw(st.booleans()):
+        den = [g * draw(st.integers(-(2**40), 2**40).filter(bool))]
+    else:
+        den = [draw(NONZERO_BIG)] + draw(st.lists(BIG, max_size=4))
+    return from_lists(num, den)
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(u, a, v, b) with u, v short or long, scalar parts sharing a large
+    gcd, either sign, zero sides, and b equal to u*a/v half of the time."""
+    g = draw(st.integers(1, 2**120))
+    a = _elements(draw, g)
+    u = _scaled(g, draw(st.one_of(SHORT, LONG)))
+    v = _scaled(g * draw(st.sampled_from((1, -1, 3))), draw(st.one_of(SHORT, LONG)))
+    if v and v[0] and draw(st.booleans()):
+        # u*a == v*b exactly, with b's stored form normalised on its own
+        b = from_lists(localring._z_mul(u, a._n), localring._z_mul(v, a._d))
+    else:
+        b = _elements(draw, g)
+    return u, a, v, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_pairs(), st.booleans())
+def test_scaled_equal_on_large_coefficients_matches_element_arithmetic(pair, swap):
+    u, a, v, b = pair
+    if swap:
+        u, a, v, b = v, b, u, a
+    want = LocalRingElem(u) * a == LocalRingElem(v) * b
+    assert scaled_equal(u, a, v, b) == want
+    assert scaled_equal(v, b, u, a) == want
+    assert scaled_equal(u, a, u, a)
+    # a side is zero exactly when its list or its element is
+    zero_side = not localring._z_trim(u) or a.is_zero
+    assert scaled_equal(u, a, [], b) == zero_side
+
+
+def test_scaled_equal_cancels_common_scalars():
+    # both scalar parts reduce to 1 here: the comparison is one linear pass
+    x = variable()
+    big = 2**150 + 1
+    a = from_lists([3, 7, 2], [big * 6])
+    b = from_lists([3, 7, 2], [big * 2])
+    assert scaled_equal([big], a, [big * 3], a / 3)
+    assert scaled_equal([3], a, [1], b)
+    assert not scaled_equal([3], a, [-1], b)
+    assert scaled_equal([-3], a, [-1], b)
+    assert scaled_equal([0, 3], a, [0, 1], b * 1)
+    assert scaled_equal([0, 0, 1], one(), [1], x * x)
+    assert not scaled_equal([0, 1], one(), [1], x * x)
+
+
+def _stored(*elems):
+    return [list(p) for e in elems for p in (e._n, e._d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_pairs())
+def test_no_kernel_writes_into_an_operand(pair):
+    u, a, v, b = pair
+    lists_before = [list(u), list(v)]
+    before = _stored(a, b)
+    # the products by 1 share their operand's lists
+    shared = [a * 1, 1 * b, b / 1, a + 0]
+    operands = [a, b, *shared, 3, Fraction(-2, 5)]
+    for p in (a, b, *shared):
+        for q in operands:
+            for op in (operator.add, operator.sub, operator.mul):
+                op(p, q)
+                op(q, p)
+            if not (q == 0 or isinstance(q, LocalRingElem) and not q.is_unit):
+                p / q
+            if p.is_unit:
+                q / p
+            p == q
+        -p
+        p ** 2
+        hash(p)
+        str(p)
+        scaled_equal(u, p, v, a)
+        scaled_equal(v, b, u, p)
+    assert _stored(a, b) == before
+    assert [u, v] == lists_before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(BIG, max_size=6), st.lists(BIG, max_size=4), NONZERO_BIG)
+def test_stored_form_has_a_positive_denominator_at_zero(num, den, d0):
+    # a common content of -1 is cancelled by negating both lists
+    e = from_lists(num, [d0] + den)
+    assert e._d[0] > 0
+    assert e == LocalRingElem(num, [d0] + den)
+    assert (-e)._d[0] > 0

@@ -19,6 +19,13 @@ and nonintegral lambda, with truncations on both sides of the window that
 the four term check needs, every ``--check`` and both formats.  It was
 computed before the local ring's operators and the two natural-window
 checks were each written once.
+
+A fourth digest pins the rank 1 laboratory at the truncations where its
+coefficients grow to hundreds of bits: ``sl2`` at truncation 60 and 100
+on natural, negative, half-integral and thirds lambda, every ``--check``
+and both formats.  It was computed before the local ring's products took
+the short operand from either side and its scaled comparison cancelled
+the gcd of the two scalar parts.
 """
 
 import contextlib
@@ -214,3 +221,27 @@ def test_sl2_runs_are_pinned():
     # natural lambda below the window of 2 lambda + 4, under "all" and "four-term"
     assert refused == 32
     assert digest.hexdigest() == SL2_SHA256
+
+
+#: sha256 of the long-truncation rank 1 sweep's records
+SL2_LONG_SHA256 = "80459a081d42378cd96f31fd0a95e2d1a7b2b593d3324c34d54e4a81d4488a8a"
+
+
+def sl2_long_argvs():
+    return [
+        ["sl2", "--lambda", lam, "--trunc", trunc, "--check", check, "--format", fmt]
+        for lam in ("0", "8", "-8", "15/2", "-15/2", "5/3")
+        for trunc in ("60", "100")
+        for check in ("all", "phi", "psi", "four-term", "jantzen")
+        for fmt in ("table", "json")
+    ]
+
+
+def test_sl2_long_truncation_runs_are_pinned():
+    digest = hashlib.sha256()
+    for argv in sl2_long_argvs():
+        rec = record(argv)
+        # every lambda here is inside its window: no run is refused
+        assert rec[1] == 0 and rec[3] == "", rec
+        digest.update(json.dumps(rec).encode() + b"\n")
+    assert digest.hexdigest() == SL2_LONG_SHA256
