@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import GroupTooLarge, VermatwistError
+from .errors import VermatwistError
 
 # Each command imports the layers it runs inside its body, so that a
 # ``weyl`` run never loads the character, sum-formula or rank 1 modules,
@@ -70,47 +70,39 @@ def _layer_lines(table: LayerTable, name) -> list[str]:
     return lines
 
 
-def _resolve_system(args, parser: argparse.ArgumentParser) -> RootSystem:
+def _resolve_system(args) -> RootSystem:
+    """The root system of ``--type`` or ``--cartan-file``; the parser admits exactly one."""
     from .rootsystem import _read_json, build_root_system
 
-    if args.type and args.cartan_file:
-        parser.error("give only one of --type and --cartan-file")
     if args.type:
         return build_root_system(args.type)
-    if args.cartan_file:
-        data = _read_json(args.cartan_file, ValueError, "Cartan file")
-        if not isinstance(data, dict) or "matrix" not in data:
-            raise ValueError('Cartan file needs a "matrix" key')
-        matrix = data["matrix"]
-        if not isinstance(matrix, list):
-            raise ValueError("Cartan file matrix must be a list of rows")
-        rank = data.get("rank", len(matrix))
-        if type(rank) is not int:
-            raise ValueError("Cartan file rank must be an integer")
-        if rank != len(matrix):
-            raise ValueError("Cartan file rank does not match the matrix size")
-        from .weyl import GROUP_BOUND
-
-        # the simple reflections of distinct subsets multiply to distinct
-        # elements, so a group of rank r has at least 2^r elements
-        if 2 ** rank > GROUP_BOUND:
-            raise GroupTooLarge(
-                f"a Weyl group of rank {rank} has at least 2^{rank} elements, "
-                f"over the bound of {GROUP_BOUND} elements"
-            )
-        return build_root_system(matrix)
-    parser.error("one of --type or --cartan-file is required")
-    raise AssertionError("unreachable")
+    data = _read_json(args.cartan_file, ValueError, "Cartan file")
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise ValueError('Cartan file needs a "matrix" key')
+    matrix = data["matrix"]
+    if not isinstance(matrix, list):
+        raise ValueError("Cartan file matrix must be a list of rows")
+    rank = data.get("rank", len(matrix))
+    if type(rank) is not int:
+        raise ValueError("Cartan file rank must be an integer")
+    if rank != len(matrix):
+        raise ValueError("Cartan file rank does not match the matrix size")
+    return build_root_system(matrix)
 
 
-def _rational(text: str) -> Fraction:
+def rational(text: str) -> Fraction:
     """An integer, a fraction "a/b" or a decimal "a.b", as ``Fraction`` reads it.
 
-    Exponent notation is refused: ``Fraction("1e10000000")`` takes seconds.
+    Every refusal is a ``ValueError``, which the parser reports as an
+    invalid rational value.  Exponent notation is refused:
+    ``Fraction("1e10000000")`` takes seconds.
     """
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not accepted")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
@@ -122,8 +114,8 @@ def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     try:
-        coords = tuple(_rational(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        coords = tuple(rational(part.strip()) for part in text.split(","))
+    except ValueError as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from exc
     if len(coords) != rs.rank:
         raise ValueError(f"weight needs {rs.rank} coordinates, got {len(coords)}")
@@ -136,7 +128,7 @@ def _resolve_element(rs: RootSystem, text: str) -> WeylElement:
     return element_from_word(rs, parse_word_text(rs, text))
 
 
-def _resolve_input(args, parser) -> SumFormulaInput:
+def _resolve_input(args) -> SumFormulaInput:
     """The module named on the command line.
 
     With ``--xy`` the words are x and y of the two-letter form, which names
@@ -145,7 +137,7 @@ def _resolve_input(args, parser) -> SumFormulaInput:
     from .characters import make_block
     from .jantzen import SumFormulaInput, _xy_input
 
-    rs = _resolve_system(args, parser)
+    rs = _resolve_system(args)
     block = make_block(rs, _resolve_lambda(rs, args.lam))
     w = _resolve_element(rs, args.w)
     y = _resolve_element(rs, args.y)
@@ -181,7 +173,7 @@ def cmd_sum_formula(args, parser) -> int:
     from .jantzen import _layer_matrix, _layers, _rplus_mu, _sum_counts
     from .weyl import word_text
 
-    inp = _resolve_input(args, parser)
+    inp = _resolve_input(args)
     # evaluated before the decomposition file is read: a y outside the
     # block's orbit is reported as such whatever the file holds
     y, coeffs = _sum_counts(inp)
@@ -217,7 +209,7 @@ def cmd_layers(args, parser) -> int:
     from .jantzen import _layer_matrix, _layers, _sum_counts
     from .weyl import word_text
 
-    inp = _resolve_input(args, parser)
+    inp = _resolve_input(args)
     block = inp.block
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
     # raises before the orbit parameter is resolved, so a nonintegral block
@@ -299,7 +291,7 @@ def _json_list(items: list[str], depth: int) -> str:
 def cmd_weyl(args, parser) -> int:
     from .weyl import _bits, _group_tables, word_text
 
-    rs = _resolve_system(args, parser)
+    rs = _resolve_system(args)
     tables = _group_tables(rs)
     elements, masks = tables.elements, tables.masks
     names = [word_text(w) for w in elements]
@@ -350,47 +342,39 @@ def cmd_sl2(args, parser) -> int:
         psi,
     )
 
-    try:
-        lam = _rational(args.lam)
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse --lambda value {args.lam!r} as a rational")
+    lam = args.lam
     trunc = DEFAULT_TRUNCATION if args.trunc is None else args.trunc
     if trunc < 1:
         parser.error("--trunc must be at least 1")
     if trunc > MAX_TRUNCATION:
         parser.error(f"--trunc must be at most {MAX_TRUNCATION}")
     which = args.check
-    natural = is_natural(lam)
 
     # every check reads the forward map, built once and handed on
     forward = phi(lam, trunc)
-    rows: list[tuple[str, object]] = []
+    # (JSON key, text label, value); json.dumps writes the valuations' int keys as strings
+    rows: list[tuple[str, str, object]] = []
     if which in ("all", "phi"):
-        rows.append(("phi equivariance", check_equivariance(forward)))
+        rows.append(("phi_equivariance", "phi equivariance", check_equivariance(forward)))
     if which in ("all", "psi"):
-        rows.append(("psi equivariance", check_equivariance(psi(forward))))
+        rows.append(("psi_equivariance", "psi equivariance", check_equivariance(psi(forward))))
     if which in ("all", "four-term"):
-        rows.append(
-            ("four-term exactness at X=0", four_term_rank_check(forward) if natural else None)
-        )
-        rows.append(("cokernel valuations over A", coker_check_over_A(forward)))
+        four_term = four_term_rank_check(forward) if is_natural(lam) else None
+        rows.append(("four_term_exactness_at_X0", "four-term exactness at X=0", four_term))
+        coker = coker_check_over_A(forward)
+        rows.append(("cokernel_valuations_over_A", "cokernel valuations over A", coker))
     if which in ("all", "jantzen"):
-        rows.append(("jantzen valuations", jantzen_layers_sl2(forward)))
+        rows.append(("jantzen", "jantzen valuations", jantzen_layers_sl2(forward)))
 
     if args.format == "json":
-        payload: dict[str, object] = {"lambda": str(lam), "truncation": trunc}
-        for label, value in rows:
-            key = label.replace(" ", "_").replace("=", "").replace("-", "_")
-            if isinstance(value, dict):
-                payload["jantzen"] = {str(i): v for i, v in sorted(value.items())}
-            else:
-                payload[key] = value
+        payload = {"lambda": str(lam), "truncation": trunc}
+        payload.update((key, value) for key, _, value in rows)
         print(_dumps(payload))
         return 0
     lines = [f"sl2 deformation report: lambda = {lam}, truncation = {trunc}"]
-    for label, value in rows:
+    for _, label, value in rows:
         if isinstance(value, dict):
-            vals = " ".join(f"{i}:{v}" for i, v in sorted(value.items()))
+            vals = " ".join(f"{i}:{v}" for i, v in value.items())
             lines.append(f"{label} (index:valuation): {vals}")
         elif value is None:
             lines.append(f"{label}: skipped (lambda is not a natural number)")
@@ -400,63 +384,49 @@ def cmd_sl2(args, parser) -> int:
     return 0
 
 
-def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--type", help="root system label, e.g. B2 (see --help for the list)")
-    p.add_argument("--cartan-file", help='JSON file {"rank": n, "matrix": [[...]]}')
-
-
-def _add_block_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    # the flags that several commands share are declared once, on parent parsers
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json"), default="table")
+    system = argparse.ArgumentParser(add_help=False)
+    one_of = system.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--type", help="root system label, e.g. B2")
+    one_of.add_argument("--cartan-file", help='JSON file {"rank": n, "matrix": [[...]]}')
+    block = argparse.ArgumentParser(add_help=False, parents=[system])
+    block.add_argument(
         "--lambda",
         dest="lam",
         default="default",
         help='base weight coordinates "m1,m2,..." (default: all -2)',
     )
-    p.add_argument("--decomp-file", help="JSON decomposition matrix for rank > 2 blocks")
+    block.add_argument("--decomp-file", help="JSON decomposition matrix for rank > 2 blocks")
+    block.add_argument("--w", required=True, help='twist word, e.g. "st" or "1,2"')
+    block.add_argument("--y", required=True, help="orbit parameter word")
 
-
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vermatwist",
         description="Twisted Verma module Jantzen filtrations, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sum = sub.add_parser("sum-formula", help="evaluate the twisted sum formula")
-    _add_system_flags(p_sum)
-    _add_block_flags(p_sum)
-    _add_format_flag(p_sum)
-    p_sum.add_argument("--w", required=True, help='twist word, e.g. "st" or "1,2"')
-    p_sum.add_argument("--y", required=True, help="orbit parameter word")
+    def command(name: str, func, text: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=list(parents), help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p_sum = command("sum-formula", cmd_sum_formula, "evaluate the twisted sum formula", block, fmt)
     p_sum.add_argument(
         "--xy",
         action="store_true",
         help="interpret --w as x and --y as y in the two-letter form (parameter x*y)",
     )
-    p_sum.set_defaults(func=cmd_sum_formula)
-
-    p_layers = sub.add_parser("layers", help="full Jantzen layer table of one module")
-    _add_system_flags(p_layers)
-    _add_block_flags(p_layers)
-    _add_format_flag(p_layers)
-    p_layers.add_argument("--w", required=True, help="twist word")
-    p_layers.add_argument("--y", required=True, help="orbit parameter word")
-    p_layers.set_defaults(func=cmd_layers)
-
-    p_b2 = sub.add_parser("b2-table", help="reproduce the full B2 table set")
-    p_b2.set_defaults(func=cmd_b2_table)
-
-    p_weyl = sub.add_parser("weyl", help="list the Weyl group with Bruhat covers")
-    _add_system_flags(p_weyl)
-    _add_format_flag(p_weyl)
-    p_weyl.set_defaults(func=cmd_weyl)
-
-    p_sl2 = sub.add_parser("sl2", help="rank 1 deformation checks")
-    p_sl2.add_argument("--lambda", dest="lam", required=True, help="highest weight, a rational")
+    command("layers", cmd_layers, "full Jantzen layer table of one module", block, fmt)
+    command("b2-table", cmd_b2_table, "reproduce the full B2 table set")
+    command("weyl", cmd_weyl, "list the Weyl group with Bruhat covers", system, fmt)
+    p_sl2 = command("sl2", cmd_sl2, "rank 1 deformation checks", fmt)
+    p_sl2.add_argument(
+        "--lambda", dest="lam", type=rational, required=True, help="highest weight, a rational"
+    )
     # the default, sl2lab.DEFAULT_TRUNCATION, is filled in by cmd_sl2
     p_sl2.add_argument("--trunc", type=int)
     p_sl2.add_argument(
@@ -464,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", "phi", "psi", "four-term", "jantzen"),
         default="all",
     )
-    _add_format_flag(p_sl2)
-    p_sl2.set_defaults(func=cmd_sl2)
-
     return parser
 
 
@@ -474,15 +441,11 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     # argparse rejects separated values that start with "-" (e.g. a weight
     # like -3,-1), so fold them into --flag=value form before parsing.
     merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--lambda", "--trunc") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if merged and merged[-1] in ("--lambda", "--trunc"):
+            merged[-1] += "=" + tok
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 

@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import InvariantViolated, NotARoot, NotFiniteType
+from .errors import GroupTooLarge, InvariantViolated, NotARoot, NotFiniteType
 
 #: Cartan matrices for the built-in type labels.  Indexing follows the
 #: module convention above.  For B2 the first simple root is the short one.
@@ -374,13 +374,20 @@ class RootSystem:
 
 _REGISTRY: dict[tuple[tuple[int, ...], ...], RootSystem] = {}
 
+#: the largest Weyl group enumerated by default: E6 (51,840 elements) passes, and
+#: A8, D7, B7 and C7 (322,560 elements and more) are refused; ``build_root_system``
+#: refuses a rank whose group must exceed it
+GROUP_BOUND = 100_000
+
 
 def build_root_system(cartan) -> RootSystem:
     """Build (or fetch the interned) root system for the given Cartan data.
 
     ``cartan`` is either a type label such as ``"B2"`` (see
     ``CARTAN_BY_LABEL``) or a square matrix of integers.  Raises
-    ``NotFiniteType`` when the data does not describe a finite root system.
+    ``NotFiniteType`` when the data does not describe a finite root system,
+    and ``GroupTooLarge``, before reading the entries, when its rank alone
+    puts the Weyl group over ``GROUP_BOUND`` elements.
 
     >>> rs = build_root_system("B2")
     >>> [r.coords for r in rs.positive_roots]
@@ -394,6 +401,13 @@ def build_root_system(cartan) -> RootSystem:
         if key not in CARTAN_BY_LABEL:
             raise ValueError(f"unknown type label {cartan!r}; known: {sorted(CARTAN_BY_LABEL)}")
         matrix, label = CARTAN_BY_LABEL[key], key
+    elif isinstance(cartan, (list, tuple)) and 2 ** len(cartan) > GROUP_BOUND:
+        # the simple reflections of distinct subsets multiply to distinct
+        # elements, so a group of rank r has at least 2^r elements
+        raise GroupTooLarge(
+            f"a Weyl group of rank {len(cartan)} has at least 2^{len(cartan)} elements, "
+            f"over the bound of {GROUP_BOUND} elements"
+        )
     else:
         matrix = _validate_cartan(cartan)
         label = next((name for name, known in CARTAN_BY_LABEL.items() if known == matrix), None)

@@ -90,7 +90,7 @@ class WeightMap:
 
     @cached_property
     def _valuations(self) -> tuple[int, ...]:
-        """The entries' valuations, read once for the cokernel check and the layers."""
+        """The entries' valuations, read once for the checks at X = 0 and the layers."""
         if any(entry.is_zero for entry in self.entries):
             raise InvariantViolated("weight map entries must be nonzero")
         return tuple(entry.valuation() for entry in self.entries)
@@ -220,6 +220,11 @@ def _vanishing(lam: int | None, truncation: int) -> list[tuple[int, int]]:
     return [(int(natural and i > lam), int(natural and i <= lam)) for i in range(truncation + 1)]
 
 
+def _profile(forward_map: WeightMap) -> list[tuple[int, int]]:
+    """Per index, the valuations of the forward and the backward map, read once per map."""
+    return list(zip(forward_map.valuations(), forward_map._backward.valuations()))
+
+
 def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     """Degreewise exactness of the classical four term sequence.
 
@@ -227,15 +232,16 @@ def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     the twisted module receives the quotient, and the cokernel is the
     twisted module of -lam-2 again.  Degreewise this says the specialized
     forward entry vanishes exactly above index lam, and the specialized
-    backward entry exactly up to lam.
+    backward entry exactly up to lam.  An entry vanishes at X = 0 exactly
+    when its valuation is positive, so the check reads the valuations the
+    cokernel check reads, and specializes no entry.
     """
     lam, truncation, forward_map = _given(lam, truncation)
     lam_int = _natural_window(lam, truncation)
     if lam_int is None:
         raise ValueError("the four term sequence needs a natural highest weight")
-    forward_map = forward_map or phi(lam, truncation)
-    profile = zip(forward_map.specialized(), forward_map._backward.specialized())
-    return [(int(f == 0), int(b == 0)) for f, b in profile] == _vanishing(lam_int, truncation)
+    profile = _profile(forward_map or phi(lam, truncation))
+    return [(int(f > 0), int(b > 0)) for f, b in profile] == _vanishing(lam_int, truncation)
 
 
 def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
@@ -248,6 +254,4 @@ def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     """
     lam, truncation, forward_map = _given(lam, truncation)
     lam_int = _natural_window(lam, truncation)
-    forward_map = forward_map or phi(lam, truncation)
-    profile = zip(forward_map.valuations(), forward_map._backward.valuations())
-    return list(profile) == _vanishing(lam_int, truncation)
+    return _profile(forward_map or phi(lam, truncation)) == _vanishing(lam_int, truncation)

@@ -59,8 +59,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import Root, RootSystem, Weight, _coroot_of, _Frozen, _numerators, _Record
-from .rootsystem import _reflect_root, _reflect_weight, _sequence, _whole
+from .rootsystem import GROUP_BOUND, Root, RootSystem, Weight, _coroot_of, _Frozen, _numerators
+from .rootsystem import _Record, _reflect_root, _reflect_weight, _sequence, _whole
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -342,15 +342,12 @@ def _build_tables(rs: RootSystem) -> _GroupTables:
     return _GroupTables(tuple(elements), index, tuple(left), tuple(refl), tuple(masks))
 
 
-#: the largest group whose Bruhat lower ideals, |W|^2 bits, are built (F4 6 ms, D5 9-12 ms,
-#: B5 22-24 ms on a 2-core VM): a loaded decomposition file checks |W| rows of |W| entries
-#: against them, 0.18-0.23 s for F4 from a parsed dict and 0.29-0.44 s from the file, so
-#: F4 (1152 elements) and D5 (1920) pass, and B5 (3840), A6 and E6 are refused
+#: the largest group whose Bruhat lower ideals, |W|^2 bits, are built: a loaded decomposition
+#: file checks |W| rows of |W| entries against them, so F4 (1152 elements) and D5 (1920)
+#: pass, and B5 (3840), A6 and E6 are refused; the build times are in BENCH_covers.json
+#: (``ideals_build_ms``) and the F4 file check in BENCH_layerpath.json
+#: (``load_decomposition_file_F4_s``)
 IDEALS_BOUND = 2000
-
-#: the default largest group enumerated: E6 (51,840 elements) passes, and
-#: A8, D7, B7 and C7 (322,560 elements and more) are refused
-GROUP_BOUND = 100_000
 
 
 def _group_tables(rs: RootSystem, bound: int = GROUP_BOUND) -> _GroupTables:

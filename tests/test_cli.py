@@ -140,6 +140,90 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+def usage_error(*argv):
+    """The exit code and stderr of a run that the parser ends."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err):
+            main(list(argv))
+    return exc.value.code, err.getvalue()
+
+
+SYSTEM_COMMANDS = {
+    "sum-formula": ("--w", "s", "--y", "e"),
+    "layers": ("--w", "s", "--y", "e"),
+    "weyl": (),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SYSTEM_COMMANDS))
+def test_type_and_cartan_file_exclude_each_other(tmp_path, command):
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps({"matrix": CARTAN_BY_LABEL["B2"]}))
+    rest = SYSTEM_COMMANDS[command]
+    code, err = usage_error(command, "--type", "B2", "--cartan-file", str(path), *rest)
+    assert code == 2
+    assert err.splitlines()[-1].endswith("argument --cartan-file: not allowed with argument --type")
+    code, err = usage_error(command, *rest)
+    assert code == 2
+    assert "one of the arguments --type --cartan-file is required" in err
+    # each alone is accepted
+    for flags in (("--type", "B2"), ("--cartan-file", str(path))):
+        assert run_cli(command, *flags, *rest)[0::2] == (0, "")
+
+
+@pytest.mark.parametrize("value", ["1/0", "-3/0", "x", "1e3", ""])
+def test_sl2_lambda_that_is_no_rational_is_a_usage_error(value):
+    code, err = usage_error("sl2", "--lambda", value)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"vermatwist sl2: error: argument --lambda: invalid rational value: {value!r}"
+    )
+
+
+#: each command's flags, as its --help names them
+FLAGS = {
+    "sum-formula": (
+        "--type", "--cartan-file", "--lambda", "--decomp-file", "--format", "--w", "--y", "--xy",
+    ),
+    "layers": ("--type", "--cartan-file", "--lambda", "--decomp-file", "--format", "--w", "--y"),
+    "b2-table": (),
+    "weyl": ("--type", "--cartan-file", "--format"),
+    "sl2": ("--lambda", "--trunc", "--check", "--format"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_every_command_has_help(command):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = out.getvalue()
+    assert text.startswith(f"usage: vermatwist {command} ")
+    named = {word.strip("[]()|,") for word in text.split() if word.lstrip("[(").startswith("--")}
+    assert named - {"--help"} == set(FLAGS[command])
+
+
+def readme_commands():
+    """The ``vermatwist ...`` lines of the README's command line quick start."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Quick start, command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("vermatwist ")]
+
+
+def test_readme_quick_start_commands_run():
+    commands = readme_commands()
+    assert len(commands) == 5
+    assert [argv[0] for argv in commands] == ["sum-formula", "layers", "b2-table", "weyl", "sl2"]
+    for argv in commands:
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+
+
 def test_b2_table_matches_golden():
     code, out, err = run_cli("b2-table")
     assert code == 0

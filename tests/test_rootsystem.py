@@ -357,3 +357,31 @@ def test_linear_action_preserves_form():
         fa = rs.form(coords_a, coords_a)
         fm = rs.form(coords_m, coords_m)
         assert fa == fm
+
+
+def a_type(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def test_rank_over_the_group_bound_is_refused_before_anything_is_built(monkeypatch):
+    from vermatwist import GroupTooLarge, rootsystem
+    from vermatwist.weyl import GROUP_BOUND
+
+    assert GROUP_BOUND is rootsystem.GROUP_BOUND
+    # rank 16 gives at least 65,536 elements, rank 17 at least 131,072
+    assert 2**16 <= GROUP_BOUND < 2**17
+    monkeypatch.setattr(rootsystem, "RootSystem", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(rootsystem, "_validate_cartan", lambda m: pytest.fail("validated"))
+    for matrix in (a_type(17), tuple(map(tuple, a_type(17))), [[2]] * 40):
+        with pytest.raises(GroupTooLarge, match=r"^a Weyl group of rank \d+ has at least 2\^"):
+            build_root_system(matrix)
+    with pytest.raises(GroupTooLarge) as exc:
+        build_root_system(a_type(17))
+    assert str(exc.value) == (
+        "a Weyl group of rank 17 has at least 2^17 elements, over the bound of 100000 elements"
+    )
+
+
+def test_rank_under_the_group_bound_is_built():
+    rs = build_root_system(a_type(16))
+    assert rs.rank == 16 and len(rs.positive_roots) == 16 * 17 // 2
