@@ -135,9 +135,13 @@ class CharVector:
         return CharVector._of(self.basis, {w: c for w, c in merged.items() if c})
 
     def __add__(self, other: CharVector) -> CharVector:
+        if not isinstance(other, CharVector):
+            return NotImplemented
         return self._merge(other, 1)
 
     def __sub__(self, other: CharVector) -> CharVector:
+        if not isinstance(other, CharVector):
+            return NotImplemented
         return self._merge(other, -1)
 
     def __neg__(self) -> CharVector:
@@ -202,6 +206,9 @@ class BlockContext:
         self.params = tuple(w for w in self.group if param_of[w._k] == w._k)
         self._param_set = frozenset(self.params)
         self._default_decomp: DecompositionMatrix | None = None
+        # the untwisted sum formula terms of each parameter read so far,
+        # by table index; only ``jantzen._sum_counts`` writes them
+        self._terms: dict[int, tuple[dict[WeylElement, int], list]] = {}
 
     @cached_property
     def _param_by_weight(self) -> dict[Weight, WeylElement]:

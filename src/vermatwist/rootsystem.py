@@ -417,6 +417,8 @@ def build_root_system(cartan) -> RootSystem:
 
 
 def _check_rank(rs: RootSystem, lam: Weight) -> None:
+    if not isinstance(lam, Weight):
+        raise ValueError(f"expected a Weight, got {lam!r}")
     if len(lam.coords) != rs.rank:
         raise ValueError("weight has wrong rank for this root system")
 

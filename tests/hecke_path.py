@@ -9,28 +9,88 @@ H_s^2 = 1 - 2 eps H_s, so
     H_s H_z = H_{sz}                  if sz > z,
     H_s H_z = H_{sz} - 2 eps H_z      if sz < z.
 
-Index M(y . lam) as H_x with x = y w0 and let k = |R+(mu) cap R+(w)| for
-mu = y . lam.  Then G = (1 + k eps) H_w H_{w^-1 x} is x at eps = 0, and
-its eps part, read in the block by z -> the parameter of (z w0) . lam, is
-the sum vector of the twist w less that of the untwisted module:
-``sum_formula(w, y) - sum_formula(e, y)``.  Here y is a parameter of the
-block, in a singular block the shortest element of its coset; for the
-coset's other elements the identity fails as written.
+The algebra is that of the integral Weyl group W_lam, a reflection
+subgroup of W that in general is not parabolic, in its own Coxeter
+structure (Dyer, *Reflection subgroups of Coxeter systems*, J. Algebra
+135, 1990; Deodhar, *A note on subgroups generated by reflections in
+Coxeter groups*, Arch. Math. 53, 1989).  :class:`IntegralView` builds it:
+its positive roots are the integral positive roots Phi_lam+, the
+lam-length l_lam(u) of u counts u's inversions in Phi_lam+, its
+generators are the reflections t_beta of beta in Phi_lam+ with
+l_lam(t_beta) = 1, and w0_lam is its member of largest lam-length.  A
+twist w of W projects to the one u in W_lam with the same inversions in
+Phi_lam+.  For a generator t and z in W_lam, l_lam(tz) < l_lam(z) iff
+l(tz) < l(z), so the rule above reads either length.  In an integral
+block all of this is W itself: the generators are the simple
+reflections, w0_lam is w0 and u is w.
 
-Only public operations are used: simple reflections, products, lengths,
-inverses, words and inversion sets of elements, and the block's
-``weight_of`` and ``param_for_weight``.  No private name of the package
-is read: neither the reflection table that the sum formula's kernel
-walks nor the kernel itself.
+Index M(y . lam) as H_x with x = y w0_lam and let k = |R+(mu) cap N(u)|
+for mu = y . lam.  Then G = (1 + k eps) H_u H_{u^-1 x} is x at eps = 0,
+and its eps part, read in the block by z -> the parameter of
+(z w0_lam) . lam, is the sum vector of the twist w less that of the
+untwisted module: ``sum_formula(w, y) - sum_formula(e, y)``.  Here y is
+a parameter of the block, in a singular block the shortest element of
+its coset; for the coset's other elements the identity fails as written.
+Outside the integral blocks this checks the package's formula against
+W_lam's Hecke algebra; that T_w acts so for w outside W_lam is not
+claimed here.
+
+Only public operations are used: reflections, products, lengths,
+inverses and inversion sets of elements, the integral positive roots,
+and the block's ``group``, ``weight_of`` and ``param_for_weight``.  No
+private name of the package is read: neither the reflection table that
+the sum formula's kernel walks nor the kernel itself.
 """
+
+from functools import cache
 
 from vermatwist import (
     VERMA,
     CharVector,
-    longest_element,
+    integral_positive_roots,
     r_plus_of_weight,
-    simple_reflection,
+    reflection_through,
 )
+
+
+class IntegralView:
+    """W_lam of a block as a Coxeter group, from public operations."""
+
+    def __init__(self, block):
+        rs = block.rs
+        positive = integral_positive_roots(rs, block.base)
+        self.roots = frozenset(b.coords for b in positive)
+        self.members = block.group
+        self.generators = tuple(
+            t for t in (reflection_through(rs, b) for b in positive) if self.length(t) == 1
+        )
+        self.w0 = max(self.members, key=self.length)
+        self.by_inversions = {self.inversions(u): u for u in self.members}
+
+    def inversions(self, w):
+        """N(w) cut to Phi_lam+, as root coordinates."""
+        return frozenset(b.coords for b in w.inversions) & self.roots
+
+    def length(self, w):
+        return len(self.inversions(w))
+
+    def project(self, w):
+        """The u in W_lam with the inversions of w in Phi_lam+."""
+        return self.by_inversions[self.inversions(w)]
+
+    def word(self, u):
+        """Generators t_1, ..., t_r with u = t_1 ... t_r and r = l_lam(u)."""
+        out = []
+        while self.length(u):
+            t = next(t for t in self.generators if self.length(t * u) < self.length(u))
+            out.append(t)
+            u = t * u
+        return out
+
+
+@cache
+def integral_view(block):
+    return IntegralView(block)
 
 
 def left_mul(s, elt):
@@ -51,20 +111,21 @@ def left_mul(s, elt):
 
 
 def graded_character(block, w, y):
-    """G = (1 + k eps) H_w H_{w^-1 x}, as a dict z -> (a, b) with no zero entries."""
-    rs = block.rs
-    x = y * longest_element(rs)
-    inversions = {b.coords for b in w.inversions}
+    """G = (1 + k eps) H_u H_{u^-1 x}, as a dict z -> (a, b) with no zero entries."""
+    view = integral_view(block)
+    u = view.project(w)
+    x = y * view.w0
+    inversions = view.inversions(u)
     k = sum(b.coords in inversions for b in r_plus_of_weight(block, block.weight_of(y)))
-    elt = {w.inverse() * x: (1, 0)}
-    for i in reversed(w.word):
-        elt = left_mul(simple_reflection(rs, i), elt)
+    elt = {u.inverse() * x: (1, 0)}
+    for t in reversed(view.word(u)):
+        elt = left_mul(t, elt)
     return {z: (a, b + k * a) for z, (a, b) in elt.items() if (a, b + k * a) != (0, 0)}
 
 
 def twist_difference(block, w, y):
     """The eps part of G in the block's Verma basis, and G at eps = 0 as a dict."""
-    w0 = longest_element(block.rs)
+    w0 = integral_view(block).w0
     g = graded_character(block, w, y)
     coeffs = {}
     for z, (_, b) in g.items():

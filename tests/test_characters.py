@@ -481,6 +481,15 @@ def test_char_vector_arithmetic():
     assert a != CharVector(SIMPLE, {e: 1, s: 2})
 
 
+def test_char_vector_sums_refuse_what_is_no_vector():
+    rs = build_root_system("B2")
+    v = CharVector(VERMA, {element_from_word(rs, ()): 1})
+    for other in (5, None, {}, "v"):
+        for combine in (lambda: v + other, lambda: v - other, lambda: other + v, lambda: other - v):
+            with pytest.raises(TypeError):
+                combine()
+
+
 def test_char_vector_refuses_non_integer_coefficients():
     rs = build_root_system("B2")
     e = element_from_word(rs, ())

@@ -311,3 +311,12 @@ def test_a_weight_of_the_wrong_rank_is_refused_with_one_message(name):
     rs = build_root_system("B2")
     with pytest.raises(ValueError, match="^weight has wrong rank for this root system$"):
         WRONG_RANK[name](rs, weight(-2, -2, -2))
+
+
+@pytest.mark.parametrize("bad", [None, (-2, -2)], ids=["None", "tuple"])
+@pytest.mark.parametrize("name", sorted(set(WRONG_RANK) - {"sum_formula"}))
+def test_a_weight_that_is_no_weight_is_refused(name, bad):
+    # sum_formula refuses a mu that is no Weight in SumFormulaInput
+    rs = build_root_system("B2")
+    with pytest.raises(ValueError, match="^expected a Weight, got "):
+        WRONG_RANK[name](rs, bad)

@@ -38,7 +38,7 @@ from vermatwist import (
     weight,
     word_text,
 )
-from hecke_path import twist_difference
+from hecke_path import integral_view, twist_difference
 from xy_path import xy_sum
 
 
@@ -399,10 +399,12 @@ def test_xy_form_is_one_sum_formula_evaluation(monkeypatch):
 
 
 def test_twisting_functors_give_every_twisted_sum_vector():
-    # G = (1 + k eps) H_w H_{w^-1 x} in the Hecke algebra at v = 1 + eps
-    # is x at eps = 0, and its eps part is the twisted sum vector less the
-    # untwisted one (hecke_path.py); y runs over the block's parameters,
-    # the shortest elements of their cosets in a singular block
+    # G = (1 + k eps) H_u H_{u^-1 x} in the Hecke algebra of W_lambda at
+    # v = 1 + eps is x at eps = 0, and its eps part is the twisted sum
+    # vector less the untwisted one (hecke_path.py); y runs over the
+    # block's parameters, the shortest elements of their cosets in a
+    # singular block, and w over all of W
+    half, third = Fraction(-1, 2), Fraction(-4, 3)
     blocks = REGULAR + (
         ("A2", (-1, -2)),
         ("B2", (-1, -2)),
@@ -410,14 +412,20 @@ def test_twisting_functors_give_every_twisted_sum_vector():
         ("G2", (-1, -2)),
         ("A3", (-1, -2, -2)),
         ("A3", (-2, -1, -2)),
+        ("B2", (half, -2)),
+        ("G2", (half, -2)),
+        ("G2", (third, third)),
+        ("A3", (half, -2, half)),
+        # W_lambda does not hold W's w0 here
+        ("C3", (half, -2, -2)),
     )
     for label, coords in blocks:
         block = block_of(label, *coords)
-        w0 = longest_element(block.rs)
+        w0 = integral_view(block).w0
         e = el(block, "e")
         for y in block.params:
             untwisted = sum_formula(SumFormulaInput(block=block, w=e, y=y)).vector
-            for w in block.group:
+            for w in all_elements(block.rs):
                 difference, at_zero = twist_difference(block, w, y)
                 twisted = sum_formula(SumFormulaInput(block=block, w=w, y=y)).vector
                 where = (label, coords, word_text(w), word_text(y))

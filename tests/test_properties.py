@@ -6,10 +6,10 @@ The weight-path oracle (``weight_path.py``) reflects each orbit weight
 as s_beta . mu = mu - n * beta with n = <mu + rho, beta^vee>.  These
 tests compare that closed form, on random weights, and ``sum_formula``,
 on random (w, y) in rank 3 and rank 4 blocks, with the literal route:
-the reflection matrix of beta pushed through the dot action.  On the
-integral blocks, the twisted sum vector less the untwisted one must be
-the eps part of a product in the Hecke algebra at v = 1 + eps, the
-twisting functors' action (``hecke_path.py``).
+the reflection matrix of beta pushed through the dot action.  On every
+block, the twisted sum vector less the untwisted one must be the eps
+part of a product in the Hecke algebra of the integral Weyl group at
+v = 1 + eps, the twisting functors' action (``hecke_path.py``).
 
 Blocks through random rational weights of A3, B3, C3, D4 and B4, of
 every kind, must have as parameters the first elements to reach each
@@ -36,9 +36,16 @@ A2, B2 and G2, and on the Bruhat pattern of the regular A3 block,
 ``change_basis``, ``layers_multiplicity_free`` and ``inverse_rows`` must
 give what the dense row walks and the back substitution of
 ``layer_path.py`` give, refusals included.
+
+A block keeps the untwisted sum formula terms of each parameter it has
+read.  On the blocks of ``BASES``, a random sequence of ``sum_formula``
+calls, by y and by mu, and ``layers_multiplicity_free`` calls must give
+what each call gives on a fresh block, also after the caller writes into
+a returned vector.
 """
 
 import random
+from datetime import timedelta
 from fractions import Fraction
 from functools import cache
 
@@ -77,7 +84,7 @@ from vermatwist import (
 from vermatwist.weyl import _bits, _group_tables
 import layer_path
 import matrix_path
-from hecke_path import twist_difference
+from hecke_path import integral_view, twist_difference
 from weight_path import _dot_reflect, _weight_sum, outcome
 
 
@@ -155,20 +162,17 @@ def test_sum_formula_matches_reflection_matrices(data):
     assert [abs(c) for x, c in want.items() if x != top] == [1] * len(got.rplus_mu)
 
 
-@settings(max_examples=60, deadline=None)
+# one F4 example takes about 1 ms, and building its W_lam view 15 ms
+@settings(max_examples=60, deadline=timedelta(seconds=1))
 @given(st.data())
 def test_twisting_functors_give_the_twisted_sum_vector(data):
-    # the Hecke algebra oracle (hecke_path.py) on the integral bases;
-    # in a nonintegral block w need not lie in W_lambda
+    # the Hecke algebra oracle (hecke_path.py) on W_lambda, every base
     label = data.draw(st.sampled_from(sorted(BASES)))
-    index = data.draw(st.sampled_from([
-        i for i, coords in enumerate(BASES[label]) if all(c == int(c) for c in coords)
-    ]))
-    blk = block(label, index)
+    blk = block(label, data.draw(st.integers(0, len(BASES[label]) - 1)))
     w = data.draw(st.sampled_from(all_elements(blk.rs)))
     y = data.draw(st.sampled_from(blk.params))
     difference, at_zero = twist_difference(blk, w, y)
-    assert at_zero == {y * longest_element(blk.rs): 1}
+    assert at_zero == {y * integral_view(blk).w0: 1}
     e = all_elements(blk.rs)[0]
     assert difference == (
         sum_formula(SumFormulaInput(block=blk, w=w, y=y)).vector
@@ -502,3 +506,46 @@ def test_sparse_rows_match_the_dense_walks(data):
             assert layers_or_refusal(layers_multiplicity_free, inp, dm) == layers_or_refusal(
                 layer_path.layer_table, inp, dm
             )
+
+
+def kept_terms_call(blk, kind, w, y, dm):
+    """One call at (w, y) as plain data: ``sum_formula`` by ``y`` or by
+    ``mu``, or ``layers_multiplicity_free`` or its refusal."""
+    if kind == "layers":
+        return layers_or_refusal(layers_multiplicity_free, SumFormulaInput(blk, w, y), dm)
+    inp = SumFormulaInput(blk, w, y) if kind == "y" else SumFormulaInput(blk, w, mu=blk.weight_of(y))
+    return sum_formula(inp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_terms_a_block_keeps_cannot_be_observed(data):
+    # a block keeps the untwisted terms of each parameter it has read: a
+    # sequence of calls on one block gives what each call gives on a
+    # fresh block, also after the caller writes into a returned vector
+    label = data.draw(st.sampled_from(sorted(BASES)))
+    index = data.draw(st.integers(0, len(BASES[label]) - 1))
+    rs = build_root_system(label)
+    blk = make_block(rs, weight(*BASES[label][index]))
+    # the Bruhat incidence matrix is multiplicity free, and B3 is small enough
+    dm = None
+    if (label, index) == ("B3", 0):
+        ideals = _group_tables(rs).ideals
+        n = len(blk.params)
+        dm = DecompositionMatrix(
+            blk.params, tuple(tuple(ideal >> j & 1 for j in range(n)) for ideal in ideals)
+        )
+    group = all_elements(rs)
+    # a few y, so that calls come back to each
+    ys = data.draw(st.lists(st.sampled_from(blk.group), min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(("y", "mu", "layers")))
+        w = data.draw(st.sampled_from(group))
+        y = data.draw(st.sampled_from(ys))
+        got = kept_terms_call(blk, kind, w, y, dm)
+        assert got == kept_terms_call(make_block(rs, blk.base), kind, w, y, dm)
+        if kind != "layers":
+            coeffs = got.vector._coeffs
+            for x in coeffs:
+                coeffs[x] = 7
+            coeffs[y] = coeffs[w] = -7
