@@ -329,12 +329,6 @@ class DecompositionMatrix(_Record):
         """The nonzero entries of each row as (position, multiplicity) pairs."""
         return tuple(tuple(compress(enumerate(row), row)) for row in self.rows)
 
-    @cached_property
-    def _in_table_order(self) -> bool:
-        """Whether position j holds the element of table index j, so that
-        the sparse rows are keyed by table index."""
-        return all(w._k == j for j, w in enumerate(self.params))
-
 
 def _combine(rows, coeffs) -> list[int]:
     """Sum of c times sparse row i over the (i, c) pairs of ``coeffs``, as

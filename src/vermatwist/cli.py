@@ -3,13 +3,15 @@
 Subcommands: ``sum-formula``, ``layers``, ``b2-table``, ``weyl``, ``sl2``.
 All output is deterministic (stable orderings everywhere).  Exit codes:
 0 on success, 1 on domain errors (the error class name is printed
-verbatim), 2 on usage errors.
+verbatim), 2 on usage errors, and 141 (128 + SIGPIPE) from the console
+script when the reader of stdout closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -469,7 +471,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flush here, so that a closed pipe raises inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at the null
+        # device, so that nothing more is written, to stdout or stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE, the status of a process that SIGPIPE ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,32 +24,30 @@ coset y Stab(lam + rho), which is the coset's unique shortest element
 (Dyer; see :mod:`vermatwist.characters`).  With lam + rho antidominant,
 y sends the positive roots of the stabilizer to positive roots, so
 R+(mu) is the inversion set of y cut down to the integral roots, and
-s_beta . mu = (t_beta y) . lam.  The first call at y therefore makes one
-integer walk over the bits of that mask, reads t_beta y off the
-reflection table and writes the term straight into the Verma vector,
-keyed by element; it builds no weight.  The terms never merge:
+s_beta . mu = (t_beta y) . lam.  The terms never merge:
 s_beta . mu = mu - n beta with n > 0, so distinct roots give distinct
-orbit weights, none of them mu, and each term is written once, at the
+orbit weights, none of them mu, and each term sits once, at the
 parameter of the coset of t_beta y (t_beta y itself in a regular block,
 whose stabilizer is trivial).
 
 A twist only flips signs: at w = e every term is +1, Jantzen's classical
 formula, and the twist w turns the term of each beta in R+(mu) cap R+(w)
-to -1 and adds one [y] for each.  So the block keeps, for each parameter
-y that a call has read, what the first walk found: the untwisted terms,
-each at 1, and the term of each root's bit.  Every later call at y
-copies the kept terms and walks only the bits of R+(mu) cap R+(w).  The
-kept terms take about 70 bytes each, 0.96 MiB for all 1152 parameters of
-F4's regular block, and go with the block; the block builds none.
+to -1 and adds one [y] for each.  So the first call at y makes one
+integer walk over the bits of R+(mu), reads t_beta y off the reflection
+table and keeps on the block the untwisted terms, each at 1 and keyed by
+element, and the term of each root's bit; it builds no weight.  Every
+call at y, the first one included, then copies the kept terms and flips
+the bits of R+(mu) cap R+(w).  The kept terms take about 70 bytes each,
+0.96 MiB for all 1152 parameters of F4's regular block, and go with the
+block; the block builds none.
 
-Layer tables are read off the same walk, in integers.  The sum vector's
-Verma coefficients go to the simple basis through the sparse rows of the
+Layer tables are read off the same vector, in integers.  Its Verma
+coefficients go to the simple basis through the sparse rows of the
 decomposition matrix, summed by the one dense kernel
 :func:`vermatwist.characters._combine` into a list of ints indexed by
-position.  Layers exist only in regular integral blocks, whose
-parameters are the whole group in table order, so the coefficient of x
-goes through row ``x._k`` and each depth is read at its factor's table
-index; no character vector is built.
+position, and each factor's depth is read at its position.  Positions
+come from the matrix, as in :func:`vermatwist.characters.change_basis`;
+no character vector is built.
 
 The input, the result and the layer table are
 :class:`vermatwist.rootsystem._Record` classes, each with a positional
@@ -72,7 +70,6 @@ from .characters import (
 )
 from .errors import (
     BadDecompositionFile,
-    InvariantViolated,
     MixedRootSystems,
     NotInBlockOrbit,
     NotMultiplicityFree,
@@ -204,12 +201,11 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
     """The block parameter of the module's highest weight, and the sum
     vector as the coefficient dict of its Verma basis ``CharVector``.
 
-    The first call at a parameter y walks the bits of R+(mu), writes the
-    terms straight into the dict, keyed by element and holding no zeros,
-    and keeps on the block the untwisted terms it found: each term at 1,
-    and each root's bit with its term's element.  Every later call at y
-    copies the kept terms and walks only the bits of R+(mu) cap R+(w),
-    flipping those terms to -1 (see the module docstring).
+    The first call at a parameter y walks the bits of R+(mu) and keeps on
+    the block the untwisted terms, each at 1 and keyed by element, and
+    each root's bit with its term's element.  Every call at y copies the
+    kept terms and flips those of R+(mu) cap R+(w) to -1 (see the module
+    docstring); the dict holds no zeros.
     """
     block = inp.block
     tables = block._tables
@@ -224,28 +220,25 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
     if kept is None:
         elements, refl, param_of = tables.elements, tables.refl, block._param_of
         m = rplus
-        coeffs, terms, at = {}, {}, [None] * len(refl)
+        terms, at = {}, [None] * len(refl)
         while m:
             low = m & -m
             m ^= low
             b = low.bit_length() - 1
             x = at[b] = elements[param_of[refl[b][k]]]
             terms[x] = 1
-            coeffs[x] = -1 if in_w & low else 1
-        block._terms[k] = terms, at
-    else:
-        terms, at = kept
-        coeffs = terms.copy()
-        m = rplus & in_w
-        while m:
-            low = m & -m
-            m ^= low
-            coeffs[at[low.bit_length() - 1]] = -1
+        kept = block._terms[k] = terms, at
+    terms, at = kept
+    coeffs = terms.copy()
+    m = flip = rplus & in_w
+    while m:
+        low = m & -m
+        m ^= low
+        coeffs[at[low.bit_length() - 1]] = -1
     # each term lands on its own parameter, never on y (see the module
     # docstring), and [y] gains 1 for each beta in R+(mu) cap R+(w)
-    n = (rplus & in_w).bit_count()
-    if n:
-        coeffs[y] = n
+    if flip:
+        coeffs[y] = flip.bit_count()
     return y, coeffs
 
 
@@ -335,40 +328,31 @@ def layers_multiplicity_free(
 def _layer_matrix(
     block: BlockContext, decomposition: DecompositionMatrix | None
 ) -> DecompositionMatrix:
-    """The refusals that come before the sum formula: the block, then the matrix.
-
-    The matrix returned is in table order: a regular integral block's
-    parameters are the whole group in table order, and ``_block_matrix``
-    gives a matrix on the block's parameters.
-    """
+    """The refusals that come before the sum formula: the block, then the matrix."""
     if not (block.regular and block.integral):
         raise UnsupportedBlock(
             "layer extraction is only supported in regular integral blocks"
         )
-    dm = _block_matrix(block, decomposition)
-    if not dm._in_table_order:
-        raise InvariantViolated("a regular integral block's matrix must be in table order")
-    return dm
+    return _block_matrix(block, decomposition)
 
 
 def _layers(dm: DecompositionMatrix, y: WeylElement, coeffs: dict[WeylElement, int]) -> LayerTable:
     """The layer table of ``layers_multiplicity_free`` from :func:`_sum_counts`.
 
-    Positions in ``dm`` are table indices (see :func:`_layer_matrix`), so
-    each Verma coefficient of x goes through sparse row ``x._k``, and the
-    dense sum of :func:`_combine` holds the depth of each factor of y's
-    row at its table index.  Once those are read and cleared, any entry
-    left is a factor outside the composition series.
+    Each Verma coefficient of x goes through the sparse row at x's
+    position in ``dm``, and the dense sum of :func:`_combine` holds the
+    depth of each factor of y's row at its position.  Once those are read
+    and cleared, any entry left is a factor outside the composition series.
     """
-    params = dm.params
-    row = dm._sparse[y._k]
+    params, index = dm.params, dm._index
+    row = dm._sparse[index[y]]
     for j, c in row:
         if c > 1:
             raise NotMultiplicityFree(
                 f"factor {word_text(params[j])} occurs {c} times in the Verma module "
                 f"of {word_text(y)}"
             )
-    simple = _combine(dm._sparse, [(x._k, c) for x, c in coeffs.items()])
+    simple = _combine(dm._sparse, [(index[x], c) for x, c in coeffs.items()])
     depths = {params[j]: simple[j] for j, _ in row}
     for j, _ in row:
         simple[j] = 0

@@ -47,10 +47,12 @@ DUAL_TO_VERMA = "dual_to_verma"
 #: Truncation used by the command line driver unless overridden.
 DEFAULT_TRUNCATION = 12
 
-#: Largest truncation the command line driver accepts.  At 100 one report
-#: takes about 5 ms in process, and a whole ``sl2 --trunc 100`` process
-#: about 75 ms, most of it interpreter start and import (2-core Intel Xeon
-#: VM, Python 3.11.7; ``BENCH_bigint.json`` in the repository root).
+#: Largest truncation ``phi``, and so every function that builds a map,
+#: accepts; entry i's numerator has i + 1 coefficients, so the bound caps
+#: the work.  At 100 one report takes about 5 ms in process, and a whole
+#: ``sl2 --trunc 100`` process about 75 ms, most of it interpreter start
+#: and import (2-core Intel Xeon VM, Python 3.11.7; ``BENCH_bigint.json``
+#: in the repository root).
 MAX_TRUNCATION = 100
 
 
@@ -64,7 +66,7 @@ class WeightMap:
     entries: tuple[LocalRingElem, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "lam", _lam(self.lam))
         if self.direction not in (VERMA_TO_DUAL, DUAL_TO_VERMA):
             raise ValueError(f"unknown direction {self.direction!r}")
         if len(self.entries) != self.truncation + 1:
@@ -96,8 +98,17 @@ class WeightMap:
         return tuple(entry.valuation() for entry in self.entries)
 
 
+def _lam(lam) -> Fraction:
+    """``lam`` as a Fraction; a float must be whole, as its binary value is not what was meant."""
+    if isinstance(lam, float):
+        if not lam.is_integer():
+            raise ValueError(f"lam = {lam!r} is not a rational or a whole float")
+        lam = int(lam)
+    return Fraction(lam)
+
+
 def is_natural(lam) -> bool:
-    lam = Fraction(lam)
+    lam = _lam(lam)
     return lam.denominator == 1 and lam >= 0
 
 
@@ -125,8 +136,16 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     factor and the denominator by q * i.  The lists are ints by
     construction, so each entry goes straight to the ring's private
     constructor, without ``from_lists``'s type check.
+
+    Refuses, with ``ValueError`` and before building an entry, a truncation
+    that is not an int from 0 to ``MAX_TRUNCATION``.
     """
-    lam = Fraction(lam)
+    lam = _lam(lam)
+    # a bool is no truncation, so the type must be int itself
+    if type(truncation) is not int or not 0 <= truncation <= MAX_TRUNCATION:
+        raise ValueError(
+            f"truncation must be an int from 0 to {MAX_TRUNCATION}, got {truncation!r}"
+        )
     p, q = lam.numerator, lam.denominator
     num, den = [1], 1
     entries = [_make(num, [den])]
@@ -141,7 +160,7 @@ def _given(lam, truncation: int) -> tuple[Fraction, int, WeightMap | None]:
     """lam and the truncation, read off ``lam`` when it is a map from ``phi``,
     and that map, or None."""
     if not isinstance(lam, WeightMap):
-        return Fraction(lam), truncation, None
+        return _lam(lam), truncation, None
     if lam.direction != VERMA_TO_DUAL:
         raise ValueError("expected the forward map, as phi returns it")
     return lam.lam, lam.truncation, lam
@@ -180,7 +199,7 @@ def check_equivariance(wmap: WeightMap, lam=None, truncation: int | None = None)
     on integer polynomials, q(i+1) against qX + p - qi, building no ring
     element.  ``lam`` and ``truncation`` default to the map's own.
     """
-    lam = Fraction(wmap.lam if lam is None else lam)
+    lam = wmap.lam if lam is None else _lam(lam)
     n = wmap.truncation if truncation is None else min(truncation, wmap.truncation)
     p, q = lam.numerator, lam.denominator
     forward = wmap.direction == VERMA_TO_DUAL

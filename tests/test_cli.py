@@ -386,16 +386,40 @@ def test_layers_refuses_a_nonintegral_block_before_resolving_y():
     )
 
 
-def _subprocess_cli(flags, *argv):
+def _env():
     src = str(Path(vermatwist.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _subprocess_cli(flags, *argv):
     return subprocess.run(
         [sys.executable, *flags, "-m", "vermatwist.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
     )
+
+
+@pytest.mark.parametrize(
+    "fmt, first", [("table", b"Weyl group, type B4 (rank 4)\n"), ("json", b"{\n")]
+)
+def test_a_reader_that_stops_early_ends_the_run_quietly(fmt, first):
+    # as ``vermatwist weyl --type B4 | head -1`` does: the rest of the output,
+    # 100 kB and more, overfills the pipe, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vermatwist.cli", "weyl", "--type", "B4", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=_env(),
+    )
+    assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["python", "python-O"])

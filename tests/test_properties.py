@@ -21,7 +21,10 @@ vectors and, in rank 2, layer tables along, and in A3, B3, C3 and D4 the
 Bruhat covers and lower ideals; the diagram automorphisms of A3 and D4
 map covers to covers, and those of A2, A3 and D4 carry (w, y, lam) to
 (sigma w, sigma y, sigma lam), and with them sum vectors, R+(mu) and, in
-A2, layer tables.  The tables' ``inverse`` list
+A2, layer tables; E6's, given as a Cartan matrix, does so on seeded
+pairs.  A decomposition file for a renumbered A3 or B3, listing the
+carried words in the original table order, must carry every layer table
+and refusal along, in the library and through the ``layers`` command.  The tables' ``inverse`` list
 and products must equal the matrix ones (``matrix_path.py``), and they
 and the dot action must obey the group laws.
 
@@ -222,15 +225,19 @@ RELABELLED = (
 )
 
 
-def relabelled_system(label, sigma):
-    """The root system of ``label`` with node i renumbered sigma[i]."""
-    cartan = CARTAN_BY_LABEL[label]
+def relabelled_cartan(cartan, sigma):
+    """The Cartan matrix ``cartan`` with node i renumbered sigma[i]."""
     n = len(cartan)
     moved = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             moved[sigma[i]][sigma[j]] = cartan[i][j]
-    return build_root_system(moved)
+    return moved
+
+
+def relabelled_system(label, sigma):
+    """The root system of ``label`` with node i renumbered sigma[i]."""
+    return build_root_system(relabelled_cartan(CARTAN_BY_LABEL[label], sigma))
 
 
 @cache
@@ -245,6 +252,12 @@ def relabel(sigma, coords):
     for i, c in enumerate(coords):
         out[sigma[i]] = c
     return tuple(out)
+
+
+def carrier(rs, sigma):
+    """The map from elements to the elements of ``rs`` whose words have
+    letter i read as sigma[i]."""
+    return lambda w: element_from_word(rs, tuple(sigma[i - 1] + 1 for i in w.word))
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,19 +440,22 @@ def bruhat_pairs(label):
     return [[bruhat_leq(x, y) for x in params] for y in params]
 
 
-def user_matrix(label, seed):
-    """A random matrix that the loader accepts: 1 on the diagonal, 0 to 3 below it
-    where x < y in the Bruhat order, and 0 elsewhere."""
+def user_rows(label, seed):
+    """A random matrix that the loader accepts, as lists: 1 on the diagonal,
+    0 to 3 below it where x < y in the Bruhat order, and 0 elsewhere."""
     rng = random.Random(seed)
     below = bruhat_pairs(label)
     n = len(below)
-    matrix = [
+    return [
         [int(i == j) or (rng.randint(0, 3) if below[i][j] else 0) for j in range(n)]
         for i in range(n)
     ]
+
+
+def user_matrix(label, seed):
     blk = regular_block(label)
     names = [word_text(w) for w in blk.params]
-    return load_decomposition_file(blk, {"params": names, "matrix": matrix})
+    return load_decomposition_file(blk, {"params": names, "matrix": user_rows(label, seed)})
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,3 +565,120 @@ def test_the_terms_a_block_keeps_cannot_be_observed(data):
             for x in coeffs:
                 coeffs[x] = 7
             coeffs[y] = coeffs[w] = -7
+
+
+def bruhat_rows(blk):
+    """The Bruhat incidence matrix of a regular integral block, as lists in
+    the block's parameter order; the loader accepts it for any such block,
+    and its layers exist at every (w, y)."""
+    n = len(blk.params)
+    return [[ideal >> j & 1 for j in range(n)] for ideal in _group_tables(blk.rs).ideals]
+
+
+#: one renumbering of the nodes each, and in neither is the carried table
+#: order the moved system's
+RELABELLED_FILES = (("A3", (2, 0, 1)), ("B3", (1, 2, 0)))
+
+
+@pytest.mark.parametrize("label, sigma", RELABELLED_FILES)
+def test_a_relabelled_decomposition_file_carries_the_layers_along(label, sigma):
+    # the file names the moved block's parameters by the carried words, in
+    # the original table order: the loader reorders its rows, and the
+    # layers read each parameter's position off the matrix; a random
+    # matrix adds refusals
+    blk = regular_block(label)
+    moved = relabelled_block(label, (-2,) * blk.rs.rank, sigma)
+    group = all_elements(blk.rs)
+    carry = dict(zip(group, map(carrier(moved.rs, sigma), group)))
+    assert [carry[x] for x in blk.params] != list(moved.params)
+    names = [word_text(carry[x]) for x in blk.params]
+    refused = set()
+    for rows in (bruhat_rows(blk), user_rows(label, 0)):
+        original = DecompositionMatrix(blk.params, tuple(map(tuple, rows)))
+        dm = load_decomposition_file(moved, {"params": names, "matrix": rows})
+        for y in blk.params:
+            for w in group:
+                inp = SumFormulaInput(blk, w, y)
+                want = layers_or_refusal(layers_multiplicity_free, inp, original)
+                inp = SumFormulaInput(moved, carry[w], carry[y])
+                got = layers_or_refusal(layers_multiplicity_free, inp, dm)
+                if isinstance(want, tuple):
+                    # the message names words, which the renumbering changes
+                    assert isinstance(got, tuple) and got[0] is want[0]
+                    refused.add(want[0])
+                    continue
+                assert got.zero_top == want.zero_top
+                assert got.layers == {carry[x]: d for x, d in want.layers.items()}
+    assert refused
+
+
+def test_a_relabelled_decomposition_file_through_the_command_line(tmp_path):
+    import contextlib
+    import io
+    import json
+
+    from vermatwist.cli import main
+    from vermatwist.weyl import parse_word_text
+
+    label, sigma = RELABELLED_FILES[1]
+    blk = regular_block(label)
+    rs, n = blk.rs, blk.rs.rank
+    moved_rs = relabelled_system(label, sigma)
+    carry = carrier(moved_rs, sigma)
+    rows = bruhat_rows(blk)
+    files = {
+        "cartan": {"rank": n, "matrix": relabelled_cartan(CARTAN_BY_LABEL[label], sigma)},
+        "moved": {"params": [word_text(carry(x)) for x in blk.params], "matrix": rows},
+        "original": {"params": [word_text(x) for x in blk.params], "matrix": rows},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    w, y = element_from_word(rs, (1, 2)), longest_element(rs)
+
+    def layers(system, decomp, w, y):
+        out = io.StringIO()
+        argv = ["layers", *system, "--decomp-file", str(tmp_path / decomp)]
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--w", word_text(w), "--y", word_text(y), "--format", "json"]) == 0
+        return json.loads(out.getvalue())
+
+    cartan = ("--cartan-file", str(tmp_path / "cartan.json"))
+    got = layers(cartan, "moved.json", carry(w), carry(y))
+    want = layers(("--type", label), "original.json", w, y)
+
+    def elements(system, words):
+        return {element_from_word(system, parse_word_text(system, k)): v for k, v in words.items()}
+
+    assert got["zero_top"] == want["zero_top"]
+    for key in ("verma", "simple", "layers"):
+        assert elements(moved_rs, got[key]) == {
+            carry(x): c for x, c in elements(rs, want[key]).items()
+        }
+
+
+#: E6 in Bourbaki numbering: the chain 1-3-4-5-6, with node 2 on node 4
+E6 = tuple(
+    tuple(2 if i == j else -1 if {i, j} in ({0, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 3}) else 0
+          for j in range(6))
+    for i in range(6)
+)
+
+
+def test_e6_diagram_automorphism_carries_the_sum_formula_along():
+    # 1 <-> 6 and 3 <-> 5 fix the Cartan matrix; the group has 51,840
+    # elements, so the pairs are seeded samples
+    sigma = (5, 1, 4, 3, 2, 0)
+    rs = build_root_system(E6)
+    assert build_root_system(relabelled_cartan(E6, sigma)) is rs
+    carry = carrier(rs, sigma)
+    blk = make_block(rs, weight(*[-2] * 6))
+    group = all_elements(rs)
+    rng = random.Random(6)
+    for _ in range(50):
+        w, y = rng.choice(group), rng.choice(blk.params)
+        got = sum_formula(SumFormulaInput(blk, carry(w), carry(y)))
+        want = sum_formula(SumFormulaInput(blk, w, y))
+        assert got.vector == CharVector(VERMA, {carry(x): c for x, c in want.vector.items()})
+        assert {beta.coords for beta in got.rplus_mu} == {
+            relabel(sigma, beta.coords) for beta in want.rplus_mu
+        }

@@ -49,6 +49,61 @@ def test_is_natural():
     assert not is_natural(Fraction(1, 2))
 
 
+#: every public function that takes lam, called at lam
+LAM_READERS = {
+    "is_natural": is_natural,
+    "deformed_binomial": lambda lam: deformed_binomial(lam, 3),
+    "phi": lambda lam: phi(lam, 6),
+    "psi": lambda lam: psi(lam, 6),
+    "check_equivariance": lambda lam: check_equivariance(phi(2, 6), lam),
+    "jantzen_layers_sl2": lambda lam: jantzen_layers_sl2(lam, 12),
+    "four_term_rank_check": lambda lam: four_term_rank_check(lam, 12),
+    "coker_check_over_A": lambda lam: coker_check_over_A(lam, 12),
+    "WeightMap": lambda lam: WeightMap(lam, 0, VERMA_TO_DUAL, (one(),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAM_READERS))
+def test_a_float_lam_must_be_whole(name):
+    # the binary value of 0.1 is not one tenth, so it is refused; 2.0 is 2
+    call = LAM_READERS[name]
+    for lam in (0.1, -3.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not a rational or a whole float"):
+            call(lam)
+    assert call(2.0) == call(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phi(1, 101),
+        lambda: phi(1, -1),
+        lambda: phi(1, 2.5),
+        lambda: phi(1, True),
+        lambda: phi(1, "12"),
+        lambda: psi(1, 101),
+        lambda: jantzen_layers_sl2(Fraction(1, 2), 101),
+        lambda: deformed_binomial(1, 101),
+    ],
+    ids=["101", "-1", "2.5", "True", "str", "psi", "jantzen", "binomial"],
+)
+def test_truncation_outside_the_bound_is_refused_before_an_entry_is_built(monkeypatch, call):
+    from vermatwist import localring
+
+    built = []
+    monkeypatch.setattr(localring.LocalRingElem, "__post_init__", lambda elem: built.append(1))
+    with pytest.raises(ValueError, match="^truncation must be"):
+        call()
+    assert built == []
+
+
+def test_truncation_bound_is_inclusive():
+    from vermatwist.sl2lab import MAX_TRUNCATION
+
+    assert len(phi(1, MAX_TRUNCATION).entries) == MAX_TRUNCATION + 1
+    assert phi(1, 0).entries == (one(),)
+
+
 def test_deformed_binomial_values():
     b = deformed_binomial(3, 2)
     assert b.specialize() == 3
