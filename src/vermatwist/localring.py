@@ -24,23 +24,17 @@ value 1 at X = 0.  It is computed on first use and cached, in integers
 up to the last step: the gcd of the stored lists by Euclid on primitive
 pseudo-remainders, and exact division by it.
 
-Two entry points work on integer lists directly, for callers that know
-their elements as integer polynomials:
-
-* ``from_lists(num, den)`` builds the element num/den from two lists of
-  ints, normalised as every other element is, without the ``Fraction``
-  round trip of the constructor.
-* ``scaled_equal(u, a, v, b)`` decides u*a == v*b for integer
-  polynomials u and v and elements a and b by one cross-multiplication,
-  building no element.  Each side is a product of three lists, u, a's
-  numerator and b's denominator against v, b's numerator and a's
-  denominator.  The short factors are multiplied first: the scalars of
-  each side into one integer, and the two integers are divided by their
-  gcd before anything touches the longest list, which is multiplied
-  last.  Where the two sides differ by a scalar and a linear factor, as
-  in the rank 1 laboratory's identities, the comparison is one pass with
-  small multipliers over the long list rather than several with
-  factorials.
+One public entry point works on integer lists directly:
+``scaled_equal(u, a, v, b)`` decides u*a == v*b for integer polynomials
+u and v and elements a and b by one cross-multiplication, building no
+element.  Each side is a product of three lists, u, a's numerator and
+b's denominator against v, b's numerator and a's denominator.  The short
+factors are multiplied first: the scalars of each side into one integer,
+and the two integers are divided by their gcd before anything touches
+the longest list, which is multiplied last.  Where the two sides differ
+by a scalar and a linear factor, as in the rank 1 laboratory's
+identities, the comparison is one pass with small multipliers over the
+long list rather than several with factorials.
 """
 
 from __future__ import annotations
@@ -348,18 +342,6 @@ def _parts(value) -> tuple[list[int], list[int]] | None:
     if isinstance(value, (int, Fraction)):
         return ([value.numerator] if value else []), [value.denominator]
     return None
-
-
-def from_lists(num, den) -> LocalRingElem:
-    """The element num/den from lists of ints, constant term first.
-
-    >>> from_lists([0, 2], [4])
-    LocalRingElem('1/2*X')
-    """
-    num, den = list(num), list(den)
-    if not set(map(type, num + den)) <= {int}:
-        raise TypeError("coefficients must be ints")
-    return _make(num, den)
 
 
 def scaled_equal(u: list[int], a: LocalRingElem, v: list[int], b: LocalRingElem) -> bool:

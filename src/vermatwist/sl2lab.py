@@ -19,8 +19,9 @@ rescaled for natural lam so that every entry stays regular at X = 0.
 Specializing X to 0 recovers the classical undeformed maps.
 
 ``psi`` and the checks take either lam or the forward map that ``phi``
-returned; given the map, they use its own lam and truncation.  A forward
-map builds its backward partner once, on first use.
+returned; given the map, they use its own lam and truncation, and given
+lam, they refuse a truncation by ``phi``'s rule before anything else.  A
+forward map builds its backward partner once, on first use.
 
 With lam = p/q, z - k = (qX + p - qk) / q for every integer k, so the
 forward map and the checks run on integer polynomial lists: ``phi`` builds
@@ -134,18 +135,12 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     on integers: with lam = p/q, entry i is prod_{k<i} (qX + p - qk) over
     q^i * i!, and each step multiplies the numerator list by one linear
     factor and the denominator by q * i.  The lists are ints by
-    construction, so each entry goes straight to the ring's private
-    constructor, without ``from_lists``'s type check.
+    construction, so each entry goes straight to ``localring._make``.
 
     Refuses, with ``ValueError`` and before building an entry, a truncation
     that is not an int from 0 to ``MAX_TRUNCATION``.
     """
-    lam = _lam(lam)
-    # a bool is no truncation, so the type must be int itself
-    if type(truncation) is not int or not 0 <= truncation <= MAX_TRUNCATION:
-        raise ValueError(
-            f"truncation must be an int from 0 to {MAX_TRUNCATION}, got {truncation!r}"
-        )
+    lam, truncation = _lam(lam), _truncation(truncation)
     p, q = lam.numerator, lam.denominator
     num, den = [1], 1
     entries = [_make(num, [den])]
@@ -156,11 +151,21 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     return WeightMap(lam, truncation, VERMA_TO_DUAL, tuple(entries))
 
 
+def _truncation(truncation) -> int:
+    """``truncation``, refused with ``ValueError`` unless an int from 0 to ``MAX_TRUNCATION``."""
+    # a bool is no truncation, so the type must be int itself
+    if type(truncation) is not int or not 0 <= truncation <= MAX_TRUNCATION:
+        raise ValueError(
+            f"truncation must be an int from 0 to {MAX_TRUNCATION}, got {truncation!r}"
+        )
+    return truncation
+
+
 def _given(lam, truncation: int) -> tuple[Fraction, int, WeightMap | None]:
     """lam and the truncation, read off ``lam`` when it is a map from ``phi``,
     and that map, or None."""
     if not isinstance(lam, WeightMap):
-        return _lam(lam), truncation, None
+        return _lam(lam), _truncation(truncation), None
     if lam.direction != VERMA_TO_DUAL:
         raise ValueError("expected the forward map, as phi returns it")
     return lam.lam, lam.truncation, lam
@@ -197,8 +202,12 @@ def check_equivariance(wmap: WeightMap, lam=None, truncation: int | None = None)
 
     With lam = p/q, z - i = (qX + p - qi) / q, so each identity is decided
     on integer polynomials, q(i+1) against qX + p - qi, building no ring
-    element.  ``lam`` and ``truncation`` default to the map's own.
+    element.  ``lam`` and ``truncation`` default to the map's own.  A
+    window ``truncation`` must be an int; it is capped at the map's
+    truncation, and a window of 0 or less checks nothing.
     """
+    if truncation is not None and type(truncation) is not int:
+        raise ValueError(f"truncation window must be an int, got {truncation!r}")
     lam = wmap.lam if lam is None else _lam(lam)
     n = wmap.truncation if truncation is None else min(truncation, wmap.truncation)
     p, q = lam.numerator, lam.denominator
@@ -221,22 +230,17 @@ def jantzen_layers_sl2(lam, truncation: int = DEFAULT_TRUNCATION) -> dict[int, i
     return {i: v for i, v in enumerate(_forward(lam, truncation).valuations())}
 
 
-def _natural_window(lam: Fraction, truncation: int) -> int | None:
-    """int(lam) on the natural locus, refusing a truncation below 2 lam + 4; else None."""
+def _vanishing(lam: Fraction, truncation: int) -> list[tuple[int, int]]:
+    """Per index, 1 where the forward and the backward map vanish at X = 0, else 0;
+    on the natural locus a truncation below 2 lam + 4 is refused."""
     if not is_natural(lam):
-        return None
+        return [(0, 0)] * (truncation + 1)
     lam = int(lam)
     if truncation < 2 * lam + 4:
         raise TruncationTooSmall(
             f"truncation {truncation} cannot certify lam = {lam}; need at least {2 * lam + 4}"
         )
-    return lam
-
-
-def _vanishing(lam: int | None, truncation: int) -> list[tuple[int, int]]:
-    """Per index, 1 where the forward and the backward map vanish at X = 0, else 0."""
-    natural = lam is not None
-    return [(int(natural and i > lam), int(natural and i <= lam)) for i in range(truncation + 1)]
+    return [(int(i > lam), int(i <= lam)) for i in range(truncation + 1)]
 
 
 def _profile(forward_map: WeightMap) -> list[tuple[int, int]]:
@@ -256,11 +260,11 @@ def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     cokernel check reads, and specializes no entry.
     """
     lam, truncation, forward_map = _given(lam, truncation)
-    lam_int = _natural_window(lam, truncation)
-    if lam_int is None:
+    if not is_natural(lam):
         raise ValueError("the four term sequence needs a natural highest weight")
+    vanishing = _vanishing(lam, truncation)
     profile = _profile(forward_map or phi(lam, truncation))
-    return [(int(f > 0), int(b > 0)) for f, b in profile] == _vanishing(lam_int, truncation)
+    return [(int(f > 0), int(b > 0)) for f, b in profile] == vanishing
 
 
 def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
@@ -272,5 +276,5 @@ def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     lam all entries are units and the check is trivially true.
     """
     lam, truncation, forward_map = _given(lam, truncation)
-    lam_int = _natural_window(lam, truncation)
-    return _profile(forward_map or phi(lam, truncation)) == _vanishing(lam_int, truncation)
+    vanishing = _vanishing(lam, truncation)
+    return _profile(forward_map or phi(lam, truncation)) == vanishing

@@ -509,3 +509,24 @@ def test_char_vector_refuses_non_integer_coefficients():
     w = CharVector(VERMA, {e: Fraction(4, 2)})
     assert w == 2.0 * v == 2 * v and type(w.coeff(e)) is int
     assert CharVector(VERMA, {e: Fraction(0)}).is_zero
+
+
+def test_unknown_and_mixed_bases_are_refused():
+    block = b2_block()
+    e = block.params[0]
+    v = unit_vector(VERMA, e)
+    for call in (lambda: CharVector("bogus"), lambda: change_basis(block, v, "bogus")):
+        with pytest.raises(ValueError, match="^unknown basis 'bogus'$"):
+            call()
+    with pytest.raises(ValueError, match="^cannot combine vectors in different bases$"):
+        v + unit_vector(SIMPLE, e)
+
+
+def test_char_vector_repr_negation_and_foreign_equality():
+    e = b2_block().params[0]
+    assert repr(CharVector(VERMA)) == "CharVector(verma, 0)"
+    v = unit_vector(VERMA, e)
+    assert repr(-v) == "CharVector(verma, -[e])"
+    assert -v + v == CharVector(VERMA)
+    assert (v == 5) is False
+    assert v.__eq__(5) is NotImplemented

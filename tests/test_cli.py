@@ -224,6 +224,29 @@ def test_readme_quick_start_commands_run():
         assert out
 
 
+def test_readme_quick_start_python_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Quick start, Python", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines()[0] == "True"
+
+
+def test_a_weight_with_too_many_coordinates_exits_one():
+    argv = ("sum-formula", "--type", "B2", "--lambda=-2,-2,-2", "--w", "e", "--y", "e")
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: weight needs 2 coordinates, got 3\n"
+
+
+def test_sl2_truncation_below_one_is_a_usage_error():
+    code, err = usage_error("sl2", "--lambda", "1", "--trunc", "0")
+    assert code == 2
+    assert err.splitlines()[-1].endswith("error: --trunc must be at least 1")
+
+
 def test_b2_table_matches_golden():
     code, out, err = run_cli("b2-table")
     assert code == 0

@@ -572,3 +572,14 @@ def test_y_outside_the_integral_weyl_group_is_named():
     with pytest.raises(NotInBlockOrbit, match=r"^y = s lies outside") as info:
         sum_formula(inp)
     assert isinstance(info.value, ValueError)
+
+
+def test_a_weight_outside_the_block_orbit_is_refused():
+    rs = build_root_system("B2")
+    block = make_block(rs, weight(-2, -2))
+    e = element_from_word(rs, ())
+    message = r"^Weight\(1, 0\) is not in the block orbit$"
+    with pytest.raises(NotInBlockOrbit, match=message):
+        block.param_for_weight(weight(1, 0))
+    with pytest.raises(NotInBlockOrbit, match=message):
+        sum_formula(SumFormulaInput(block, e, mu=weight(1, 0)))

@@ -385,3 +385,15 @@ def test_rank_over_the_group_bound_is_refused_before_anything_is_built(monkeypat
 def test_rank_under_the_group_bound_is_built():
     rs = build_root_system(a_type(16))
     assert rs.rank == 16 and len(rs.positive_roots) == 16 * 17 // 2
+
+
+def test_malformed_cartan_input_is_refused():
+    with pytest.raises(ValueError, match="^unknown type label 'Z9'; known: "):
+        build_root_system("Z9")
+    message = r"^Cartan entries \(0,1\) and \(1,0\) must vanish together$"
+    with pytest.raises(ValueError, match=message):
+        build_root_system([[2, 0], [-1, 2]])
+    with pytest.raises(NotFiniteType, match="^Cartan matrix is not symmetrizable$"):
+        build_root_system([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    with pytest.raises(ValueError, match="^vector has wrong rank for this root system$"):
+        kostant_partition(build_root_system("B2"), (1,))

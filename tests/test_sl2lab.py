@@ -243,6 +243,34 @@ def test_checks_refuse_before_building_a_map(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("truncation", ["x", 2.5, True, -1, 101])
+@pytest.mark.parametrize("call", [four_term_rank_check, coker_check_over_A, psi, jantzen_layers_sl2])
+def test_every_reader_of_a_truncation_refuses_it_before_the_window(monkeypatch, call, truncation):
+    # at a natural lam the window would otherwise be read first
+    from vermatwist import localring
+
+    built = []
+    monkeypatch.setattr(localring.LocalRingElem, "__post_init__", lambda elem: built.append(1))
+    with pytest.raises(ValueError) as exc:
+        call(1, truncation)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"truncation must be an int from 0 to 100, got {truncation!r}"
+    assert built == []
+
+
+@pytest.mark.parametrize("window", [2.5, "3", True])
+def test_check_equivariance_refuses_a_window_that_is_no_int(monkeypatch, window):
+    from vermatwist import sl2lab
+
+    maps = (phi(1, 5), psi(1, 5))
+    checked = []
+    monkeypatch.setattr(sl2lab, "scaled_equal", lambda *args: checked.append(1))
+    for wmap in maps:
+        with pytest.raises(ValueError, match="^truncation window must be an int, got "):
+            check_equivariance(wmap, truncation=window)
+    assert checked == []
+
+
 def test_truncated_window_equivariance():
     # restricting the checked window must not change the answer on maps
     # that are equivariant everywhere
@@ -422,3 +450,41 @@ def test_sl2_report_builds_about_two_ring_elements_per_index(monkeypatch, lam, t
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sl2", "--lambda", lam, "--trunc", str(trunc)]) == 0
     assert len(built) <= 2 * (trunc + 1) + 4
+
+
+def test_the_deformation_agrees_with_the_a1_block():
+    # the layers of M(n) and of its dual, read off the deformation, index
+    # by index, against the layer tables of the A1 block and the weight
+    # space dimensions of its simple modules
+    from vermatwist import (
+        SIMPLE,
+        SumFormulaInput,
+        build_root_system,
+        dimension_at,
+        element_from_word,
+        layers_multiplicity_free,
+        make_block,
+        sum_formula,
+        unit_vector,
+        weight,
+    )
+
+    N = 20
+    rs = build_root_system("A1")
+    e, s = element_from_word(rs, ()), element_from_word(rs, (1,))
+    for n in range(9):
+        block = make_block(rs, weight(-n - 2))
+        for w, valuations in ((e, jantzen_layers_sl2(n, N)), (s, psi(n, N).valuations())):
+            table = layers_multiplicity_free(SumFormulaInput(block, w, s))
+            for i in range(N + 1):
+                depth = sum(
+                    d * dimension_at(block, unit_vector(SIMPLE, x), weight(n - 2 * i))
+                    for x, d in table.layers.items()
+                )
+                assert depth == valuations[i], (n, w, i)
+    # off the natural locus M(lam) is simple: nothing deforms and the sum is zero
+    for lam in (-1, -2, -3, Fraction(1, 2), Fraction(-7, 2), Fraction(5, 3)):
+        assert set(jantzen_layers_sl2(lam, N).values()) == {0}
+        assert set(psi(lam, N).valuations()) == {0}
+        block = make_block(rs, weight(lam))
+        assert sum_formula(SumFormulaInput(block, e, e)).vector.is_zero, lam

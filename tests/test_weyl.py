@@ -357,3 +357,25 @@ def test_word_text():
     assert word_text(element_from_word(rs, (1, 2, 1))) == "sts"
     rs3 = build_root_system("A3")
     assert word_text(element_from_word(rs3, (1, 3))) == "1,3"
+
+
+def test_actions_refuse_an_element_of_another_system():
+    from vermatwist import dot_action, weight
+
+    a2 = build_root_system("A2")
+    s = simple_reflection(build_root_system("B2"), 1)
+    message = "^element does not belong to the given root system$"
+    with pytest.raises(MixedRootSystems, match=message):
+        dot_action(a2, s, weight(0, 0))
+    with pytest.raises(MixedRootSystems, match=message):
+        root_sequence_through(a2, s)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_function_forms_agree_with_the_operators(label):
+    elements = all_elements(build_root_system(label))
+    for u in elements:
+        assert weyl.inverse(u) == u.inverse()
+        assert weyl.length(u) == u.length
+        for v in elements:
+            assert weyl.multiply(u, v) == u * v
