@@ -83,8 +83,8 @@ SIMPLE = "simple"
 
 
 class CharVector:
-    """Formal integer combination of block parameters in a named basis;
-    a coefficient that is not a whole number raises ``ValueError``."""
+    """Formal integer combination of block parameters in a named basis; a key that
+    is no element, or a coefficient not a whole number, raises ``ValueError``."""
 
     __slots__ = ("basis", "_coeffs")
 
@@ -95,6 +95,8 @@ class CharVector:
         self._coeffs: dict[WeylElement, int] = {}
         if coeffs:
             for w, c in dict(coeffs).items():
+                if w.__class__ is not WeylElement:
+                    raise ValueError(f"{w!r} is no Weyl group element")
                 if type(c) is not int:
                     whole = _whole(c)
                     if whole is None:

@@ -70,7 +70,6 @@ from .characters import (
 )
 from .errors import (
     BadDecompositionFile,
-    MixedRootSystems,
     NotInBlockOrbit,
     NotMultiplicityFree,
     UnsupportedBlock,
@@ -79,6 +78,7 @@ from .rootsystem import Root, Weight, _Record, _shifted_pairings
 from .weyl import (
     WeylElement,
     _bits,
+    _check_element,
     longest_element,
     word_text,
 )
@@ -106,15 +106,9 @@ class SumFormulaInput(_Record):
     ) -> None:
         if (y is None) == (mu is None):
             raise ValueError("give exactly one of y and mu")
-        rs = block.rs
-        try:
-            twist, param = w.rs, rs if y is None else y.rs
-        except AttributeError:  # a twist or parameter that is no element
-            twist, param = getattr(w, "rs", None), None
-        if twist is not rs:
-            raise MixedRootSystems("twist does not belong to the block's root system")
-        if param is not rs:
-            raise MixedRootSystems("parameter does not belong to the block's root system")
+        _check_element(w, block.rs, "twist does not belong to the block's root system")
+        if y is not None:
+            _check_element(y, block.rs, "parameter does not belong to the block's root system")
         if mu is not None and not isinstance(mu, Weight):
             raise NotInBlockOrbit(f"mu = {mu!r} is not a Weight")
         fields = self.__dict__
@@ -186,10 +180,7 @@ def _param_index(inp: SumFormulaInput) -> int:
     block = inp.block
     if inp.mu is not None:
         return block.param_for_weight(inp.mu)._k
-    try:
-        k = block._param_of[inp.y._k]
-    except AttributeError:  # a parameter that carries the block's rs but is no element
-        raise MixedRootSystems("parameter does not belong to the block's root system") from None
+    k = block._param_of[inp.y._k]
     if k < 0:
         raise NotInBlockOrbit(
             f"y = {word_text(inp.y)} lies outside the block's integral Weyl group"
@@ -209,10 +200,7 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
     """
     block = inp.block
     tables = block._tables
-    try:
-        in_w = tables.masks[inp.w._k]
-    except AttributeError:  # a twist that carries the block's rs but is no element
-        raise MixedRootSystems("twist does not belong to the block's root system") from None
+    in_w = tables.masks[inp.w._k]
     k = _param_index(inp)
     y = tables.elements[k]
     rplus = tables.masks[k] & block._root_mask
@@ -268,17 +256,14 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
 def _xy_input(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaInput:
     """The module the two-letter form names: twist x * w0 at parameter x * y.
 
-    Refuses a block that is not regular and integral, then elements of
-    another root system and arguments that are no element.
+    Refuses a block that is not regular and integral, then arguments that
+    are no element of the block's root system.
     """
     if not (block.regular and block.integral):
         raise UnsupportedBlock("the two-letter form needs a regular integral block")
-    try:
-        if x.rs is block.rs and y.rs is block.rs:
-            return SumFormulaInput(block, x * longest_element(block.rs), x * y)
-    except (AttributeError, TypeError):  # an argument that is no element
-        pass
-    raise MixedRootSystems("elements do not belong to the block's root system")
+    _check_element(x, block.rs, "elements do not belong to the block's root system")
+    _check_element(y, block.rs, "elements do not belong to the block's root system")
+    return SumFormulaInput(block, x * longest_element(block.rs), x * y)
 
 
 def sum_formula_xy(block: BlockContext, x: WeylElement, y: WeylElement) -> SumFormulaResult:
@@ -376,6 +361,7 @@ def duality_partner(w: WeylElement, y: WeylElement) -> tuple[WeylElement, WeylEl
     together by the complementarity identity; no claim is made that the
     layer tables coincide (in general they do not).
     """
-    if w.rs is not y.rs:
-        raise MixedRootSystems("elements do not belong to the same root system")
+    message = "elements do not belong to the same root system"
+    _check_element(w, getattr(w, "rs", None), message)  # w names its own system
+    _check_element(y, w.rs, message)
     return (w * longest_element(w.rs), y)

@@ -38,6 +38,8 @@ on the row; its inversion set, from ``masks`` on first use; products
 (walking ``left``), inverses, reflections, the longest element and the
 Bruhat order.  So every element needs its group's tables, and a group
 over the bound is refused, from its size, before anything is enumerated.
+One rule, :func:`_check_element`, says what an element of ``rs`` is:
+``w.__class__ is WeylElement and w.rs is rs``.
 
 The actions on roots and weights build no matrix: one walk, :func:`_walk`,
 applies the simple reflections of the word right to left to integer
@@ -125,7 +127,7 @@ class WeylElement(_Frozen):
     def __mul__(self, other: WeylElement) -> WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        _same_system(self, other)
+        _check_element(other, self.rs, "cannot combine elements of different root systems")
         tables = _group_tables(self.rs)
         return tables.elements[tables.times(self.word, other._k)]
 
@@ -145,9 +147,11 @@ class WeylElement(_Frozen):
         return tuple(sorted(roots[b].coords.index(1) + 1 for b in _bits(simple)))
 
 
-def _same_system(a: WeylElement, b: WeylElement) -> None:
-    if a.rs is not b.rs:
-        raise MixedRootSystems("cannot combine elements of different root systems")
+def _check_element(w: WeylElement, rs: RootSystem, message: str) -> None:
+    """Raise ``MixedRootSystems(message)`` unless ``w`` is an element of
+    ``rs``: one of the rows of its tables, the only objects of the class."""
+    if w.__class__ is not WeylElement or w.rs is not rs:
+        raise MixedRootSystems(message)
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
@@ -383,7 +387,9 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
     of y, and sy is one lookup in the column of s.  Each step shortens y by
     one, so a call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
     """
-    _same_system(x, y)
+    message = "cannot combine elements of different root systems"
+    _check_element(x, getattr(x, "rs", None), message)  # x names its own system
+    _check_element(y, x.rs, message)
     tables = _group_tables(x.rs)
     masks, refl = tables.masks, tables.refl
     # the simple roots are the first positive roots, and refl[b] of a
@@ -429,14 +435,14 @@ def weight_action(w: WeylElement, lam: Weight) -> Weight:
     to left, on integer numerators over the common denominator d of the
     coordinates, divided by d once at the end.
     """
+    _check_element(w, getattr(w, "rs", None), "the argument is no Weyl group element")
     m, d = _numerators(w.rs, lam)
     return Weight(tuple(Fraction(x, d) for x in _walk(w.rs, w.word, m)[0]))
 
 
 def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
     """Shifted action w . lam = w(lam + rho) - rho, on the numerators of lam + rho."""
-    if w.rs is not rs:
-        raise MixedRootSystems("element does not belong to the given root system")
+    _check_element(w, rs, "element does not belong to the given root system")
     m, d = _numerators(rs, lam, 1)
     return Weight(tuple(Fraction(x - d, d) for x in _walk(rs, w.word, m)[0]))
 
@@ -466,8 +472,7 @@ def root_sequence_through(rs: RootSystem, w: WeylElement) -> RootSequence:
     result is checked to enumerate all positive roots with the inversion
     set of w as prefix.
     """
-    if w.rs is not rs:
-        raise MixedRootSystems("element does not belong to the given root system")
+    _check_element(w, rs, "element does not belong to the given root system")
     w0 = longest_element(rs)
     head = w.inverse().word
     tail = (w * w0).word

@@ -1,6 +1,7 @@
 """Blocks, decomposition matrices, basis changes, and weight dimensions."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,18 @@ def test_block_requires_antidominant():
         make_block(rs, weight(0, 0))
     with pytest.raises(NotAntidominant):
         make_block(rs, weight(-3, 1))
+
+
+def test_block_antidominance_edge():
+    # a shifted pairing of exactly 1 is positive, and refused; a pairing
+    # of 0 is the singular edge, and accepted
+    for label, lam, beta in (("A1", (0,), "Root(1,)"), ("B2", (0, -2), "Root(1, 0)")):
+        message = f"^base weight must pair nonpositively with {re.escape(beta)} after the rho shift$"
+        with pytest.raises(NotAntidominant, match=message):
+            make_block(build_root_system(label), weight(*lam))
+    for label, lam in (("A1", (-1,)), ("B2", (-1, -2))):
+        block = make_block(build_root_system(label), weight(*lam))
+        assert block.integral and not block.regular
 
 
 def test_regular_integral_block_parameters():
@@ -509,6 +522,16 @@ def test_char_vector_refuses_non_integer_coefficients():
     w = CharVector(VERMA, {e: Fraction(4, 2)})
     assert w == 2.0 * v == 2 * v and type(w.coeff(e)) is int
     assert CharVector(VERMA, {e: Fraction(0)}).is_zero
+
+
+def test_char_vector_refuses_keys_that_are_no_element():
+    block = b2_block()
+    for key in ("x", None, block):
+        message = f"^{re.escape(repr(key))} is no Weyl group element$"
+        with pytest.raises(ValueError, match=message):
+            CharVector(VERMA, {key: 1})
+        with pytest.raises(ValueError, match=message):
+            unit_vector(SIMPLE, key)
 
 
 def test_unknown_and_mixed_bases_are_refused():

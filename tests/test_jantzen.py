@@ -138,21 +138,20 @@ def test_sum_formula_input_validation():
 
 @pytest.mark.parametrize("position", ["twist", "parameter"])
 def test_an_object_with_the_blocks_root_system_is_no_element(position):
-    # the block carries B2's rs, so the constructor's root system check
-    # passes; the evaluation refuses it in the position where it stands,
-    # the twist before the parameter, on every route to the sum vector
+    # the block carries B2's rs but is no element, so the constructor
+    # refuses it in the position where it stands, the twist before the
+    # parameter, before any route to the sum vector is taken
     y = el(B2, "s")
     if position == "twist":
-        inputs = [SumFormulaInput(B2, B2, y=y), SumFormulaInput(B2, B2, mu=B2.weight_of(y)),
-                  SumFormulaInput(B2, B2, y=B2)]
+        builds = [lambda: SumFormulaInput(B2, B2, y=y),
+                  lambda: SumFormulaInput(B2, B2, mu=B2.weight_of(y)),
+                  lambda: SumFormulaInput(B2, B2, y=B2)]
     else:
-        inputs = [SumFormulaInput(B2, y, y=B2)]
+        builds = [lambda: SumFormulaInput(B2, y, y=B2)]
     message = f"^{position} does not belong to the block's root system$"
-    for inp in inputs:
+    for build in builds:
         with pytest.raises(MixedRootSystems, match=message):
-            sum_formula(inp)
-        with pytest.raises(MixedRootSystems, match=message):
-            layers_multiplicity_free(inp)
+            build()
 
 
 def test_r_plus_of_parameter_weights_matches_inversions():
@@ -551,6 +550,12 @@ def test_duality_partner():
     other = build_root_system("A2")
     with pytest.raises(MixedRootSystems):
         duality_partner(st, element_from_word(other, (1,)))
+    # an argument that is no element is refused in either position
+    e = el(B2, "e")
+    message = "^elements do not belong to the same root system$"
+    for w, y in ((e, None), (None, e)):
+        with pytest.raises(MixedRootSystems, match=message):
+            duality_partner(w, y)
 
 
 def test_layer_table_equality_and_lookup():

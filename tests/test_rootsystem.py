@@ -27,7 +27,7 @@ from vermatwist import (
     unit_vector,
     weight,
 )
-from vermatwist.rootsystem import RootSystem
+from vermatwist.rootsystem import KOSTANT_COST_BOUND, RootSystem
 from vermatwist.weyl import all_elements, weight_action
 
 
@@ -279,6 +279,16 @@ def test_kostant_partition_refuses_non_integer_coordinates():
         with pytest.raises(ValueError, match="integer coordinates"):
             kostant_partition(b2, nu)
     assert kostant_partition(b2, (Fraction(2), 1.0)) == kostant_partition(b2, (2, 1)) == 3
+
+
+def test_kostant_partition_bound_is_inclusive():
+    # one root times a box of 100,000 vectors costs exactly the bound
+    a1 = build_root_system("A1")
+    assert KOSTANT_COST_BOUND == 100_000
+    assert kostant_partition(a1, (99999,)) == 1
+    message = r"^partition count of \(100000,\) exceeds the cost bound 100000$"
+    with pytest.raises(ValueError, match=message):
+        kostant_partition(a1, (100000,))
 
 
 def test_kostant_partition_is_bounded():

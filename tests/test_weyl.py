@@ -360,7 +360,9 @@ def test_word_text():
 
 
 def test_actions_refuse_an_element_of_another_system():
-    from vermatwist import dot_action, weight
+    from types import SimpleNamespace
+
+    from vermatwist import dot_action, make_block, weight
 
     a2 = build_root_system("A2")
     s = simple_reflection(build_root_system("B2"), 1)
@@ -369,6 +371,25 @@ def test_actions_refuse_an_element_of_another_system():
         dot_action(a2, s, weight(0, 0))
     with pytest.raises(MixedRootSystems, match=message):
         root_sequence_through(a2, s)
+    # what is no element is refused with the same class: None, or an object
+    # that carries the system; a block's weight_of refuses it by dot_action
+    b2 = s.rs
+    e = identity_element(b2)
+    obj = SimpleNamespace(rs=b2)
+    with pytest.raises(MixedRootSystems, match="^the argument is no Weyl group element$"):
+        weyl.weight_action(None, weight(0, 0))
+    for call in (
+        lambda: dot_action(b2, obj, weight(0, 0)),
+        lambda: root_sequence_through(b2, None),
+        lambda: make_block(b2, weight(-2, -2)).weight_of(None),
+    ):
+        with pytest.raises(MixedRootSystems, match=message):
+            call()
+    for x, y in ((e, obj), (None, e)):
+        with pytest.raises(
+            MixedRootSystems, match="^cannot combine elements of different root systems$"
+        ):
+            bruhat_leq(x, y)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
