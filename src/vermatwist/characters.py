@@ -26,7 +26,7 @@ w(beta) < 0, and its parameter is that of w t_beta for any such beta
 fixing lam + rho, or w itself when there is none.  Only a ``mu`` input
 and ``param_for_weight`` build the weight to parameter map.  The drop
 y . lam - lam of a parameter is the displacement of lam + rho on the
-integer walk of ``weyl.dot_action``, so no weight is built for it.
+integer walk of ``weights.dot_action``, so no weight is built for it.
 
 In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
@@ -57,22 +57,12 @@ from .errors import (
     NotInBlockOrbit,
     UnsupportedBlock,
 )
-from .rootsystem import (
-    RootSystem,
-    Weight,
-    _check_rank,
-    _numerators,
-    _read_json,
-    _Record,
-    _shifted_pairings,
-    _whole,
-    kostant_partition,
-)
+from .rootsystem import RootSystem, _read_json, _Record, _whole, kostant_partition
+from .weights import Weight, _check_rank, _numerators, _shifted_pairings, dot_action
 from .weyl import (
     WeylElement,
     _group_tables,
     _walk,
-    dot_action,
     element_from_word,
     parse_word_text,
     word_text,

@@ -10,26 +10,31 @@ script when the reader of stdout closes it early, as ``| head`` does.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import VermatwistError
 
 # Each command imports the layers it runs inside its body, so that a
-# ``weyl`` run never loads the character, sum-formula or rank 1 modules,
-# ``sl2`` loads only the rank 1 ones, and ``sum-formula``, ``layers`` and
-# ``b2-table`` load no rank 1 module.
+# ``weyl`` run never loads the weight, character, sum-formula or rank 1
+# modules, ``sl2`` loads only the rank 1 ones, and ``sum-formula``,
+# ``layers`` and ``b2-table`` load no rank 1 module.  ``json`` and
+# ``fractions`` are imported by the functions that use them, so the
+# ``weyl`` command loads neither.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .characters import CharVector
     from .jantzen import LayerTable, SumFormulaInput
-    from .rootsystem import Root, RootSystem, Weight
+    from .rootsystem import Root, RootSystem
+    from .weights import Weight
     from .weyl import WeylElement
 
 
 def _dumps(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2)
 
 
@@ -99,6 +104,8 @@ def rational(text: str) -> Fraction:
     invalid rational value.  Exponent notation is refused:
     ``Fraction("1e10000000")`` takes seconds.
     """
+    from fractions import Fraction
+
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not accepted")
     try:
@@ -108,10 +115,10 @@ def rational(text: str) -> Fraction:
 
 
 def _resolve_lambda(rs: RootSystem, text: str) -> Weight:
-    from .rootsystem import Weight
+    from .weights import Weight
 
     if text == "default":
-        return Weight(tuple(Fraction(-2) for _ in range(rs.rank)))
+        return Weight((-2,) * rs.rank)
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
@@ -233,11 +240,12 @@ def render_b2_table() -> str:
     """The full B2 reproduction: every (w, y) pair, grouped by layer table."""
     from .characters import make_block
     from .jantzen import SumFormulaInput, layers_multiplicity_free
-    from .rootsystem import Weight, build_root_system
+    from .rootsystem import build_root_system
+    from .weights import Weight
     from .weyl import longest_element, word_text
 
     rs = build_root_system("B2")
-    lam = Weight((Fraction(-2), Fraction(-2)))
+    lam = Weight((-2, -2))
     block = make_block(rs, lam)
     w0 = longest_element(rs)
 
@@ -299,8 +307,9 @@ def cmd_weyl(args, parser) -> int:
     names = [word_text(w) for w in elements]
     if args.format == "json":
         # json.dumps(payload, indent=2), written directly: the layout is
-        # fixed, and only the leaf strings go through the encoder
-        quoted = [json.dumps(name) for name in names]
+        # fixed, and the strings, words of "e", "s", "t", digits and commas
+        # and the type labels, need no escape
+        quoted = ['"' + name + '"' for name in names]
         roots = [_json_list([str(c) for c in beta.coords], 4) for beta in rs.positive_roots]
         rows = [
             f'{{\n      "word": {name},\n      "length": {w.length},\n      "inversions": '
@@ -309,7 +318,7 @@ def cmd_weyl(args, parser) -> int:
             for w, name, mask in zip(elements, quoted, masks)
         ]
         pairs = [_json_list([quoted[j], quoted[k]], 2) for j, k in tables.covers()]
-        label = "null" if rs.label is None else json.dumps(rs.label)
+        label = "null" if rs.label is None else '"' + rs.label + '"'
         print(
             f'{{\n  "type": {label},\n  "rank": {rs.rank},\n  "elements": '
             f'{_json_list(rows, 1)},\n  "covers": {_json_list(pairs, 1)}\n}}'

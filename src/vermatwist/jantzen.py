@@ -74,7 +74,8 @@ from .errors import (
     NotMultiplicityFree,
     UnsupportedBlock,
 )
-from .rootsystem import Root, Weight, _Record, _shifted_pairings
+from .rootsystem import Root, _Record
+from .weights import Weight, _shifted_pairings
 from .weyl import (
     WeylElement,
     _bits,
@@ -153,8 +154,9 @@ class LayerTable(_Record):
     def depth_of(self, x: WeylElement) -> int:
         try:
             return self.layers[x]
-        except KeyError:
-            raise KeyError(f"{word_text(x)} is not a composition factor here") from None
+        except (KeyError, TypeError):
+            name = word_text(x) if x.__class__ is WeylElement else repr(x)
+            raise KeyError(f"{name} is not a composition factor here") from None
 
     def by_depth(self) -> tuple[tuple[WeylElement, ...], ...]:
         """The factors regrouped as rows: index k lists the depth k factors."""

@@ -1,4 +1,4 @@
-"""Finite root systems from Cartan matrices, with exact rational arithmetic.
+"""Finite root systems from Cartan matrices, in integers.
 
 Conventions used throughout the package:
 
@@ -6,10 +6,9 @@ Conventions used throughout the package:
   simple coroot.  The simple reflection ``s_i`` therefore acts on simple
   roots by ``s_i(a_j) = a_j - cartan[i][j] * a_i``.
 * A :class:`Root` stores integer coordinates in the simple root basis.
-* A :class:`Weight` stores rational coordinates in the fundamental weight
-  basis, so ``lam.coords[i]`` equals the pairing of ``lam`` against the
-  i-th simple coroot.
-* ``rho`` is the weight with every coordinate equal to 1.
+* A weight stores rational coordinates in the fundamental weight basis
+  (:class:`vermatwist.weights.Weight`); ``rho`` is the weight with every
+  coordinate equal to 1.
 * ``rs.coroot(b)`` is the coroot ``2 b / (b, b)`` of the root with simple
   root coordinates b, in integer simple coroot coordinates c, so that
   ``<lam, b^vee> = sum(c_i * lam.coords[i])``.
@@ -17,33 +16,36 @@ Conventions used throughout the package:
 Root systems are interned: building twice from equal Cartan data returns
 the same object, so identity comparison is meaningful and cheap.  A root
 system is built in integers: the symmetrizer, the root norms and the
-integer coroot table.  ``rho`` and the inverse Cartan matrix are built on
-first use, so enumerating a Weyl group constructs no ``Fraction``.  The
-inverse needs no elimination: the sum v_i of the positive roots with a_i
-in their support is permuted by every s_j with j != i, so it pairs to
-zero with those simple coroots and is a multiple k_i of the fundamental
-weight w_i; column i of the inverse is v_i / k_i, the one rational step.
+integer coroot table.  Weights are the layer :mod:`vermatwist.weights`;
+the rational views of a root system, ``rho``, ``form``,
+``root_to_weight``, ``weight_to_root_coords``, ``in_root_lattice`` and
+the inverse Cartan matrix, import it or ``fractions`` on first use, so
+enumerating a Weyl group loads no ``fractions``.  The inverse needs no
+elimination: the sum v_i of the positive roots with a_i in their support
+is permuted by every s_j with j != i, so it pairs to zero with those
+simple coroots and is a multiple k_i of the fundamental weight w_i;
+column i of the inverse is v_i / k_i, the one rational step.
 
-The pairings of lam + rho with the positive coroots decide a weight's
-class, its integral roots, its block and R+(mu); ``_shifted_pairings``
-gives them as integers over one denominator, 1 for an integral weight,
-from ``_numerators``, the one integer form the Weyl group actions walk.
-
-Roots, weights and the records of this module, ``weyl``, ``characters``
-and ``jantzen`` derive from :class:`_Record`, which names the fields
-once and gives them the equality, hash and repr a frozen dataclass
-would; the ``weyl`` command and the block commands load no
+Roots, weights and the records of this module, ``weyl``, ``weights``,
+``characters`` and ``jantzen`` derive from :class:`_Record`, which names
+the fields once and gives them the equality, hash and repr a frozen
+dataclass would; the ``weyl`` command and the block commands load no
 ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import GroupTooLarge, InvariantViolated, NotARoot, NotFiniteType
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .weights import Weight
 
 #: Cartan matrices for the built-in type labels.  Indexing follows the
 #: module convention above.  For B2 the first simple root is the short one.
@@ -147,46 +149,6 @@ class Root(_Record):
 
     def __repr__(self) -> str:
         return f"Root{self.coords}"
-
-
-class Weight(_Record):
-    """A weight in fundamental weight coordinates, stored as Fractions; floats must be whole."""
-
-    coords: tuple[Fraction, ...]
-    _fields = ("coords",)
-
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        given = _sequence(coords, ValueError, "weight coordinates")
-        _set(self, "coords", tuple(c if isinstance(c, Fraction) else _fraction(c) for c in given))
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def __add__(self, other: Weight) -> Weight:
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: Weight) -> Weight:
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> Weight:
-        return Weight(tuple(-a for a in self.coords))
-
-    def __repr__(self) -> str:
-        return "Weight(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def weight(*coords) -> Weight:
-    """Convenience constructor: ``weight(-2, -2)`` for rational coordinates."""
-    return Weight(coords)
-
-
-class WeightClassification(_Record):
-    antidominant: bool
-    dominant: bool
-    regular: bool
-    integral: bool
-    _fields = ("antidominant", "dominant", "regular", "integral")
 
 
 def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
@@ -323,12 +285,16 @@ class RootSystem:
 
     @cached_property
     def rho(self) -> Weight:
-        return Weight(tuple(Fraction(1) for _ in range(self.rank)))
+        from .weights import Weight
+
+        return Weight((1,) * self.rank)
 
     @cached_property
     def _cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
         """The inverse Cartan matrix: column i is w_i in simple root coordinates,
         v_i / k_i for the root sum v_i of the module docstring."""
+        from fractions import Fraction
+
         columns = []
         for i, row in enumerate(self.cartan):
             v = [sum(c) for c in zip(*(b.coords for b in self.positive_roots if b.coords[i]))]
@@ -356,15 +322,21 @@ class RootSystem:
         ``form(a_i, a_j) = d_i * cartan[i][j]`` where d is the symmetrizer,
         so every short root has squared length 2 * min(d).
         """
+        from fractions import Fraction
+
         rows = zip(x, self.symmetrizer, self.cartan)
         return Fraction(sum(xi * d * a * yj for xi, d, row in rows for a, yj in zip(row, y)))
 
     def root_to_weight(self, beta: Root) -> Weight:
         """Rewrite a root, or any root lattice vector, in fundamental weight coordinates."""
+        from .weights import Weight
+
         return Weight(_lattice_pairings(self, beta))
 
     def weight_to_root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple root basis (rational)."""
+        from .weights import _check_rank
+
         _check_rank(self, lam)
         return tuple(sum(a * m for a, m in zip(row, lam.coords) if a) for row in self._cartan_inv)
 
@@ -416,31 +388,10 @@ def build_root_system(cartan) -> RootSystem:
     return _REGISTRY[matrix]
 
 
-def _check_rank(rs: RootSystem, lam: Weight) -> None:
-    if not isinstance(lam, Weight):
-        raise ValueError(f"expected a Weight, got {lam!r}")
-    if len(lam.coords) != rs.rank:
-        raise ValueError("weight has wrong rank for this root system")
-
-
 def _coroot_of(rs: RootSystem, beta: Root) -> tuple[int, ...]:
     if not isinstance(beta, Root):
         raise NotARoot(f"expected a Root, got {beta!r}")
     return rs.coroot(beta.coords)
-
-
-def pairing(rs: RootSystem, lam: Weight, beta: Root) -> Fraction:
-    """Pairing of a weight against the coroot of ``beta``, exactly.
-
-    This is 2*(lam, beta)/(beta, beta) for the invariant form; for a simple
-    root it agrees with the corresponding fundamental weight coordinate.
-
-    >>> rs = build_root_system("B2")
-    >>> pairing(rs, rs.rho, Root((2, 1)))
-    Fraction(2, 1)
-    """
-    _check_rank(rs, lam)
-    return sum(c * m for c, m in zip(_coroot_of(rs, beta), lam.coords) if c)
 
 
 def _lattice_pairings(rs: RootSystem, gamma: Root) -> tuple[int, ...]:
@@ -455,52 +406,6 @@ def coroot_pairing_roots(rs: RootSystem, gamma: Root, beta: Root) -> int:
     return sum(c * m for c, m in zip(coroot, _lattice_pairings(rs, gamma)) if c)
 
 
-def _numerators(rs: RootSystem, lam: Weight, shift: int = 0) -> tuple[tuple[int, ...], int]:
-    """``(m, d)`` with lam + shift * rho = m / d in fundamental weight
-    coordinates, d the lcm of the denominators of ``lam``."""
-    _check_rank(rs, lam)
-    d = lcm(*(c.denominator for c in lam.coords))
-    return tuple([c.numerator * (d // c.denominator) + shift * d for c in lam.coords]), d
-
-
-def _shifted_pairings(rs: RootSystem, lam: Weight) -> tuple[list[int], int]:
-    """``(nums, d)`` with <lam + rho, beta_b^vee> = nums[b] / d for the b-th
-    positive root, d the lcm of the denominators of ``lam``.  The simple
-    roots come first, as the roots are ordered by height."""
-    m, d = _numerators(rs, lam, 1)
-    coroots = [rs._coroots[beta.coords] for beta in rs.positive_roots]
-    return [sum(c * x for c, x in zip(coroot, m) if c) for coroot in coroots], d
-
-
-def classify_weight(rs: RootSystem, lam: Weight) -> WeightClassification:
-    """Classify ``lam`` relative to the shifted Weyl group action.
-
-    * antidominant: pairing of lam + rho with every simple coroot is <= 0
-    * dominant: those pairings are all >= 0
-    * regular: pairing of lam + rho with every positive coroot is nonzero
-    * integral: all fundamental weight coordinates are integers
-    """
-    nums, d = _shifted_pairings(rs, lam)
-    simples = nums[: rs.rank]
-    return WeightClassification(
-        antidominant=all(c <= 0 for c in simples),
-        dominant=all(c >= 0 for c in simples),
-        regular=0 not in nums,
-        integral=d == 1,
-    )
-
-
-def integral_positive_roots(rs: RootSystem, lam: Weight) -> tuple[Root, ...]:
-    """Positive roots whose coroot pairs integrally with ``lam``.
-
-    For an integral weight this is every positive root; in general it is
-    the positive part of the integral root subsystem of ``lam``.  The
-    pairing with rho is an integer, so lam + rho decides it.
-    """
-    nums, d = _shifted_pairings(rs, lam)
-    return tuple(beta for beta, n in zip(rs.positive_roots, nums) if n % d == 0)
-
-
 def _whole(c) -> int | None:
     """``c`` as an int when it is a whole number, else None (inf and nan are not)."""
     try:
@@ -508,14 +413,6 @@ def _whole(c) -> int | None:
     except (OverflowError, TypeError, ValueError):
         return None
     return whole if whole == c else None
-
-
-def _fraction(c) -> Fraction:
-    """``c`` as a Fraction; a float must be whole, as its binary value is not what was meant."""
-    try:
-        return Fraction(_whole(c) if isinstance(c, float) else c)
-    except (ArithmeticError, TypeError, ValueError):
-        raise ValueError(f"weight coordinate {c!r} is not a rational or a whole float") from None
 
 
 def _read_json(path, error: type[Exception], what: str):

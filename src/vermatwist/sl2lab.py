@@ -19,9 +19,11 @@ rescaled for natural lam so that every entry stays regular at X = 0.
 Specializing X to 0 recovers the classical undeformed maps.
 
 ``psi`` and the checks take either lam or the forward map that ``phi``
-returned; given the map, they use its own lam and truncation, and given
-lam, they refuse a truncation by ``phi``'s rule before anything else.  A
-forward map builds its backward partner once, on first use.
+returned; given the map, they use its own lam and truncation and refuse
+any other truncation with ``ValueError``, and given lam, they refuse a
+truncation by ``phi``'s rule before anything else; a truncation left out
+is the map's own, or ``DEFAULT_TRUNCATION``.  A forward map builds its
+backward partner once, on first use.
 
 With lam = p/q, z - k = (qX + p - qk) / q for every integer k, so the
 forward map and the checks run on integer polynomial lists: ``phi`` builds
@@ -161,22 +163,26 @@ def _truncation(truncation) -> int:
     return truncation
 
 
-def _given(lam, truncation: int) -> tuple[Fraction, int, WeightMap | None]:
+def _given(lam, truncation: int | None) -> tuple[Fraction, int, WeightMap | None]:
     """lam and the truncation, read off ``lam`` when it is a map from ``phi``,
-    and that map, or None."""
+    and that map, or None.  A truncation of None is the map's own, or
+    ``DEFAULT_TRUNCATION`` for a lam; a map refuses any other than its own."""
     if not isinstance(lam, WeightMap):
-        return _lam(lam), _truncation(truncation), None
+        given = DEFAULT_TRUNCATION if truncation is None else truncation
+        return _lam(lam), _truncation(given), None
     if lam.direction != VERMA_TO_DUAL:
         raise ValueError("expected the forward map, as phi returns it")
+    if truncation is not None and _truncation(truncation) != lam.truncation:
+        raise ValueError(f"truncation {truncation} is not the map's own, {lam.truncation}")
     return lam.lam, lam.truncation, lam
 
 
-def _forward(lam, truncation: int) -> WeightMap:
+def _forward(lam, truncation: int | None) -> WeightMap:
     lam, truncation, forward = _given(lam, truncation)
     return forward or phi(lam, truncation)
 
 
-def psi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
+def psi(lam, truncation: int | None = None) -> WeightMap:
     """The deformed map back into the Verma module.
 
     For lam outside the natural numbers every binomial(z, i) is a unit
@@ -221,7 +227,7 @@ def check_equivariance(wmap: WeightMap, lam=None, truncation: int | None = None)
     return True
 
 
-def jantzen_layers_sl2(lam, truncation: int = DEFAULT_TRUNCATION) -> dict[int, int]:
+def jantzen_layers_sl2(lam, truncation: int | None = None) -> dict[int, int]:
     """X-adic valuation of the forward map, index by index.
 
     This is the rank 1 Jantzen layer count: index i sits inside the k-th
@@ -248,7 +254,7 @@ def _profile(forward_map: WeightMap) -> list[tuple[int, int]]:
     return list(zip(forward_map.valuations(), forward_map._backward.valuations()))
 
 
-def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
+def four_term_rank_check(lam, truncation: int | None = None) -> bool:
     """Degreewise exactness of the classical four term sequence.
 
     For natural lam the Verma module of -lam-2 embeds into that of lam,
@@ -267,7 +273,7 @@ def four_term_rank_check(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
     return [(int(f > 0), int(b > 0)) for f, b in profile] == vanishing
 
 
-def coker_check_over_A(lam, truncation: int = DEFAULT_TRUNCATION) -> bool:
+def coker_check_over_A(lam, truncation: int | None = None) -> bool:
     """Valuation profile of both deformed maps over the local ring.
 
     For natural lam the forward map has a simple zero exactly above index

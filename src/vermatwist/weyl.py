@@ -44,11 +44,14 @@ One rule, :func:`_check_element`, says what an element of ``rs`` is:
 The actions on roots and weights build no matrix: one walk, :func:`_walk`,
 applies the simple reflections of the word right to left to integer
 fundamental weight coordinates, by ``rootsystem._reflect_weight``, the rule
-the enumeration uses too.  It gives the image, which :func:`weight_action`
-and :func:`dot_action` read on the numerators of ``rootsystem._numerators``,
-and w(v) - v in simple root coordinates, which :func:`_word_image` reads
-for the columns of ``mat`` and the roots of :func:`root_sequence_through`,
-and the blocks for their drops.
+the enumeration uses too.  It gives w(v) - v in simple root coordinates,
+which :func:`_word_image` reads for the columns of ``mat`` and the roots of
+:func:`root_sequence_through`, and the blocks for their drops; and the
+image, which the actions on weights read on the integer numerators of a
+weight.  Those actions, ``weight_action`` and ``dot_action``, and every
+``Fraction`` live in :mod:`vermatwist.weights`, which imports this
+module; this one imports no rational arithmetic, so the ``weyl`` command
+loads none.
 
 Simple reflection indices are 1-based everywhere in the public API, so
 words are tuples like ``(1, 2, 1)``.
@@ -57,12 +60,11 @@ words are tuples like ``(1, 2, 1)``.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import GROUP_BOUND, Root, RootSystem, Weight, _coroot_of, _Frozen, _numerators
-from .rootsystem import _Record, _reflect_root, _reflect_weight, _sequence, _whole
+from .rootsystem import GROUP_BOUND, Root, RootSystem, _coroot_of, _Frozen, _Record
+from .rootsystem import _reflect_root, _reflect_weight, _sequence, _whole
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -383,8 +385,8 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
 
     With s a left descent of y: if sx < x then x <= y iff sx <= sy,
     otherwise x <= y iff x <= sy (Bjorner and Brenti, Combinatorics of Coxeter
-    Groups, 2.2).  The left descents of y are the simple roots in ``masks``
-    of y, and sy is one lookup in the column of s.  Each step shortens y by
+    Groups, 2.2).  The lowest set bit of the ``masks`` entry of y is a left
+    descent, and sy is one lookup in the column of s.  Each step shortens y by
     one, so a call takes at most l(y) steps; ``gap`` tracks l(y) - l(x).
     """
     message = "cannot combine elements of different root systems"
@@ -392,13 +394,13 @@ def bruhat_leq(x: WeylElement, y: WeylElement) -> bool:
     _check_element(y, x.rs, message)
     tables = _group_tables(x.rs)
     masks, refl = tables.masks, tables.refl
-    # the simple roots are the first positive roots, and refl[b] of a
-    # simple root b is the left multiplication column of its reflection
-    simple = (1 << x.rs.rank) - 1
     u, v = x._k, y._k
     gap = y.length - x.length
+    # the simple roots come first among the positive roots, so the lowest bit
+    # of a nonempty inversion set is a simple root, a left descent, and refl
+    # of a simple root is the left multiplication column of its reflection
     while gap > 0:
-        descents = masks[v] & simple
+        descents = masks[v]
         i = (descents & -descents).bit_length() - 1
         v = refl[i][v]
         if masks[u] >> i & 1:
@@ -426,25 +428,6 @@ def _walk(rs: RootSystem, word, m: tuple[int, ...]) -> tuple[tuple[int, ...], li
         moved[i - 1] -= m[i - 1]
         m = _reflect_weight(cartan, i - 1, m)
     return m, moved
-
-
-def weight_action(w: WeylElement, lam: Weight) -> Weight:
-    """Natural (unshifted) action of w on a weight, exactly.
-
-    Applies ``s_i(lam) = lam - lam.coords[i] * a_i`` along the word, right
-    to left, on integer numerators over the common denominator d of the
-    coordinates, divided by d once at the end.
-    """
-    _check_element(w, getattr(w, "rs", None), "the argument is no Weyl group element")
-    m, d = _numerators(w.rs, lam)
-    return Weight(tuple(Fraction(x, d) for x in _walk(w.rs, w.word, m)[0]))
-
-
-def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
-    """Shifted action w . lam = w(lam + rho) - rho, on the numerators of lam + rho."""
-    _check_element(w, rs, "element does not belong to the given root system")
-    m, d = _numerators(rs, lam, 1)
-    return Weight(tuple(Fraction(x - d, d) for x in _walk(rs, w.word, m)[0]))
 
 
 class RootSequence(_Record):

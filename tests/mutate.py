@@ -81,15 +81,9 @@ EQUIVALENT = frozenset({
     # x | -x is minus the lowest bit of x, of the same bit length
     ("characters", "BlockContext.__init__", "step & -step", "step | -step"),
     ("weyl", "bruhat_leq", "descents & -descents", "descents | -descents"),
-    # the highest descent for the lowest: the lifting property holds for any
-    # left descent; for the parameters, any descent seems to give the same
-    # one, but this is not proved
+    # the highest descent for the lowest: for the parameters, any descent
+    # seems to give the same one, but this is not proved
     ("characters", "BlockContext.__init__", "-step", "+step"),
-    ("weyl", "bruhat_leq", "-descents", "+descents"),
-    # the lowest bit of a nonempty inversion set is a simple root, as the
-    # simple roots come first, so masking more bits than theirs changes nothing
-    ("weyl", "bruhat_leq", "1 << x.rs.rank", "1 >> x.rs.rank"),
-    ("weyl", "bruhat_leq", "1 << x.rs.rank", "2 << x.rs.rank"),
     # a coordinate of a vector in the orbit of rho is never 0
     ("weyl", "_build_tables", "v[i] < 0", "v[i] <= 0"),
     ("weyl", "_build_tables", "v[i] < 0", "v[i] < 1"),

@@ -46,7 +46,7 @@ from vermatwist import (
     weight,
     weight_action,
 )
-from vermatwist import rootsystem
+from vermatwist import rootsystem, weights
 
 import matrix_path
 import test_properties as props
@@ -275,7 +275,7 @@ def test_shifted_pairings_match_the_rational_route(data):
     # small integers meet zero and positive integral pairings often
     coords = st.one_of(st.integers(-4, 2), rationals)
     lam = Weight(tuple(data.draw(coords) for _ in range(rs.rank)))
-    nums, d = rootsystem._shifted_pairings(rs, lam)
+    nums, d = weights._shifted_pairings(rs, lam)
     shifted = lam + rs.rho
     assert [Fraction(n, d) for n in nums] == [
         pairing(rs, shifted, beta) for beta in rs.positive_roots

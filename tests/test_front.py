@@ -31,9 +31,12 @@ from vermatwist import (
     weight,
 )
 
-LAYERS = ("characters", "errors", "jantzen", "localring", "rootsystem", "sl2lab", "weyl")
+LAYERS = (
+    "characters", "errors", "jantzen", "localring", "rootsystem", "sl2lab", "weights", "weyl",
+)  # fmt: skip
 
-#: ``vermatwist.__all__`` as it stood when every layer was imported eagerly
+#: ``vermatwist.__all__`` as it stood when every layer was imported eagerly, with the
+#: later ``weights`` module
 EXPORTED = [
     "BadDecompositionFile", "BlockContext", "CARTAN_BY_LABEL", "CharVector",
     "DEFAULT_TRUNCATION", "DUAL_TO_VERMA", "DecompositionMatrix", "GroupTooLarge",
@@ -52,7 +55,7 @@ EXPORTED = [
     "longest_element", "make_block", "multiply", "one", "pairing", "parse_word_text", "phi",
     "psi", "r_plus_of_weight", "reflection_through", "root_sequence_through", "rootsystem",
     "simple_reflection", "sl2lab", "sum_formula", "sum_formula_xy", "unit_vector", "variable",
-    "weight", "weight_action", "weyl", "word_text", "zero",
+    "weight", "weight_action", "weights", "weyl", "word_text", "zero",
 ]  # fmt: skip
 
 
@@ -107,12 +110,12 @@ LAYERS_BY_COMMAND = {
     ("weyl", "--type", "A3", "--format", "json"): {"rootsystem", "weyl"},
     ("sl2", "--lambda", "2", "--trunc", "10"): {"localring", "sl2lab"},
     ("sum-formula", "--type", "B2", "--lambda=-2,-2", "--w", "s", "--y", "e"): {
-        "rootsystem", "weyl", "characters", "jantzen",
+        "rootsystem", "weyl", "characters", "jantzen", "weights",
     },
     ("layers", "--type", "B2", "--lambda=-2,-2", "--w", "s", "--y", "e"): {
-        "rootsystem", "weyl", "characters", "jantzen",
+        "rootsystem", "weyl", "characters", "jantzen", "weights",
     },
-    ("b2-table",): {"rootsystem", "weyl", "characters", "jantzen"},
+    ("b2-table",): {"rootsystem", "weyl", "characters", "jantzen", "weights"},
 }
 
 
@@ -135,6 +138,9 @@ def test_each_command_loads_only_its_layers():
         assert {m for m in loaded if m.startswith("vermatwist")} == want, args
         # only the rank 1 laboratory's local ring is a dataclass
         assert ("dataclasses" in loaded) == (args[0] == "sl2"), args
+        # the weyl command is integer code: no rational arithmetic, no JSON encoder
+        if args[0] == "weyl":
+            assert not loaded & {"fractions", "decimal", "numbers", "json"}, loaded
 
 
 def assert_frozen(obj, names):
@@ -163,6 +169,7 @@ def test_weight_record():
     assert lam != weight(-2, 0) and lam != lam.coords
     assert hash(lam) == hash(((Fraction(-2), Fraction(1, 2)),))
     assert repr(lam) == "Weight(-2, 1/2)"
+    assert -lam == weight(2, Fraction(-1, 2)) and lam - lam == lam + -lam == weight(0, 0)
     assert_frozen(lam, ["coords"])
 
 

@@ -565,8 +565,10 @@ def test_layer_table_equality_and_lookup():
     assert a != layers_multiplicity_free(
         SumFormulaInput(block=B2, w=el(B2, "s"), y=el(B2, "s"))
     )
-    with pytest.raises(KeyError):
-        a.depth_of(el(B2, "w0"))
+    # what is no factor, an element or not, is a KeyError
+    for x, name in [(el(B2, "w0"), "stst"), (None, "None"), ("s", "'s'"), ([], r"\[\]")]:
+        with pytest.raises(KeyError, match=f"^.{name} is not a composition factor here.$"):
+            a.depth_of(x)
     assert isinstance(a, LayerTable)
 
 

@@ -28,7 +28,8 @@ from vermatwist import (
     weight,
 )
 from vermatwist.rootsystem import KOSTANT_COST_BOUND, RootSystem
-from vermatwist.weyl import all_elements, weight_action
+from vermatwist.weights import weight_action
+from vermatwist.weyl import all_elements
 
 
 def naive_partition_count(rs, nu):

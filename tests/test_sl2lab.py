@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import vermatwist
 
 from vermatwist import (
+    DEFAULT_TRUNCATION,
     DUAL_TO_VERMA,
     VERMA_TO_DUAL,
     TruncationTooSmall,
@@ -334,15 +335,37 @@ def test_deformed_binomial_refuses_negative_index():
 
 @pytest.mark.parametrize("lam", SAMPLE_WEIGHTS)
 def test_checks_take_the_forward_map(lam):
-    # given the map, a check reads lam and the truncation off it
+    # given the map, a check reads lam and the truncation off it, and
+    # refuses another truncation
     forward = phi(lam, 16)
     assert psi(forward) == psi(lam, 16)
-    assert jantzen_layers_sl2(forward, truncation=3) == jantzen_layers_sl2(lam, 16)
+    assert jantzen_layers_sl2(forward, truncation=16) == jantzen_layers_sl2(lam, 16)
+    with pytest.raises(ValueError, match="^truncation 3 is not the map's own, 16$"):
+        jantzen_layers_sl2(forward, truncation=3)
     assert coker_check_over_A(forward) == coker_check_over_A(lam, 16)
     if is_natural(lam):
         assert four_term_rank_check(forward) == four_term_rank_check(lam, 16)
     with pytest.raises(ValueError, match="forward map"):
         coker_check_over_A(psi(forward))
+
+
+@pytest.mark.parametrize(
+    "call, truncation, message",
+    [
+        (coker_check_over_A, "x", "^truncation must be an int from 0 to 100, got 'x'$"),
+        (four_term_rank_check, 2.5, "^truncation must be an int from 0 to 100, got 2.5$"),
+        (jantzen_layers_sl2, 50, "^truncation 50 is not the map's own, 6$"),
+        (psi, 7, "^truncation 7 is not the map's own, 6$"),
+    ],
+    ids=["coker", "four-term", "jantzen", "psi"],
+)
+def test_a_forward_map_refuses_a_truncation_not_its_own(call, truncation, message):
+    forward = phi(1, 6)
+    with pytest.raises(ValueError, match=message):
+        call(forward, truncation)
+    # its own truncation, or none, is the map's; none with a lam is the default
+    assert call(forward, 6) == call(forward) == call(1, 6)
+    assert call(1) == call(1, DEFAULT_TRUNCATION)
 
 
 def test_sl2_report_builds_the_forward_map_once(monkeypatch):

@@ -24,7 +24,7 @@ from vermatwist import (
     simple_reflection,
     word_text,
 )
-from vermatwist import weyl
+from vermatwist import weights, weyl
 from vermatwist.rootsystem import RootSystem
 from vermatwist.weyl import _group_tables
 
@@ -377,7 +377,7 @@ def test_actions_refuse_an_element_of_another_system():
     e = identity_element(b2)
     obj = SimpleNamespace(rs=b2)
     with pytest.raises(MixedRootSystems, match="^the argument is no Weyl group element$"):
-        weyl.weight_action(None, weight(0, 0))
+        weights.weight_action(None, weight(0, 0))
     for call in (
         lambda: dot_action(b2, obj, weight(0, 0)),
         lambda: root_sequence_through(b2, None),

@@ -12,7 +12,7 @@ read off the block, so the block's coset rule is checked too.
 It also keeps the rational route to those pairings: ``classify``,
 ``integral_roots`` and ``r_plus`` read the weight class, the integral
 roots and R+(mu) off ``pairing``, as the oracles of the integer routine
-``rootsystem._shifted_pairings``.
+``weights._shifted_pairings``.
 """
 
 from fractions import Fraction
