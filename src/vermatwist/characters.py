@@ -28,6 +28,20 @@ and ``param_for_weight`` build the weight to parameter map.  The drop
 y . lam - lam of a parameter is the displacement of lam + rho on the
 integer walk of ``weights.dot_action``, so no weight is built for it.
 
+A ``_BlockClass`` holds a block's parameter map, group and parameters,
+with the untwisted sum formula terms that :mod:`vermatwist.jantzen`
+keeps for each parameter read and the built-in decomposition matrix.
+Every regular integral block of a root system has the same class: its
+integral Weyl group is the whole group and its stabilizer is trivial, so
+its parameters are the whole group in table order, and neither its terms
+nor its matrix depend on lam.  The first such block builds that class
+and ``rs._regular_class`` keeps it, as ``rs._weyl_tables`` keeps the
+group's tables; a later one runs no descent loop, builds no matrix and
+repeats no first walk.  A singular or nonintegral block builds a class
+of its own.  The regular class lives as long as the root system, and its
+kept terms are bounded by one term and one bit slot per entry of the
+reflection table ``refl``, which the group already holds.
+
 In the regular integral blocks of rank at most 2 the decomposition
 matrix is the Bruhat order incidence matrix, read off the lower ideals
 of the group's tables: those Weyl groups are dihedral, where all
@@ -52,6 +66,7 @@ from pathlib import Path
 from .errors import (
     BadDecompositionFile,
     InvariantViolated,
+    MixedRootSystems,
     NeedsUserMatrix,
     NotAntidominant,
     NotInBlockOrbit,
@@ -61,6 +76,7 @@ from .rootsystem import RootSystem, _read_json, _Record, _whole, kostant_partiti
 from .weights import Weight, _check_rank, _numerators, _shifted_pairings, dot_action
 from .weyl import (
     WeylElement,
+    _check_element,
     _group_tables,
     _walk,
     element_from_word,
@@ -161,13 +177,44 @@ def unit_vector(basis: str, w: WeylElement) -> CharVector:
     return CharVector(basis, {w: 1})
 
 
+class _BlockClass:
+    """The members of a block, read off the group's tables by the right
+    descent rule of the module docstring, and what is read off them alone.
+
+    ``_param_of[k]`` is the table index of the parameter of w_k . lam, or
+    -1 when w_k lies outside the integral Weyl group; ``group`` is that
+    group and ``params`` the parameters, both in table order.  ``_terms``
+    holds the untwisted sum formula terms of each parameter read so far,
+    by table index, and only ``jantzen._sum_counts`` writes it;
+    ``_matrix`` is the built-in decomposition matrix, built on first use.
+    """
+
+    __slots__ = ("_param_of", "group", "params", "_param_set", "_terms", "_matrix")
+
+    def __init__(self, tables, fixing: int, root_mask: int):
+        inv, masks, refl = tables.inverse, tables.masks, tables.refl
+        param_of = [0]
+        for k in range(1, len(inv)):
+            descents = masks[inv[k]]
+            step = descents & fixing or descents & root_mask
+            p = param_of[inv[refl[(step & -step).bit_length() - 1][inv[k]]]] if step else -1
+            param_of.append(p if p < 0 or descents & fixing else k)
+        self._param_of = param_of
+        self.group = tuple(w for w, p in zip(tables.elements, param_of) if p >= 0)
+        self.params = tuple(w for w in self.group if param_of[w._k] == w._k)
+        self._param_set = frozenset(self.params)
+        self._terms: dict[int, tuple[dict[WeylElement, int], list]] = {}
+        self._matrix: DecompositionMatrix | None = None
+
+
 class BlockContext:
     """An orbit of the integral Weyl group through an antidominant weight.
 
-    The block is read off the group's tables: ``_param_of[k]`` is the
-    table index of the parameter of w_k . lam, or -1 when w_k lies
-    outside the integral Weyl group, and bit b of ``_root_mask`` is set
-    when the b-th positive root is integral for lam.
+    The block is read off the group's tables: its members ``_param_of``,
+    ``group``, ``params`` and ``_terms`` are those of its ``_BlockClass``,
+    and bit b of ``_root_mask`` is set when the b-th positive root is
+    integral for lam.  Every regular integral block of a root system has
+    the same class, built once, on first use, in ``rs._regular_class``.
     """
 
     def __init__(self, rs: RootSystem, lam: Weight):
@@ -182,25 +229,20 @@ class BlockContext:
         self.integral = d == 1
         self.regular = 0 not in nums
         self._root_mask = sum(1 << b for b, n in enumerate(nums) if n % d == 0)
-
-        # the right descent rule of the module docstring, in table order
         tables = self._tables = _group_tables(rs)
-        fixing = sum(1 << b for b, n in enumerate(nums) if n == 0)
-        inv, masks, refl = tables.inverse, tables.masks, tables.refl
-        param_of = [0]
-        for k in range(1, len(inv)):
-            descents = masks[inv[k]]
-            step = descents & fixing or descents & self._root_mask
-            p = param_of[inv[refl[(step & -step).bit_length() - 1][inv[k]]]] if step else -1
-            param_of.append(p if p < 0 or descents & fixing else k)
-        self._param_of = param_of
-        self.group = tuple(w for w, p in zip(tables.elements, param_of) if p >= 0)
-        self.params = tuple(w for w in self.group if param_of[w._k] == w._k)
-        self._param_set = frozenset(self.params)
-        self._default_decomp: DecompositionMatrix | None = None
-        # the untwisted sum formula terms of each parameter read so far,
-        # by table index; only ``jantzen._sum_counts`` writes them
-        self._terms: dict[int, tuple[dict[WeylElement, int], list]] = {}
+        if self.regular and self.integral:
+            members = rs._regular_class
+            if members is None:
+                members = rs._regular_class = _BlockClass(tables, 0, self._root_mask)
+        else:
+            fixing = sum(1 << b for b, n in enumerate(nums) if n == 0)
+            members = _BlockClass(tables, fixing, self._root_mask)
+        self._class = members
+        self._param_of = members._param_of
+        self.group = members.group
+        self.params = members.params
+        self._param_set = members._param_set
+        self._terms = members._terms
 
     @cached_property
     def _param_by_weight(self) -> dict[Weight, WeylElement]:
@@ -280,6 +322,14 @@ class DecompositionMatrix(_Record):
             square = False
         if not square:
             raise BadDecompositionFile("matrix shape does not match the parameter count")
+        rs = getattr(next(iter(params), None), "rs", None)
+        try:
+            for w in params:
+                _check_element(w, rs, "")
+        except MixedRootSystems:
+            raise BadDecompositionFile(
+                "matrix parameters must be elements of one root system"
+            ) from None
         if not _ints_only(rows):
             rows = tuple(tuple(map(_whole, row)) for row in rows)
             if any(c is None for row in rows for c in row):
@@ -368,14 +418,15 @@ def decomposition_matrix(block: BlockContext, source=None) -> DecompositionMatri
         raise NeedsUserMatrix(
             "no built-in decomposition matrix above rank 2; supply one via a file"
         )
-    if block._default_decomp is None:
+    members = block._class
+    if members._matrix is None:
         # a regular integral block's parameters are the whole group, in table order
         n = len(block.params)
         rows = tuple(
             tuple(ideal >> j & 1 for j in range(n)) for ideal in _group_tables(block.rs).ideals
         )
-        block._default_decomp = DecompositionMatrix._of(block.params, rows)
-    return block._default_decomp
+        members._matrix = DecompositionMatrix._of(block.params, rows)
+    return members._matrix
 
 
 def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:

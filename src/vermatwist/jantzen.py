@@ -34,12 +34,15 @@ A twist only flips signs: at w = e every term is +1, Jantzen's classical
 formula, and the twist w turns the term of each beta in R+(mu) cap R+(w)
 to -1 and adds one [y] for each.  So the first call at y makes one
 integer walk over the bits of R+(mu), reads t_beta y off the reflection
-table and keeps on the block the untwisted terms, each at 1 and keyed by
-element, and the term of each root's bit; it builds no weight.  Every
-call at y, the first one included, then copies the kept terms and flips
-the bits of R+(mu) cap R+(w).  The kept terms take about 70 bytes each,
-0.96 MiB for all 1152 parameters of F4's regular block, and go with the
-block; the block builds none.
+table and keeps in the block's class (``characters._BlockClass``) the
+untwisted terms, each at 1 and keyed by element, and the term of each
+root's bit; it builds no weight.  Every call at y, the first one
+included, then copies the kept terms and flips the bits of
+R+(mu) cap R+(w).  The kept terms take about 70 bytes each, 0.91 MiB for
+all 1152 parameters of F4.  A singular or nonintegral block's terms go
+with the block.  Every regular integral block of a root system shares
+one class, so its terms are walked once per root system and live as long
+as it does.
 
 Layer tables are read off the same vector, in integers.  Its Verma
 coefficients go to the simple basis through the sparse rows of the
@@ -194,11 +197,13 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
     """The block parameter of the module's highest weight, and the sum
     vector as the coefficient dict of its Verma basis ``CharVector``.
 
-    The first call at a parameter y walks the bits of R+(mu) and keeps on
-    the block the untwisted terms, each at 1 and keyed by element, and
-    each root's bit with its term's element.  Every call at y copies the
-    kept terms and flips those of R+(mu) cap R+(w) to -1 (see the module
-    docstring); the dict holds no zeros.
+    The first call at a parameter y of the block's class walks the bits
+    of R+(mu) and keeps in ``block._terms``, the class's dict, the
+    untwisted terms, each at 1 and keyed by element, and each root's bit
+    with its term's element; a later call at y, from any block of the
+    class, walks none.  Every call at y copies the kept terms and flips
+    those of R+(mu) cap R+(w) to -1 (see the module docstring); the dict
+    holds no zeros.
     """
     block = inp.block
     tables = block._tables

@@ -282,6 +282,8 @@ class RootSystem:
             self._coroots[(-beta).coords] = tuple(-c for c in coroot)
         # the Weyl group tables, built on first use by weyl.py
         self._weyl_tables = None
+        # the class of its regular integral blocks, built on first use by characters.py
+        self._regular_class = None
 
     @cached_property
     def rho(self) -> Weight:

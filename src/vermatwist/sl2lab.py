@@ -118,16 +118,17 @@ def is_natural(lam) -> bool:
 def deformed_binomial(lam, i: int) -> LocalRingElem:
     """binomial(lam + X, i) as a polynomial in X, exactly.
 
-    Refuses i < 0, where the binomial is 0 and no weight map entry lives.
+    Refuses, with ``ValueError`` and before building an entry, an index
+    that is not an int from 0 to ``MAX_TRUNCATION``: below 0 the binomial
+    is 0 and no weight map entry lives, and the entry i is that of a map
+    of truncation i.
 
     >>> deformed_binomial(3, 2).specialize()
     Fraction(3, 1)
     >>> deformed_binomial(1, 3).valuation()
     1
     """
-    if i < 0:
-        raise ValueError(f"binomial index must be at least 0, got {i}")
-    return phi(lam, i).entries[i]
+    return phi(lam, _truncation(i, "binomial index")).entries[i]
 
 
 def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
@@ -153,13 +154,12 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     return WeightMap(lam, truncation, VERMA_TO_DUAL, tuple(entries))
 
 
-def _truncation(truncation) -> int:
-    """``truncation``, refused with ``ValueError`` unless an int from 0 to ``MAX_TRUNCATION``."""
+def _truncation(truncation, name: str = "truncation") -> int:
+    """``truncation``, refused with ``ValueError`` unless an int from 0 to
+    ``MAX_TRUNCATION``; the message calls it ``name``."""
     # a bool is no truncation, so the type must be int itself
     if type(truncation) is not int or not 0 <= truncation <= MAX_TRUNCATION:
-        raise ValueError(
-            f"truncation must be an int from 0 to {MAX_TRUNCATION}, got {truncation!r}"
-        )
+        raise ValueError(f"{name} must be an int from 0 to {MAX_TRUNCATION}, got {truncation!r}")
     return truncation
 
 

@@ -191,6 +191,7 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
+    _check_element(w, getattr(w, "rs", None), "the argument is no Weyl group element")
     return w.inverse()
 
 
@@ -494,6 +495,7 @@ def parse_word_text(rs: RootSystem, text: str) -> tuple[int, ...]:
 
 def word_text(w: WeylElement) -> str:
     """Render an element as its canonical word ("e" for the identity)."""
+    _check_element(w, getattr(w, "rs", None), "the argument is no Weyl group element")
     if not w.word:
         return "e"
     if w.rs.rank <= 2:

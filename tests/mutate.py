@@ -77,13 +77,13 @@ EQUIVALENT = frozenset({
     ("weyl", "_build_tables", "[0] * size", "[1] * size"),
     ("characters", "_solve", "[0] * n", "[1] * n"),
     # the -1 sentinel is only read as negative
-    ("characters", "BlockContext.__init__", "-1", "-2"),
+    ("characters", "_BlockClass.__init__", "-1", "-2"),
     # x | -x is minus the lowest bit of x, of the same bit length
-    ("characters", "BlockContext.__init__", "step & -step", "step | -step"),
+    ("characters", "_BlockClass.__init__", "step & -step", "step | -step"),
     ("weyl", "bruhat_leq", "descents & -descents", "descents | -descents"),
     # the highest descent for the lowest: for the parameters, any descent
     # seems to give the same one, but this is not proved
-    ("characters", "BlockContext.__init__", "-step", "+step"),
+    ("characters", "_BlockClass.__init__", "-step", "+step"),
     # a coordinate of a vector in the orbit of rho is never 0
     ("weyl", "_build_tables", "v[i] < 0", "v[i] <= 0"),
     ("weyl", "_build_tables", "v[i] < 0", "v[i] < 1"),
@@ -103,6 +103,10 @@ EQUIVALENT = frozenset({
     ("characters", "load_decomposition_file", "min(row) >= 0", "min(row) > 0"),
     ("characters", "load_decomposition_file", "min(row) >= 0", "min(row) >= 1"),
     ("characters", "load_decomposition_file", "ideal >> j", "ideal << j"),
+    # on the fast path no row passes, as bit i + 1 of the ideal of the i-th
+    # parameter is never set; the slow path's site of the same text is
+    # killed by a row whose next index lies inside its ideal
+    ("characters", "load_decomposition_file", "ideal >> j & 1", "ideal >> j & 2"),
     # no height holds more than rank positive roots
     ("weyl", "_group_order", "rs.rank + 1", "rs.rank + 2"),
 })

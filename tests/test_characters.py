@@ -553,3 +553,53 @@ def test_char_vector_repr_negation_and_foreign_equality():
     assert -v + v == CharVector(VERMA)
     assert (v == 5) is False
     assert v.__eq__(5) is NotImplemented
+
+
+def test_an_entry_just_above_the_diagonal_is_refused():
+    block = make_block(build_root_system("A2"), weight(-2, -2))
+    n = len(block.params)
+    for i in range(n - 1):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][i + 1] = 1
+        with pytest.raises(BadDecompositionFile, match="nonnegative and lower unitriangular"):
+            DecompositionMatrix(block.params, tuple(map(tuple, rows)))
+
+
+def test_a_hand_built_matrix_takes_elements_of_one_root_system():
+    b2 = b2_block()
+    a1 = make_block(build_root_system("A1"), weight(-2))
+    message = "^matrix parameters must be elements of one root system$"
+    for params in (("x",), (None,), (b2,), (a1.params[0], b2.params[0])):
+        n = len(params)
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        with pytest.raises(BadDecompositionFile, match=message):
+            DecompositionMatrix(params, rows)
+    assert DecompositionMatrix((), ()).params == ()
+
+
+@pytest.mark.parametrize(
+    "edits, fault",
+    [
+        # the row of t reaches st, outside its ideal, past a 0 at s
+        ({(2, 3): 1}, "nonzero entry at (t, st) violates Bruhat unitriangularity"),
+        # the row of s reaches t before a later fault
+        ({(1, 2): 1, (1, 7): -1}, "nonzero entry at (s, t) violates Bruhat unitriangularity"),
+        # st lies outside the ideal of ts, and ts, the next index, inside it
+        ({(4, 3): 1}, "nonzero entry at (ts, st) violates Bruhat unitriangularity"),
+        ({(3, 3): 2, (3, 7): -1}, "diagonal multiplicities must equal 1"),
+        ({(5, 0): -1, (5, 5): 2}, "multiplicities must be nonnegative"),
+    ],
+    ids=["bruhat", "bruhat-first", "next-inside", "diagonal-first", "sign-first"],
+)
+def test_load_decomposition_file_names_the_first_fault_of_a_row(edits, fault):
+    block = b2_block()
+    dm = decomposition_matrix(block)
+    assert [word_text(w) for w in block.params] == [
+        "e", "s", "t", "st", "ts", "sts", "tst", "stst"
+    ]
+    matrix = [list(row) for row in dm.rows]
+    for (i, j), c in edits.items():
+        matrix[i][j] = c
+    data = {"params": [word_text(w) for w in block.params], "matrix": matrix}
+    with pytest.raises(BadDecompositionFile, match=f"^{re.escape(fault)}$"):
+        load_decomposition_file(block, data)

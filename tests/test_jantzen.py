@@ -590,3 +590,7 @@ def test_a_weight_outside_the_block_orbit_is_refused():
         block.param_for_weight(weight(1, 0))
     with pytest.raises(NotInBlockOrbit, match=message):
         sum_formula(SumFormulaInput(block, e, mu=weight(1, 0)))
+
+
+def test_an_empty_layer_table_has_one_empty_row():
+    assert LayerTable({}, True).by_depth() == ((),)

@@ -400,3 +400,32 @@ def test_function_forms_agree_with_the_operators(label):
         assert weyl.length(u) == u.length
         for v in elements:
             assert weyl.multiply(u, v) == u * v
+
+
+def test_letter_words_are_read_in_rank_2_only():
+    assert parse_word_text(build_root_system("G2"), "ts") == (2, 1)
+    rs3 = build_root_system("A3")
+    for text in ("s", "st"):
+        with pytest.raises(ValueError, match=f"^cannot parse Weyl word '{text}'$"):
+            parse_word_text(rs3, text)
+
+
+def test_group_tables_build_a_group_of_exactly_their_bound():
+    # once from the group's order before enumerating, once from the tables
+    rs = RootSystem(build_root_system("B2").cartan, "B2")
+    for _ in range(2):
+        assert len(_group_tables(rs, 8).elements) == 8
+        with pytest.raises(GroupTooLarge, match="^Weyl group exceeds the bound of 7 elements$"):
+            _group_tables(rs, 7)
+
+
+def test_word_text_and_inverse_refuse_what_is_no_element():
+    from types import SimpleNamespace
+
+    from vermatwist import make_block, weight
+
+    b2 = build_root_system("B2")
+    for bad in ("x", None, SimpleNamespace(rs=b2, word=()), make_block(b2, weight(-2, -2))):
+        for call in (word_text, weyl.inverse):
+            with pytest.raises(MixedRootSystems, match="^the argument is no Weyl group element$"):
+                call(bad)
