@@ -50,10 +50,10 @@ Anything larger needs a user supplied matrix, checked once, row by row,
 as it is loaded.  Its entries are whole numbers, stored as ints.  Each
 matrix keeps, once, the nonzero entries of every row as (position,
 entry) pairs.  Verma to simple sums those rows into one dense list of
-ints indexed by position, in ``change_basis`` and the layer extraction
-of :mod:`vermatwist.jantzen`; simple to Verma is a triangular solve on
-them, as the matrix is unitriangular, on the same dense lists, and
-needs no inverse.
+ints indexed by position, in ``change_basis`` and, once per parameter,
+in the layer data :mod:`vermatwist.jantzen` keeps in the matrix;
+simple to Verma is a triangular solve on them, as the matrix is
+unitriangular, on the same dense lists, and needs no inverse.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ class _BlockClass:
     group and ``params`` the parameters, both in table order.  ``_terms``
     holds the untwisted sum formula terms of each parameter read so far,
     by table index, and only ``jantzen._sum_counts`` writes it;
-    ``_matrix`` is the built-in decomposition matrix, built on first use.
+    ``_matrix`` is the built-in decomposition matrix, built on first use,
+    with the layer data ``jantzen`` keeps in it.
     """
 
     __slots__ = ("_param_of", "group", "params", "_param_set", "_terms", "_matrix")
@@ -370,6 +371,12 @@ class DecompositionMatrix(_Record):
     def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero entries of each row as (position, multiplicity) pairs."""
         return tuple(tuple(compress(enumerate(row), row)) for row in self.rows)
+
+    @cached_property
+    def _layer_data(self) -> dict[WeylElement, tuple[list[int], tuple, list]]:
+        """What the layer path of :mod:`vermatwist.jantzen` keeps for each
+        parameter it has read, filled by ``jantzen._keep_layer_data`` alone."""
+        return {}
 
 
 def _combine(rows, coeffs) -> list[int]:

@@ -179,18 +179,18 @@ def _table_lines(table: LayerTable) -> list[str]:
 
 def cmd_sum_formula(args, parser) -> int:
     from .characters import VERMA, CharVector, load_decomposition_file
-    from .jantzen import _layer_matrix, _layers, _rplus_mu, _sum_counts
+    from .jantzen import _layer_matrix, _layers, _rplus_mu, _sum_counts, _verma_counts
     from .weyl import word_text
 
     inp = _resolve_input(args)
     # evaluated before the decomposition file is read: a y outside the
     # block's orbit is reported as such whatever the file holds
-    y, coeffs = _sum_counts(inp)
-    vector = CharVector._of(VERMA, coeffs)
+    y, kept, flip = _sum_counts(inp)
+    vector = CharVector._of(VERMA, _verma_counts(y, kept, flip))
     block = inp.block
     decomp = None if args.decomp_file is None else load_decomposition_file(block, args.decomp_file)
     try:
-        table, blocked = _layers(_layer_matrix(block, decomp), y, coeffs), None
+        table, blocked = _layers(_layer_matrix(block, decomp), y, kept, flip), None
     except VermatwistError as exc:
         table, blocked = None, exc
     if args.format == "json":
@@ -215,7 +215,7 @@ def cmd_sum_formula(args, parser) -> int:
 
 def cmd_layers(args, parser) -> int:
     from .characters import VERMA, CharVector, load_decomposition_file
-    from .jantzen import _layer_matrix, _layers, _sum_counts
+    from .jantzen import _layer_matrix, _layers, _sum_counts, _verma_counts
     from .weyl import word_text
 
     inp = _resolve_input(args)
@@ -224,10 +224,10 @@ def cmd_layers(args, parser) -> int:
     # raises before the orbit parameter is resolved, so a nonintegral block
     # is refused as such even when y lies outside its integral orbit
     dm = _layer_matrix(block, decomp)
-    y, coeffs = _sum_counts(inp)
-    table = _layers(dm, y, coeffs)
+    y, kept, flip = _sum_counts(inp)
+    table = _layers(dm, y, kept, flip)
     if args.format == "json":
-        print(_dumps(_payload(inp, y, CharVector._of(VERMA, coeffs), table)))
+        print(_dumps(_payload(inp, y, CharVector._of(VERMA, _verma_counts(y, kept, flip)), table)))
         return 0
     lines = [f"layers of the twisted module at w = {word_text(inp.w)}, y = {word_text(y)}"]
     lines.append(f"block: lambda = {_weight_text(block.base)}")

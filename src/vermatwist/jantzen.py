@@ -44,13 +44,28 @@ with the block.  Every regular integral block of a root system shares
 one class, so its terms are walked once per root system and live as long
 as it does.
 
-Layer tables are read off the same vector, in integers.  Its Verma
-coefficients go to the simple basis through the sparse rows of the
-decomposition matrix, summed by the one dense kernel
-:func:`vermatwist.characters._combine` into a list of ints indexed by
-position, and each factor's depth is read at its position.  Positions
-come from the matrix, as in :func:`vermatwist.characters.change_basis`;
-no character vector is built.
+Layer tables are read off the same flip, in the simple basis and in
+integers.  With D[x] the sparse row of x in the decomposition matrix,
+B(y) = sum over beta in R+(mu) of D[t_beta y] the simple image of the
+untwisted terms and F = R+(mu) cap R+(w), the layer vector is
+
+    B(y) - 2 * sum over beta in F of D[t_beta y] + |F| * D[y].
+
+The first layer call at y whose row passes the multiplicity-free check
+keeps in the matrix, ``DecompositionMatrix._layer_data``, B(y) as one
+dense list of ints indexed by position, summed by the one dense kernel
+:func:`vermatwist.characters._combine`, with y's row and each root
+bit's term's row, both by reference.  Every call copies B(y), takes
+twice the rows of the bits of F off it, and reads each factor's depth at
+its position in y's row, where D[y] is 1, plus |F|.  B(y) ends at the
+last position of y and its terms, as no row of a lower unitriangular
+matrix reaches past its own: for all 1152 parameters of F4 with a loaded
+Bruhat incidence matrix that is 5.5 MiB, against 10.2 MiB for the
+matrix's dense rows (tracemalloc).  The built-in matrix is held by the
+regular class, so its layer data goes with the root system; a loaded
+matrix keeps its own.  Positions come from the matrix, as in
+:func:`vermatwist.characters.change_basis`; no character vector is
+built.
 
 The input, the result and the layer table are
 :class:`vermatwist.rootsystem._Record` classes, each with a positional
@@ -162,8 +177,10 @@ class LayerTable(_Record):
             raise KeyError(f"{name} is not a composition factor here") from None
 
     def by_depth(self) -> tuple[tuple[WeylElement, ...], ...]:
-        """The factors regrouped as rows: index k lists the depth k factors."""
-        top = max(self.layers.values(), default=0)
+        """The factors regrouped as rows: index k lists the depth k factors.
+
+        Row 0 is always there; a negative depth has no row."""
+        top = max([0, *self.layers.values()])
         rows: list[list[WeylElement]] = [[] for _ in range(top + 1)]
         for x in sorted(self.layers, key=lambda w: w._k):
             if self.layers[x] >= 0:
@@ -193,23 +210,25 @@ def _param_index(inp: SumFormulaInput) -> int:
     return k
 
 
-def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, int]]:
-    """The block parameter of the module's highest weight, and the sum
-    vector as the coefficient dict of its Verma basis ``CharVector``.
+#: a parameter's kept untwisted terms: each term's element at 1, and the
+#: element of each root bit's term
+_Kept = tuple[dict[WeylElement, int], list]
+
+
+def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, _Kept, int]:
+    """The block parameter y of the module's highest weight, y's kept
+    untwisted terms and the flip mask, the bits of R+(mu) cap R+(w).
 
     The first call at a parameter y of the block's class walks the bits
     of R+(mu) and keeps in ``block._terms``, the class's dict, the
     untwisted terms, each at 1 and keyed by element, and each root's bit
     with its term's element; a later call at y, from any block of the
-    class, walks none.  Every call at y copies the kept terms and flips
-    those of R+(mu) cap R+(w) to -1 (see the module docstring); the dict
-    holds no zeros.
+    class, walks none.  The callers flip: :func:`_verma_counts` in the
+    Verma basis and :func:`_layers` in the simple basis.
     """
     block = inp.block
     tables = block._tables
-    in_w = tables.masks[inp.w._k]
     k = _param_index(inp)
-    y = tables.elements[k]
     rplus = tables.masks[k] & block._root_mask
     kept = block._terms.get(k)
     if kept is None:
@@ -223,9 +242,17 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
             x = at[b] = elements[param_of[refl[b][k]]]
             terms[x] = 1
         kept = block._terms[k] = terms, at
+    return tables.elements[k], kept, rplus & tables.masks[inp.w._k]
+
+
+def _verma_counts(y: WeylElement, kept: _Kept, flip: int) -> dict[WeylElement, int]:
+    """The sum vector of :func:`_sum_counts`'s result as the coefficient
+    dict of its Verma basis ``CharVector``: a copy of the kept terms with
+    those of the flip mask at -1 (see the module docstring); it holds no
+    zeros."""
     terms, at = kept
     coeffs = terms.copy()
-    m = flip = rplus & in_w
+    m = flip
     while m:
         low = m & -m
         m ^= low
@@ -234,7 +261,7 @@ def _sum_counts(inp: SumFormulaInput) -> tuple[WeylElement, dict[WeylElement, in
     # docstring), and [y] gains 1 for each beta in R+(mu) cap R+(w)
     if flip:
         coeffs[y] = flip.bit_count()
-    return y, coeffs
+    return coeffs
 
 
 def _rplus_mu(block: BlockContext, y: WeylElement) -> tuple[Root, ...]:
@@ -254,9 +281,11 @@ def sum_formula(inp: SumFormulaInput) -> SumFormulaResult:
     R+(mu) writes each term into the Verma vector once, at the parameter
     of the coset of t_beta y.
     """
-    y, coeffs = _sum_counts(inp)
+    y, kept, flip = _sum_counts(inp)
     return SumFormulaResult(
-        CharVector._of(VERMA, coeffs), _rplus_mu(inp.block, y), inp.w.inversions
+        CharVector._of(VERMA, _verma_counts(y, kept, flip)),
+        _rplus_mu(inp.block, y),
+        inp.w.inversions,
     )
 
 
@@ -311,10 +340,14 @@ def layers_multiplicity_free(
     no longer attributable.  Raises ``BadDecompositionFile`` when the
     decomposition matrix contradicts the sum formula: a simple factor
     outside the composition series, or a negative depth.
+
+    The matrix keeps the simple image of the untwisted terms of each
+    parameter read (see the module docstring), so a later call at that
+    parameter, at any twist, applies only the twist's flips.  No refusal
+    is kept: every call checks again and refuses again.
     """
     dm = _layer_matrix(inp.block, decomposition)
-    y, coeffs = _sum_counts(inp)
-    return _layers(dm, y, coeffs)
+    return _layers(dm, *_sum_counts(inp))
 
 
 def _layer_matrix(
@@ -328,25 +361,32 @@ def _layer_matrix(
     return _block_matrix(block, decomposition)
 
 
-def _layers(dm: DecompositionMatrix, y: WeylElement, coeffs: dict[WeylElement, int]) -> LayerTable:
+def _layers(dm: DecompositionMatrix, y: WeylElement, kept: _Kept, flip: int) -> LayerTable:
     """The layer table of ``layers_multiplicity_free`` from :func:`_sum_counts`.
 
-    Each Verma coefficient of x goes through the sparse row at x's
-    position in ``dm``, and the dense sum of :func:`_combine` holds the
-    depth of each factor of y's row at its position.  Once those are read
-    and cleared, any entry left is a factor outside the composition series.
+    The first call at y that finds y's row multiplicity-free keeps, in
+    ``dm._layer_data``, the dense simple image of the untwisted terms and
+    the sparse rows of y and of each root bit's term.  Every call copies
+    that image and flips the bits of ``flip`` in the simple basis (see the
+    module docstring): the depth of each factor of y's row is read at its
+    position, and once those are cleared any entry left is a factor
+    outside the composition series.
     """
-    params, index = dm.params, dm._index
-    row = dm._sparse[index[y]]
-    for j, c in row:
-        if c > 1:
-            raise NotMultiplicityFree(
-                f"factor {word_text(params[j])} occurs {c} times in the Verma module "
-                f"of {word_text(y)}"
-            )
-    simple = _combine(dm._sparse, [(index[x], c) for x, c in coeffs.items()])
-    depths = {params[j]: simple[j] for j, _ in row}
+    untwisted, row, rows = dm._layer_data.get(y) or _keep_layer_data(dm, y, kept)
+    simple = untwisted.copy()
+    m = flip
+    while m:
+        low = m & -m
+        m ^= low
+        for j, c in rows[low.bit_length() - 1]:
+            simple[j] -= 2 * c
+    # y's row is 1 at each of its positions, and [y] has one count for
+    # each flipped term
+    count = flip.bit_count()
+    params = dm.params
+    depths = {}
     for j, _ in row:
+        depths[params[j]] = simple[j] + count
         simple[j] = 0
     if any(simple):
         first = next(j for j, c in enumerate(simple) if c)
@@ -358,6 +398,32 @@ def _layers(dm: DecompositionMatrix, y: WeylElement, coeffs: dict[WeylElement, i
     if low < 0:
         raise BadDecompositionFile("negative filtration depth")
     return LayerTable(depths, low > 0)
+
+
+def _keep_layer_data(dm: DecompositionMatrix, y: WeylElement, kept: _Kept) -> tuple:
+    """What ``dm`` keeps for the layers at y, once y's row is found
+    multiplicity-free (``NotMultiplicityFree`` otherwise, and nothing is
+    kept): the dense simple image of the untwisted terms, y's sparse row
+    and, for each root bit, its term's sparse row, both by reference.
+
+    The matrix is lower unitriangular, so a row has no entry past its own
+    position, and the image ends at the last position of y and its terms.
+    """
+    params, index, sparse = dm.params, dm._index, dm._sparse
+    row = sparse[index[y]]
+    for j, c in row:
+        if c > 1:
+            raise NotMultiplicityFree(
+                f"factor {word_text(params[j])} occurs {c} times in the Verma module "
+                f"of {word_text(y)}"
+            )
+    terms, at = kept
+    positions = [index[x] for x in terms]
+    end = max([index[y], *positions]) + 1
+    untwisted = _combine(sparse, [(i, 1) for i in positions])[:end]
+    rows = [None if x is None else sparse[index[x]] for x in at]
+    data = dm._layer_data[y] = untwisted, row, rows
+    return data
 
 
 def duality_partner(w: WeylElement, y: WeylElement) -> tuple[WeylElement, WeylElement]:

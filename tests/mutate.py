@@ -26,8 +26,9 @@ function is rendered by ``ast.unparse`` into a copy of the repository,
 where ``python -m pytest -q -x`` runs with a timeout of 100 s; a failing
 run or a timeout kills the mutant.  First the suite runs once with every
 chosen function rendered unmutated, which must pass.  A surviving mutant
-is reported unless it is in ``EQUIVALENT``; the exit status is 1 when one
-that is not survives.
+is reported unless it is in ``EQUIVALENT``, and so is an entry there that
+names no site of a chosen function; the exit status is 1 when either is
+found.
 
 >>> source = "def f(a, b: int = 2):\\n    return not a < b + 1\\n"
 >>> for m in mutants(source, "f"):
@@ -37,6 +38,11 @@ not a < b + 1 -> ~(a < b + 1)
 a < b + 1 -> a <= b + 1
 b + 1 -> b - 1
 b + 1 -> b + 2
+
+Sites of the same text are told apart by their order in the function:
+
+>>> [(m.after, m.nth) for m in mutants("def g(x):\\n    return x + 1, x + 1\\n", "g")]
+[('x - 1', 1), ('x + 2', 1), ('x - 1', 2), ('x + 2', 2)]
 """
 
 from __future__ import annotations
@@ -69,46 +75,65 @@ SWAPS = {
 }
 
 #: Survivors that change no behaviour, or none seen on any finite type, as
-#: (module, function, before, after); a key names every site with that text.
-#: Four more were annotations, ``X | None`` turned to ``X & None``, which
-#: are skipped.
+#: (module, function, before, after, n): the n-th site of the function, in
+#: the order of :func:`mutants`, whose mutant has that text.  Four more were
+#: annotations, ``X | None`` turned to ``X & None``, which are skipped.
 EQUIVALENT = frozenset({
-    # initial values that are always overwritten
-    ("weyl", "_build_tables", "[0] * size", "[1] * size"),
-    ("characters", "_solve", "[0] * n", "[1] * n"),
+    # initial values that are always overwritten: in _solve the second
+    # list, out; the first, rest, keeps its 0 where no pair is given
+    ("weyl", "_build_tables", "[0] * size", "[1] * size", 1),
+    ("characters", "_solve", "[0] * n", "[1] * n", 2),
     # the -1 sentinel is only read as negative
-    ("characters", "_BlockClass.__init__", "-1", "-2"),
+    ("characters", "_BlockClass.__init__", "-1", "-2", 1),
     # x | -x is minus the lowest bit of x, of the same bit length
-    ("characters", "_BlockClass.__init__", "step & -step", "step | -step"),
-    ("weyl", "bruhat_leq", "descents & -descents", "descents | -descents"),
+    ("characters", "_BlockClass.__init__", "step & -step", "step | -step", 1),
+    ("weyl", "bruhat_leq", "descents & -descents", "descents | -descents", 1),
     # the highest descent for the lowest: for the parameters, any descent
     # seems to give the same one, but this is not proved
-    ("characters", "_BlockClass.__init__", "-step", "+step"),
+    ("characters", "_BlockClass.__init__", "-step", "+step", 1),
     # a coordinate of a vector in the orbit of rho is never 0
-    ("weyl", "_build_tables", "v[i] < 0", "v[i] <= 0"),
-    ("weyl", "_build_tables", "v[i] < 0", "v[i] < 1"),
+    ("weyl", "_build_tables", "v[i] < 0", "v[i] <= 0", 1),
+    ("weyl", "_build_tables", "v[i] < 0", "v[i] < 1", 1),
     # which operand leads at equal lengths
-    ("localring", "_z_mul", "len(a) > len(b)", "len(a) >= len(b)"),
+    ("localring", "_z_mul", "len(a) > len(b)", "len(a) >= len(b)", 1),
     # the closure bound's last step, and skipping images whose i-th
     # coordinate is 0: no finite type differs, but this is not proved
-    ("rootsystem", "_generate_positive_roots", "10 * n", "11 * n"),
-    ("rootsystem", "_generate_positive_roots", "len(seen) > bound", "len(seen) >= bound"),
-    ("rootsystem", "_generate_positive_roots", "img[i] < 0", "img[i] <= 0"),
-    ("rootsystem", "_generate_positive_roots", "img[i] < 0", "img[i] < 1"),
+    ("rootsystem", "_generate_positive_roots", "10 * n", "11 * n", 1),
+    ("rootsystem", "_generate_positive_roots", "len(seen) > bound", "len(seen) >= bound", 1),
+    ("rootsystem", "_generate_positive_roots", "img[i] < 0", "img[i] <= 0", 1),
+    ("rootsystem", "_generate_positive_roots", "img[i] < 0", "img[i] < 1", 1),
     # a stored coefficient is never 0
-    ("characters", "CharVector.__repr__", "c >= 0", "c > 0"),
-    ("characters", "CharVector.__repr__", "c >= 0", "c >= 1"),
+    ("characters", "CharVector.__repr__", "c >= 0", "c > 0", 1),
+    ("characters", "CharVector.__repr__", "c >= 0", "c >= 1", 1),
     # fast paths: what they let through is checked again entry by entry
-    ("characters", "DecompositionMatrix.__init__", "not _ints_only(rows)", "~_ints_only(rows)"),
-    ("characters", "load_decomposition_file", "min(row) >= 0", "min(row) > 0"),
-    ("characters", "load_decomposition_file", "min(row) >= 0", "min(row) >= 1"),
-    ("characters", "load_decomposition_file", "ideal >> j", "ideal << j"),
+    ("characters", "DecompositionMatrix.__init__", "not _ints_only(rows)", "~_ints_only(rows)", 1),
+    ("characters", "load_decomposition_file", "min(row) >= 0", "min(row) > 0", 1),
+    ("characters", "load_decomposition_file", "min(row) >= 0", "min(row) >= 1", 1),
+    ("characters", "load_decomposition_file", "ideal >> j", "ideal << j", 1),
     # on the fast path no row passes, as bit i + 1 of the ideal of the i-th
-    # parameter is never set; the slow path's site of the same text is
-    # killed by a row whose next index lies inside its ideal
-    ("characters", "load_decomposition_file", "ideal >> j & 1", "ideal >> j & 2"),
+    # parameter is never set; the slow path's site of the same text, the
+    # second, is killed by a row whose next index lies inside its ideal
+    ("characters", "load_decomposition_file", "ideal >> j & 1", "ideal >> j & 2", 1),
     # no height holds more than rank positive roots
-    ("weyl", "_group_order", "rs.rank + 1", "rs.rank + 2"),
+    ("weyl", "_group_order", "rs.rank + 1", "rs.rank + 2", 1),
+    # one more position past the last one a row of a lower unitriangular
+    # matrix reaches: it stays 0 and no depth is read there
+    ("jantzen", "_keep_layer_data", "max([index[y], *positions]) + 1",
+     "max([index[y], *positions]) + 2", 1),
+    # more trailing zeros: the only reader of the sum, __post_init__, trims them
+    ("localring", "_z_add", "len(b) - len(a)", "len(b) + len(a)", 1),
+    # dividing by 1 keeps every coefficient
+    ("localring", "_z_primitive", "g > 1", "g >= 1", 1),
+    # d(0) is never 0 once the common power of X is cancelled
+    ("localring", "LocalRingElem.__post_init__", "d[0] < 0", "d[0] <= 0", 1),
+    ("localring", "LocalRingElem.__post_init__", "d[0] < 0", "d[0] < 1", 1),
+    # a constant gcd is 1 or -1, and the canonical form divides by d(0) after
+    ("localring", "LocalRingElem._canonical", "len(g) > 1", "len(g) >= 1", 1),
+    # a zero coefficient is skipped before its sign is read
+    ("localring", "_poly_text", "c < 0", "c <= 0", 1),
+    # the loop sets every entry of the quotient, from the top down
+    ("localring", "_z_exact_quotient", "[0] * (len(a) - len(b) + 1)",
+     "[1] * (len(a) - len(b) + 1)", 1),
 })
 
 
@@ -119,9 +144,10 @@ class Mutant(NamedTuple):
     line: int
     before: str
     after: str
+    nth: int
 
-    def key(self) -> tuple[str, str, str, str]:
-        return (self.module, self.function, self.before, self.after)
+    def key(self) -> tuple[str, str, str, str, int]:
+        return (self.module, self.function, self.before, self.after, self.nth)
 
 
 def _children(node: ast.AST):
@@ -221,13 +247,31 @@ def render(source: str, qualname: str, site: int | None = None) -> str:
 
 
 def mutants(source: str, qualname: str, module: str = "") -> list[Mutant]:
-    """One mutant for each site of ``qualname`` in ``source``."""
-    found = []
+    """One mutant for each site of ``qualname`` in ``source``, numbered
+    from 1 among the function's mutants of the same text."""
+    found, seen = [], {}
     for k, (_, shown) in enumerate(_sites(_find(ast.parse(source), qualname))):
         view = _apply(source, qualname, k)[1]
         before, after = ast.unparse(shown), ast.unparse(view)
-        found.append(Mutant(module, qualname, k, shown.lineno, before, after))
+        nth = seen[before, after] = seen.get((before, after), 0) + 1
+        found.append(Mutant(module, qualname, k, shown.lineno, before, after, nth))
     return found
+
+
+def unmatched(args: list[str], found: list[Mutant]) -> list[tuple]:
+    """The ``EQUIVALENT`` entries of the functions ``args`` name, a whole
+    module naming all of its own, that match none of the mutants ``found``.
+
+    No tier-1 test reads the list against the package: in the tool's own
+    copy such a test would fail for every mutant that alters a listed
+    site's text, and so kill it.
+    """
+    keys = {m.key() for m in found}
+    chosen = {tuple(arg.split(".", 1)) for arg in args}
+    return sorted(
+        entry for entry in EQUIVALENT
+        if entry not in keys and ((entry[0],) in chosen or entry[:2] in chosen)
+    )
 
 
 def _run_suite(copy: Path) -> str:
@@ -241,9 +285,13 @@ def _run_suite(copy: Path) -> str:
     try:
         return "survived" if proc.wait(timeout=TIMEOUT_S) == 0 else "killed"
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
         return "timeout"
+    finally:
+        # on a timeout, and on an interrupt, which the suite's own session
+        # does not receive
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def _targets(args: list[str]) -> list[tuple[str, str]]:
@@ -260,12 +308,16 @@ def main(args: list[str]) -> int:
         print("usage: python tests/mutate.py MODULE[.FUNCTION] ...", file=sys.stderr)
         return 2
     targets = _targets(args)
+    originals = {m: (PACKAGE / f"{m}.py").read_text() for m, _ in targets}
+    found = {t: mutants(originals[t[0]], t[1], t[0]) for t in targets}
+    stale = unmatched(args, [m for ms in found.values() for m in ms])
+    for entry in stale:
+        print(f"NO SITE {entry}", flush=True)
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
             ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis")
         )
-        originals = {m: (PACKAGE / f"{m}.py").read_text() for m, _ in targets}
         plain = dict(originals)
         for module, qualname in targets:
             plain[module] = render(plain[module], qualname)
@@ -277,7 +329,7 @@ def main(args: list[str]) -> int:
         survivors, counts = [], {"killed": 0, "timeout": 0, "survived": 0, "equivalent": 0}
         for module, qualname in targets:
             path = copy / "src" / "vermatwist" / f"{module}.py"
-            for m in mutants(originals[module], qualname, module):
+            for m in found[module, qualname]:
                 path.write_text(render(originals[module], qualname, m.site))
                 start = time.perf_counter()
                 outcome = _run_suite(copy)
@@ -294,8 +346,10 @@ def main(args: list[str]) -> int:
             path.write_text(originals[module])
     print(", ".join(f"{n} {k}" for k, n in counts.items()))
     for m in survivors:
-        print(f"SURVIVED {m.module}.{m.function}:{m.line}  {m.before} -> {m.after}")
-    return 1 if survivors else 0
+        print(f"SURVIVED {m.module}.{m.function}:{m.line}  {m.before} -> {m.after}  (#{m.nth})")
+    for entry in stale:
+        print(f"NO SITE {entry}")
+    return 1 if survivors or stale else 0
 
 
 if __name__ == "__main__":

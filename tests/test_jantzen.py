@@ -316,9 +316,9 @@ def test_layer_tables_well_formed_across_types():
 
 
 def test_by_depth_drops_negative_depths():
-    # a hand-built table: only depths 0, 1, ... have rows
+    # a hand-built table: only depths 0, 1, ... have rows, and row 0 is always there
     e, s = B2.params[:2]
-    assert LayerTable({e: -1}, False).by_depth() == ()
+    assert LayerTable({e: -1}, False).by_depth() == ((),)
     assert LayerTable({e: -1, s: 1}, True).by_depth() == ((), (s,))
 
 

@@ -360,6 +360,44 @@ def test_equal_values_with_different_stored_forms():
     assert a != b + Fraction(1, 7)
 
 
+@pytest.mark.parametrize(
+    "num, den, stored",
+    [
+        ((), (5, 7), ([], [1])),
+        ((2,), (-4,), ([-1], [2])),
+        ((0, 2), (4, 6), ([0, 1], [2, 3])),
+        ((3, 0), (-3, 0, 0), ([-1], [1])),
+        ((1, 1), (-1,), ([-1, -1], [1])),
+        ((0, 0, 6), (0, 4, -2), ([0, 3], [2, -1])),
+    ],
+)
+def test_the_stored_form_is_normalised_on_construction(num, den, stored):
+    # the module docstring's stored form: no trailing zeros, no common
+    # power of X, the content of n and d together divided out, d(0) > 0,
+    # and the zero element as 0/1
+    e = localring._make(list(num), list(den))
+    assert [e._n, e._d] == list(stored)
+
+
+def test_printing_keeps_the_leading_sign():
+    x = variable()
+    assert str(-x) == "-X"
+    assert str(1 - x * x) == "-X^2 + 1"
+    assert str(constant(Fraction(-1, 2))) == "-1/2"
+    assert str((2 - x) / (3 + x)) == "(-1/3*X + 2/3) / (1/3*X + 1)"
+
+
+@pytest.mark.parametrize("c", [2, 3, 6])
+def test_a_common_factor_with_content_is_cancelled(c):
+    # the stored lists X + 1 and c + cX have content 1 together, but the
+    # integer gcd of the two is c + cX: only its primitive part, 1 + X,
+    # divides both exactly
+    a = LocalRingElem((1, 1), (c, c))
+    assert (a.num, a.den) == ((Fraction(1, c),), (1,))
+    assert a == constant(Fraction(1, c))
+    assert str(a) == f"1/{c}"
+
+
 LEAVES = st.one_of(
     st.just(("x",)),
     st.integers(-4, 4).map(lambda n: ("int", n)),
