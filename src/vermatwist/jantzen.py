@@ -39,10 +39,10 @@ untwisted terms, each at 1 and keyed by element, and the term of each
 root's bit; it builds no weight.  Every call at y, the first one
 included, then copies the kept terms and flips the bits of
 R+(mu) cap R+(w).  The kept terms take about 70 bytes each, 0.91 MiB for
-all 1152 parameters of F4.  A singular or nonintegral block's terms go
-with the block.  Every regular integral block of a root system shares
-one class, so its terms are walked once per root system and live as long
-as it does.
+all 1152 parameters of F4.  Every block of a root system with the same
+stabilizer and integral roots shares one class, regular, singular or
+nonintegral alike, so each class's terms are walked once per root system
+and live as long as it does.
 
 Layer tables are read off the same flip, in the simple basis and in
 integers.  With D[x] the sparse row of x in the decomposition matrix,

@@ -14,8 +14,10 @@ Arithmetic multiplies and adds Python ints; equality cross-multiplies.
 A product loops over its shorter operand, so a scalar or a linear factor
 costs one pass over the other list, and a scalar 1 returns the other list
 itself: stored lists are shared and never written to.
-Each binary operator reads its other operand, an element, an int or a
-``Fraction``, by one rule, ``_operand``; anything else is NotImplemented.
+Each binary operator and equality read the other operand, an element,
+an int or a ``Fraction``, by one rule, ``_operand``; anything else is
+NotImplemented.  So ``constant(3) == 3``, and an element equal to a
+scalar hashes as that scalar.
 Valuation, value at X = 0 and the zero test read the stored form
 directly.  Only hashing, printing and the public ``num`` and ``den``
 attributes need the canonical form: polynomials over Q as tuples of
@@ -250,13 +252,16 @@ class LocalRingElem:
         """Value at X = 0."""
         return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalRingElem):
-            return NotImplemented
-        return _z_mul(self._n, other._d) == _z_mul(other._n, self._d)
+    @_operand
+    def __eq__(self, on, od) -> bool:
+        return _z_mul(self._n, od) == _z_mul(on, self._d)
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        num, den = self._canonical()
+        # an element equal to a scalar hashes as that scalar
+        if len(num) <= 1 and den == (1,):
+            return hash(num[0] if num else 0)
+        return hash((num, den))
 
     @_operand
     def __add__(self, on, od) -> LocalRingElem:

@@ -179,8 +179,9 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
     Computed per connected component of the Dynkin diagram, in integers:
     d[j] = d[i] * a[i][j] / a[j][i] along each edge, the component scaled
-    up whenever that quotient is not whole.  Raises ``NotFiniteType`` if
-    the matrix is not symmetrizable.
+    up whenever that quotient is not whole.  The gcd of a component stays
+    1: the scale den/g is coprime to the new entry num/g.  Raises
+    ``NotFiniteType`` if the matrix is not symmetrizable.
     """
     n = len(cartan)
     d = [0] * n
@@ -201,9 +202,6 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                         d[k] *= den // g
                 d[j] = num // g
                 component.append(j)
-        shrink = gcd(*(d[k] for k in component))
-        for k in component:
-            d[k] //= shrink
     for i in range(n):
         for j in range(n):
             if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
@@ -282,8 +280,9 @@ class RootSystem:
             self._coroots[(-beta).coords] = tuple(-c for c in coroot)
         # the Weyl group tables, built on first use by weyl.py
         self._weyl_tables = None
-        # the class of its regular integral blocks, built on first use by characters.py
-        self._regular_class = None
+        # its block classes by (stabilizer, integral roots) mask, built on
+        # first use by characters.py
+        self._block_classes = {}
 
     @cached_property
     def rho(self) -> Weight:

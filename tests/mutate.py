@@ -23,9 +23,11 @@ function gives one mutant:
 
 Annotations are skipped: the package never evaluates them.  The mutated
 function is rendered by ``ast.unparse`` into a copy of the repository,
-where ``python -m pytest -q -x`` runs with a timeout of 100 s; a failing
-run or a timeout kills the mutant.  First the suite runs once with every
-chosen function rendered unmutated, which must pass.  A surviving mutant
+where ``python -m pytest -q -x`` runs; a failing run or a timeout kills the
+mutant.  First the suite runs once with every chosen function rendered
+unmutated, which must pass, and each mutant's timeout is
+``TIMEOUT_FACTOR`` times that run's time, so a mutant that never ends
+costs a fixed multiple of the suite, whatever the machine.  A surviving mutant
 is reported unless it is in ``EQUIVALENT``, and so is an entry there that
 names no site of a chosen function; the exit status is 1 when either is
 found.
@@ -60,7 +62,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vermatwist"
-TIMEOUT_S = 100
+#: a mutant's timeout, in multiples of the unmutated suite's time
+TIMEOUT_FACTOR = 2
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -274,8 +277,9 @@ def unmatched(args: list[str], found: list[Mutant]) -> list[tuple]:
     )
 
 
-def _run_suite(copy: Path) -> str:
-    """'killed', 'survived' or 'timeout' for the suite in ``copy``."""
+def _run_suite(copy: Path, timeout: float | None = None) -> str:
+    """'killed', 'survived' or 'timeout' for the suite in ``copy``, given
+    ``timeout`` seconds, or all it takes when that is None."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
@@ -283,7 +287,7 @@ def _run_suite(copy: Path) -> str:
         start_new_session=True,
     )
     try:
-        return "survived" if proc.wait(timeout=TIMEOUT_S) == 0 else "killed"
+        return "survived" if proc.wait(timeout=timeout) == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "timeout"
     finally:
@@ -323,16 +327,20 @@ def main(args: list[str]) -> int:
             plain[module] = render(plain[module], qualname)
         for module, text in plain.items():
             (copy / "src" / "vermatwist" / f"{module}.py").write_text(text)
+        start = time.perf_counter()
         if _run_suite(copy) != "survived":
             print("the suite fails with the chosen functions rendered unmutated", file=sys.stderr)
             return 2
+        took = time.perf_counter() - start
+        timeout = TIMEOUT_FACTOR * took
+        print(f"unmutated suite {took:.1f} s, each mutant's timeout {timeout:.1f} s", flush=True)
         survivors, counts = [], {"killed": 0, "timeout": 0, "survived": 0, "equivalent": 0}
         for module, qualname in targets:
             path = copy / "src" / "vermatwist" / f"{module}.py"
             for m in found[module, qualname]:
                 path.write_text(render(originals[module], qualname, m.site))
                 start = time.perf_counter()
-                outcome = _run_suite(copy)
+                outcome = _run_suite(copy, timeout)
                 if outcome == "survived" and m.key() in EQUIVALENT:
                     outcome = "equivalent"
                 counts[outcome] += 1

@@ -293,6 +293,37 @@ def test_other_operands_are_not_implemented(other):
                 op(other, elem)
 
 
+
+def test_an_element_equals_the_scalar_it_is():
+    # equality reads an int or a Fraction as the arithmetic does, and an
+    # element equal to a scalar hashes as it, so a set or dict key agrees
+    x = variable()
+    cases = [
+        (constant(3), 3),
+        ((x + 3) * (x - 1) / (x - 1) - x, 3),
+        (constant(Fraction(1, 2)), Fraction(1, 2)),
+        ((2 + x) / (4 + 2 * x), Fraction(1, 2)),
+        (constant(-7) / 7, -1),
+        (zero(), 0),
+        (x - x, Fraction(0)),
+    ]
+    for elem, scalar in cases:
+        assert elem == scalar and scalar == elem and not elem != scalar, (elem, scalar)
+        assert hash(elem) == hash(scalar), (elem, scalar)
+        assert {scalar: 1}[elem] == 1
+    assert variable() != 0 and 0 != variable()
+    assert constant(3) != 4 and constant(Fraction(1, 2)) != Fraction(1, 3)
+    assert 1 / (1 + x) != 1 and (1 + x) / 1 != 1
+
+
+@pytest.mark.parametrize("other", [None, "1", 0.5, 3.0, [1]], ids=repr)
+def test_equality_with_other_objects_is_not_implemented(other):
+    # floats too: constant(3) == 3.0 is False, as for any object but an
+    # element, an int or a Fraction
+    for elem in (constant(3), zero(), variable()):
+        assert elem.__eq__(other) is NotImplemented
+        assert elem != other and not elem == other
+
 def test_reduction_cancels_common_factor():
     x = variable()
     # (X^2 - 1)/(X - 1) is not in the local ring as written, but the

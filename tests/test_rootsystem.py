@@ -27,7 +27,7 @@ from vermatwist import (
     unit_vector,
     weight,
 )
-from vermatwist.rootsystem import KOSTANT_COST_BOUND, RootSystem
+from vermatwist.rootsystem import KOSTANT_COST_BOUND, RootSystem, _symmetrizer
 from vermatwist.weights import weight_action
 from vermatwist.weyl import all_elements
 
@@ -61,6 +61,23 @@ def test_b2_positive_roots_frozen():
     assert [r.coords for r in rs.positive_roots] == [(0, 1), (1, 0), (1, 1), (2, 1)]
     assert rs.symmetrizer == (1, 2)
 
+
+
+def test_symmetrizer_is_minimal_on_each_component():
+    # each Dynkin component starts at 1 and is scaled on its own: B2 beside
+    # G2, G2 beside B2 and an isolated node, and B2 with its short root first
+    assert _symmetrizer(((2, -2, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -3, 2))) == (
+        1, 2, 3, 1)
+    assert _symmetrizer(((2, -1, 0, 0), (-3, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))) == (
+        3, 1, 1, 1)
+    assert _symmetrizer(((2, -1), (-2, 2))) == (2, 1)
+    assert build_root_system("F4").symmetrizer == (2, 2, 1, 1)
+    # symmetrizable but of no finite type, with entries whose quotient
+    # along an edge is whole after a gcd: -2 over -4, and a long node
+    # between two short ones
+    assert _symmetrizer(((2, -2), (-4, 2))) == (2, 1)
+    assert _symmetrizer(((2, -2, 0), (-1, 2, -1), (0, -2, 2))) == (1, 2, 1)
+    assert _symmetrizer(((2, -1, 0), (-2, 2, -2), (0, -1, 2))) == (2, 1, 2)
 
 def test_root_counts_by_type():
     expected = {"A1": 1, "A2": 3, "B2": 4, "G2": 6, "A3": 6, "B3": 9, "C3": 9, "F4": 24}
