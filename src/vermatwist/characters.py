@@ -31,13 +31,14 @@ integer walk of ``weights.dot_action``, so no weight is built for it.
 A ``_BlockClass`` holds a block's parameter map, group and parameters,
 with the untwisted sum formula terms that :mod:`vermatwist.jantzen`
 keeps for each parameter read and, for a regular integral block, the
-built-in decomposition matrix.  The right descent rule reads two masks
-alone: the positive roots fixing lam + rho and the integral ones; and so
-does the sum formula kernel.  So one rule shares them: every block of a
-root system with the same pair of masks has the same class, whatever its
-lam.  The first such block builds it and ``rs._block_classes`` keeps it
-by that pair, as ``rs._weyl_tables`` keeps the group's tables; a later
-one runs no descent loop, builds no matrix and repeats no first walk.
+built-in decomposition matrix.  The right descent rule and the sum
+formula kernel read two masks of lam alone: the positive roots fixing
+lam + rho and the integral ones.  So one rule shares a class: every
+block of a root system with the same pair of masks has the same one,
+whatever its lam.  The first such block builds it and
+``rs._block_classes`` keeps it by that pair, as ``rs._weyl_tables``
+keeps the group's tables; a later one runs no descent loop, builds no
+matrix and repeats no first walk.
 The regular integral class is the pair (no root, every root).  A root
 system keeps one class per pair it has built, a finite set, each for as
 long as the root system lives: in F4, the 102,781 antidominant weights

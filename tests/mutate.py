@@ -23,14 +23,14 @@ function gives one mutant:
 
 Annotations are skipped: the package never evaluates them.  The mutated
 function is rendered by ``ast.unparse`` into a copy of the repository,
-where ``python -m pytest -q -x`` runs; a failing run or a timeout kills the
-mutant.  First the suite runs once with every chosen function rendered
-unmutated, which must pass, and each mutant's timeout is
+where ``python -m pytest -q -x`` runs; a failing run or a timeout kills
+the mutant.  First the suite runs once with every chosen function
+rendered unmutated, which must pass, and each mutant's timeout is
 ``TIMEOUT_FACTOR`` times that run's time, so a mutant that never ends
-costs a fixed multiple of the suite, whatever the machine.  A surviving mutant
-is reported unless it is in ``EQUIVALENT``, and so is an entry there that
-names no site of a chosen function; the exit status is 1 when either is
-found.
+costs a fixed multiple of the suite, whatever the machine.  A surviving
+mutant is reported unless it is in ``EQUIVALENT``, and so is an entry
+there that names no site of a chosen function; the exit status is 1 when
+either is found.
 
 >>> source = "def f(a, b: int = 2):\\n    return not a < b + 1\\n"
 >>> for m in mutants(source, "f"):
