@@ -43,7 +43,7 @@ The regular integral class is the pair (no root, every root).  A root
 system keeps one class per pair it has built, a finite set, each for as
 long as the root system lives: in F4, the 102,781 antidominant weights
 (-k1/q, ..., -k4/q) with q <= 6 and every ki <= 12 give 2,295 classes,
-26.1 MiB before any sum is read (tracemalloc).  A class's kept terms are
+24.1 MiB before any sum is read (tracemalloc).  A class's kept terms are
 bounded by one term and one bit slot per entry of the reflection table
 ``refl``, which the group already holds.
 
@@ -190,8 +190,13 @@ class _BlockClass:
     fix lam + rho, and ``root_mask``, that of the integral ones, and
     nothing else, so every block with those two masks shares it.
     ``_param_of[k]`` is the table index of the parameter of w_k . lam, or
-    -1 when w_k lies outside the integral Weyl group; ``group`` is that
-    group and ``params`` the parameters, both in table order.  ``_terms``
+    -1 when w_k lies outside the integral Weyl group.  It is the class's
+    one membership structure: w_k is a parameter exactly when
+    ``_param_of[k] == k``.  It stays a list: an ``array('i')`` would halve
+    the classes' memory, but each read boxes the index it returns, about
+    25 ns more than a list's, and the sum formula reads it once a call.
+    ``group`` is the integral Weyl group and ``params`` the parameters,
+    both in table order.  ``_terms``
     holds the untwisted sum formula terms of each parameter read so far,
     by table index, and only ``jantzen._sum_counts`` writes it;
     ``_matrix`` is the built-in decomposition matrix of the regular
@@ -199,7 +204,7 @@ class _BlockClass:
     keeps in it.
     """
 
-    __slots__ = ("_param_of", "group", "params", "_param_set", "_terms", "_matrix")
+    __slots__ = ("_param_of", "group", "params", "_terms", "_matrix")
 
     def __init__(self, tables, fixing: int, root_mask: int):
         inv, masks, refl = tables.inverse, tables.masks, tables.refl
@@ -212,7 +217,6 @@ class _BlockClass:
         self._param_of = param_of
         self.group = tuple(w for w, p in zip(tables.elements, param_of) if p >= 0)
         self.params = tuple(w for w in self.group if param_of[w._k] == w._k)
-        self._param_set = frozenset(self.params)
         self._terms: dict[int, tuple[dict[WeylElement, int], list]] = {}
         self._matrix: DecompositionMatrix | None = None
 
@@ -249,7 +253,6 @@ class BlockContext:
         self._param_of = members._param_of
         self.group = members.group
         self.params = members.params
-        self._param_set = members._param_set
         self._terms = members._terms
 
     @cached_property
@@ -272,8 +275,9 @@ class BlockContext:
         except KeyError:
             raise NotInBlockOrbit(f"{mu!r} is not in the block orbit") from None
 
-    def contains_param(self, w: WeylElement) -> bool:
-        return w in self._param_set
+    def contains_param(self, w: object) -> bool:
+        """Whether ``w`` is a parameter of this block; False for anything else."""
+        return w.__class__ is WeylElement and w.rs is self.rs and self._param_of[w._k] == w._k
 
     def _drop(self, y: WeylElement) -> tuple[int, ...]:
         """Root coordinates of y . lam - lam for a parameter y: the walk's
@@ -524,10 +528,10 @@ def _block_matrix(block: BlockContext, dm: DecompositionMatrix | None) -> Decomp
 
 
 def _check_vector(block: BlockContext, v: CharVector) -> None:
-    bad = v._coeffs.keys() - block._param_set
+    bad = [w for w in v._coeffs if not block.contains_param(w)]
     if bad:
         # the shortest offender, the first of equals in the vector's order
-        first = min((w for w in v._coeffs if w in bad), key=lambda w: (w.length, w.word))
+        first = min(bad, key=lambda w: (w.length, w.word))
         raise ValueError(f"{first!r} is not a parameter of this block")
 
 

@@ -21,7 +21,8 @@ positive:
 Two more tables are built on first use: ``inverse[k]``, the index of
 w_k^{-1}, read off ``left`` along the word of w_k, and the Bruhat lower
 ideals, bitsets over the indices unioned along the covers t_beta w_k of w_k,
-beta in ``masks[k]``, that the ``weyl`` command prints; they are refused
+beta in ``masks[k]``, which the built-in decomposition matrix of rank at most
+2 and the check of a loaded decomposition file read; they are refused
 above ``IDEALS_BOUND`` elements.  Right multiplication needs no table of its
 own: w_k t_beta = (t_beta w_k^{-1})^{-1} is ``inverse[refl[b][inverse[k]]]``,
 shorter than w_k exactly when bit b of ``masks[inverse[k]]`` is set; the

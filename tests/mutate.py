@@ -105,6 +105,9 @@ EQUIVALENT = frozenset({
     ("rootsystem", "_generate_positive_roots", "len(seen) > bound", "len(seen) >= bound", 1),
     ("rootsystem", "_generate_positive_roots", "img[i] < 0", "img[i] <= 0", 1),
     ("rootsystem", "_generate_positive_roots", "img[i] < 0", "img[i] < 1", 1),
+    # the coroot is the quotient of twice and norm, which scale together:
+    # norm stays whole, as (beta, beta) = 2 d_i for beta in the orbit of a_i
+    ("rootsystem", "RootSystem.__init__", "2 * d", "3 * d", 1),
     # a stored coefficient is never 0
     ("characters", "CharVector.__repr__", "c >= 0", "c > 0", 1),
     ("characters", "CharVector.__repr__", "c >= 0", "c >= 1", 1),

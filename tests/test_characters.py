@@ -87,6 +87,33 @@ def test_nonintegral_block_parameters():
     assert [w.word for w in block.params] == [(), (2,)]
 
 
+def test_contains_param_holds_for_the_parameters_alone():
+    b2, a2, g2 = (build_root_system(label) for label in ("B2", "A2", "G2"))
+    regular = b2_block()
+    singular = make_block(b2, weight(-1, -2))
+    nonintegral = make_block(b2, weight(Fraction(-1, 2), -2))
+    a2_block = make_block(a2, weight(-2, -2))
+    for block in (regular, singular, nonintegral, a2_block):
+        assert all(block.contains_param(w) is True for w in block.params)
+    s, ts = element_from_word(b2, (1,)), element_from_word(b2, (2, 1))
+    g2_top = longest_element(g2)
+    a2_s = element_from_word(a2, (1,))
+    assert g2_top._k >= len(_group_tables(a2).elements)
+    assert a2_s._k == s._k and regular.contains_param(s)
+    refused = [
+        *((regular, x) for x in (None, "e", [], regular)),
+        # an index past the A2 table, and one that is a B2 parameter's
+        (a2_block, g2_top),
+        (regular, a2_s),
+        # not their own parameters, and outside W_lam
+        (singular, s),
+        (singular, ts),
+        (nonintegral, s),
+    ]
+    for block, x in refused:
+        assert block.contains_param(x) is False
+
+
 def test_a1_decomposition_matrix():
     rs = build_root_system("A1")
     block = make_block(rs, weight(-2))
@@ -189,6 +216,16 @@ def test_change_basis_names_the_first_foreign_parameter():
         with pytest.raises(ValueError) as err:
             change_basis(block, v, to)
         assert str(err.value) == f"{foreign[2]!r} is not a parameter of this block"
+    # an element whose index lies past the block's table is refused the same way
+    a2_block = make_block(other, weight(-2, -2))
+    g2_top = longest_element(build_root_system("G2"))
+    v = unit_vector(VERMA, g2_top)
+    message = f"^{re.escape(repr(g2_top))} is not a parameter of this block$"
+    for to in (VERMA, SIMPLE):
+        with pytest.raises(ValueError, match=message):
+            change_basis(a2_block, v, to)
+    with pytest.raises(ValueError, match=message):
+        dimension_at(a2_block, v, a2_block.base)
 
 
 def test_a_decomposition_matrix_of_another_block_is_refused():

@@ -410,14 +410,25 @@ def test_rank_over_the_group_bound_is_refused_before_anything_is_built(monkeypat
     )
 
 
-def test_rank_under_the_group_bound_is_built():
+def test_rank_under_the_group_bound_is_built(monkeypatch):
+    from vermatwist import GroupTooLarge, rootsystem
+
     rs = build_root_system(a_type(16))
     assert rs.rank == 16 and len(rs.positive_roots) == 16 * 17 // 2
+    # the bound is inclusive: 2^16 elements at a bound of 2^16 pass the rank check
+    monkeypatch.setattr(rootsystem, "GROUP_BOUND", 2**16)
+    assert build_root_system(a_type(16)) is rs
+    with pytest.raises(GroupTooLarge):
+        build_root_system(a_type(17))
 
 
 def test_malformed_cartan_input_is_refused():
     with pytest.raises(ValueError, match="^unknown type label 'Z9'; known: "):
         build_root_system("Z9")
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="^Cartan matrix must be square and non-empty$"):
+            build_root_system(empty)
+    assert build_root_system([[2]]) is build_root_system("A1")
     message = r"^Cartan entries \(0,1\) and \(1,0\) must vanish together$"
     with pytest.raises(ValueError, match=message):
         build_root_system([[2, 0], [-1, 2]])
