@@ -63,10 +63,10 @@ unitriangular, on the same dense lists, and needs no inverse.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
-from pathlib import Path
 
 from .errors import (
     BadDecompositionFile,
@@ -76,8 +76,10 @@ from .errors import (
     NotAntidominant,
     NotInBlockOrbit,
     UnsupportedBlock,
+    VermatwistError,
+    _Record,
 )
-from .rootsystem import RootSystem, _read_json, _Record, _whole, kostant_partition
+from .rootsystem import RootSystem, _read_json, _whole, kostant_partition
 from .weights import Weight, _check_rank, _numerators, _shifted_pairings, dot_action
 from .weyl import (
     WeylElement,
@@ -462,7 +464,7 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
     # the unitriangularity check reads the Bruhat ideals: a group over their
     # bound is refused here, before the file is read
     ideals = _group_tables(block.rs).ideals
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         data = _read_json(source, BadDecompositionFile, "decomposition file")
     else:
         data = source
@@ -476,7 +478,7 @@ def load_decomposition_file(block: BlockContext, source) -> DecompositionMatrix:
     rs = block.rs
     try:
         given = [element_from_word(rs, parse_word_text(rs, p)) for p in words]
-    except Exception as exc:
+    except (ValueError, VermatwistError) as exc:
         raise BadDecompositionFile(f"cannot parse parameter words: {exc}") from exc
     if len(given) != len(block.params) or set(given) != set(block.params):
         raise BadDecompositionFile(

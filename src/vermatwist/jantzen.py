@@ -68,7 +68,7 @@ matrix keeps its own.  Positions come from the matrix, as in
 built.
 
 The input, the result and the layer table are
-:class:`vermatwist.rootsystem._Record` classes, each with a positional
+:class:`vermatwist.errors._Record` classes, each with a positional
 constructor that stores its fields directly, so the block commands load
 no ``dataclasses``.
 
@@ -91,8 +91,9 @@ from .errors import (
     NotInBlockOrbit,
     NotMultiplicityFree,
     UnsupportedBlock,
+    _Record,
 )
-from .rootsystem import Root, _Record
+from .rootsystem import Root
 from .weights import Weight, _shifted_pairings
 from .weyl import (
     WeylElement,

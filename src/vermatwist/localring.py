@@ -13,7 +13,10 @@ represented ring is the localization of Q[X] at the ideal (X).
 Arithmetic multiplies and adds Python ints; equality cross-multiplies.
 A product loops over its shorter operand, so a scalar or a linear factor
 costs one pass over the other list, and a scalar 1 returns the other list
-itself: stored lists are shared and never written to.
+itself: stored lists are shared and never written to.  An element is
+an :class:`vermatwist.errors._Frozen`, as every record of the package
+is: ``__post_init__`` sets its stored form once, and assigning or
+deleting an attribute raises ``dataclasses.FrozenInstanceError``.
 Each binary operator and equality read the other operand, an element,
 an int or a ``Fraction``, by one rule, ``_operand``; anything else is
 NotImplemented.  So ``constant(3) == 3``, and an element equal to a
@@ -43,14 +46,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from .errors import InvariantViolated
+from .errors import InvariantViolated, _Frozen, _set
 
 Poly = tuple[Fraction, ...]
-
-_set = object.__setattr__
 
 
 def _z_trim(p: list[int]) -> list[int]:
@@ -154,7 +154,7 @@ def _operand(formula):
     return operator
 
 
-class LocalRingElem:
+class LocalRingElem(_Frozen):
     """A rational function in X, regular at X = 0.
 
     >>> x = variable()
@@ -207,12 +207,6 @@ class LocalRingElem:
         _set(self, "_n", n)
         _set(self, "_d", d)
         _set(self, "_reduced", None)
-
-    def __setattr__(self, name, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _canonical(self) -> tuple[Poly, Poly]:
         if self._reduced is None:

@@ -27,10 +27,10 @@ simple coroots and is a multiple k_i of the fundamental weight w_i;
 column i of the inverse is v_i / k_i, the one rational step.
 
 Roots, weights and the records of this module, ``weyl``, ``weights``,
-``characters`` and ``jantzen`` derive from :class:`_Record`, which names
-the fields once and gives them the equality, hash and repr a frozen
-dataclass would; the ``weyl`` command and the block commands load no
-``dataclasses``.
+``characters`` and ``jantzen`` derive from :class:`vermatwist.errors._Record`,
+the package's one record base, which names the fields once and gives
+them the equality, hash and repr a frozen dataclass would; no command
+loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
-from .errors import GroupTooLarge, InvariantViolated, NotARoot, NotFiniteType
+from .errors import GroupTooLarge, InvariantViolated, NotARoot, NotFiniteType, _Record, _set
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -61,57 +61,6 @@ CARTAN_BY_LABEL: dict[str, tuple[tuple[int, ...], ...]] = {
     "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
     "F4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
 }
-
-
-_set = object.__setattr__
-
-
-class _Frozen:
-    """Refuses to assign or delete an attribute, as a frozen dataclass does."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _Record(_Frozen):
-    """A frozen record of the fields named in ``_fields``, set positionally
-    or by keyword, compared, hashed and shown as a frozen dataclass is.
-
-    A record that checks its fields, or is built once per sum formula
-    call, has its own ``__init__`` with the fields as parameters; the
-    ones on the sum formula's path store them in the instance dict
-    directly, as this generic one, which matches the arguments to
-    ``_fields``, costs about four times as much.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if len(args) > len(self._fields) or kwargs.keys() != set(self._fields[len(args) :]):
-            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
-        for name, value in (*zip(self._fields, args), *kwargs.items()):
-            _set(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
 
 
 class Root(_Record):

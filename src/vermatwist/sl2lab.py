@@ -23,7 +23,11 @@ returned; given the map, they use its own lam and truncation and refuse
 any other truncation with ``ValueError``, and given lam, they refuse a
 truncation by ``phi``'s rule before anything else; a truncation left out
 is the map's own, or ``DEFAULT_TRUNCATION``.  A forward map builds its
-backward partner once, on first use.
+backward partner once, on first use.  A map is a
+:class:`vermatwist.errors._Record`, as the records of the block stack
+are: its constructor checks the fields, and it is compared, hashed and
+shown as a frozen dataclass is, so the ``sl2`` command loads no
+``dataclasses``.
 
 With lam = p/q, z - k = (qX + p - qk) / q for every integer k, so the
 forward map and the checks run on integer polynomial lists: ``phi`` builds
@@ -37,11 +41,10 @@ before they build a map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvariantViolated, TruncationTooSmall
+from .errors import InvariantViolated, TruncationTooSmall, _Record
 from .localring import LocalRingElem, _make, _z_mul, one, scaled_equal
 
 VERMA_TO_DUAL = "verma_to_dual"
@@ -59,21 +62,22 @@ DEFAULT_TRUNCATION = 12
 MAX_TRUNCATION = 100
 
 
-@dataclass(frozen=True)
-class WeightMap:
+class WeightMap(_Record):
     """A diagonal map between weight spaces, entries indexed 0..truncation."""
 
     lam: Fraction
     truncation: int
     direction: str
     entries: tuple[LocalRingElem, ...]
+    _fields = ("lam", "truncation", "direction", "entries")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _lam(self.lam))
-        if self.direction not in (VERMA_TO_DUAL, DUAL_TO_VERMA):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if len(self.entries) != self.truncation + 1:
+    def __init__(self, lam, truncation: int, direction: str, entries) -> None:
+        lam = _lam(lam)
+        if direction not in (VERMA_TO_DUAL, DUAL_TO_VERMA):
+            raise ValueError(f"unknown direction {direction!r}")
+        if len(entries) != truncation + 1:
             raise ValueError("need one entry per index from 0 to the truncation")
+        self.__dict__.update(lam=lam, truncation=truncation, direction=direction, entries=entries)
 
     @cached_property
     def _backward(self) -> WeightMap:

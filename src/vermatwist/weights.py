@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .rootsystem import Root, RootSystem, _coroot_of, _Record, _sequence, _set, _whole
+from .errors import _Record, _set
+from .rootsystem import Root, RootSystem, _coroot_of, _sequence, _whole
 from .weyl import WeylElement, _check_element, _walk
 
 

@@ -27,7 +27,7 @@ above ``IDEALS_BOUND`` elements.  Right multiplication needs no table of its
 own: w_k t_beta = (t_beta w_k^{-1})^{-1} is ``inverse[refl[b][inverse[k]]]``,
 shorter than w_k exactly when bit b of ``masks[inverse[k]]`` is set; the
 blocks of :mod:`vermatwist.characters` are read off that rule.  The tables,
-like :class:`RootSequence`, are a ``rootsystem._Record``.
+like :class:`RootSequence`, are an ``errors._Record``.
 
 Every element is a row of the tables, one of the objects
 :func:`all_elements` holds: the rows are made once, with the tables, and
@@ -64,7 +64,8 @@ from collections import Counter
 from functools import cached_property
 
 from .errors import GroupTooLarge, IndexOutOfRange, InvariantViolated, MixedRootSystems
-from .rootsystem import GROUP_BOUND, Root, RootSystem, _coroot_of, _Frozen, _Record
+from .errors import _Frozen, _Record
+from .rootsystem import GROUP_BOUND, Root, RootSystem, _coroot_of
 from .rootsystem import _reflect_root, _reflect_weight, _sequence, _whole
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -98,7 +99,7 @@ class WeylElement(_Frozen):
         image = [sum(m * x for m, x in zip(row, two_rho)) for row in mat]
         key = tuple(sum(a * x for a, x in zip(row, image)) // 2 for row in rs.cartan)
         k = tables.index.get(key)
-        if k is None or tables.elements[k].mat != mat:
+        if k is None or tables.elements[k].mat != tuple(map(tuple, mat)):
             raise InvariantViolated("the matrix is not an element of the Weyl group")
         return tables.elements[k]
 

@@ -32,6 +32,7 @@ from vermatwist import (
     weight,
     word_text,
 )
+from vermatwist import characters
 from vermatwist.weyl import _group_tables
 import layer_path
 
@@ -508,6 +509,17 @@ def test_load_decomposition_file_refuses_params_entries_that_are_not_strings():
     for params in (["e", 1], [None, "s"], ["e", ["s"]], ["e", True], [0, 1]):
         with pytest.raises(BadDecompositionFile, match='"params" must be a list of words'):
             load_decomposition_file(block, {**good, "params": params})
+
+
+def test_load_decomposition_file_lets_errors_of_the_code_through(monkeypatch):
+    # a bad word is a bad file; an error of the parser itself is not
+    def broken(rs, text):
+        raise RuntimeError("parser fault")
+
+    monkeypatch.setattr(characters, "parse_word_text", broken)
+    block = make_block(build_root_system("A1"), weight(-2))
+    with pytest.raises(RuntimeError, match="parser fault"):
+        load_decomposition_file(block, {"params": ["e", "s"], "matrix": [[1, 0], [1, 1]]})
 
 
 def test_load_decomposition_file_rejects_singular_block():

@@ -1,5 +1,6 @@
 """The lazy package front, what each command loads, and the plain record classes."""
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -11,14 +12,18 @@ import pytest
 
 import vermatwist
 from vermatwist import (
+    DUAL_TO_VERMA,
+    VERMA_TO_DUAL,
     DecompositionMatrix,
     LayerTable,
+    LocalRingElem,
     Root,
     RootSequence,
     SumFormulaInput,
     SumFormulaResult,
     Weight,
     WeightClassification,
+    WeightMap,
     WeylElement,
     build_root_system,
     classify_weight,
@@ -26,6 +31,8 @@ from vermatwist import (
     element_from_word,
     layers_multiplicity_free,
     make_block,
+    one,
+    phi,
     root_sequence_through,
     sum_formula,
     weight,
@@ -124,8 +131,9 @@ def test_each_command_loads_only_its_layers():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     for args, layers in LAYERS_BY_COMMAND.items():
+        # -S: no site module, whose hooks may load modules of their own
         proc = subprocess.run(
-            [sys.executable, "-c", LOADED_BY_COMMAND, *args],
+            [sys.executable, "-S", "-c", LOADED_BY_COMMAND, *args],
             capture_output=True, text=True, env=env,
         )
         assert proc.stderr == ""
@@ -136,8 +144,8 @@ def test_each_command_loads_only_its_layers():
         want = {"vermatwist", "vermatwist.cli", "vermatwist.errors"}
         want |= {f"vermatwist.{layer}" for layer in layers}
         assert {m for m in loaded if m.startswith("vermatwist")} == want, args
-        # only the rank 1 laboratory's local ring is a dataclass
-        assert ("dataclasses" in loaded) == (args[0] == "sl2"), args
+        # every record is an errors._Record or _Frozen, and only a file read loads pathlib
+        assert not loaded & {"dataclasses", "pathlib"}, args
         # the weyl command is integer code: no rational arithmetic, no JSON encoder
         if args[0] == "weyl":
             assert not loaded & {"fractions", "decimal", "numbers", "json"}, loaded
@@ -145,9 +153,9 @@ def test_each_command_loads_only_its_layers():
 
 def assert_frozen(obj, names):
     for name in (*names, "other"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(obj, name)
 
 
@@ -305,3 +313,33 @@ def test_decomposition_matrix_record():
     for args in [(block.params,), (block.params, identity, identity)]:
         with pytest.raises(TypeError):
             DecompositionMatrix(*args)
+
+
+def test_weight_map_record():
+    # compared, hashed and shown as the frozen dataclass it was
+    entries = (one(), LocalRingElem((5, 1)))
+    wmap = WeightMap(Fraction(5), 1, VERMA_TO_DUAL, entries)
+    assert wmap == phi(5, 1) == WeightMap(5, 1, VERMA_TO_DUAL, entries=entries)
+    assert wmap == WeightMap(lam=5, truncation=1, direction=VERMA_TO_DUAL, entries=entries)
+    assert type(wmap.lam) is Fraction
+    assert wmap != WeightMap(5, 1, DUAL_TO_VERMA, entries)
+    assert wmap != (Fraction(5), 1, VERMA_TO_DUAL, entries)
+    assert hash(wmap) == hash((Fraction(5), 1, VERMA_TO_DUAL, entries))
+    assert {wmap: 1}[phi(5, 1)] == 1
+    assert repr(wmap) == (
+        "WeightMap(lam=Fraction(5, 1), truncation=1, direction='verma_to_dual', "
+        "entries=(LocalRingElem('1'), LocalRingElem('X + 5')))"
+    )
+    assert_frozen(wmap, ["lam", "truncation", "direction", "entries"])
+    for args, kwargs in [
+        ((5, 1, VERMA_TO_DUAL), {}),
+        ((5, 1), {"entries": entries}),
+        ((5, 1, VERMA_TO_DUAL, entries, None), {}),
+        ((5, 1, VERMA_TO_DUAL), {"entries": entries, "other": None}),
+    ]:
+        with pytest.raises(TypeError):
+            WeightMap(*args, **kwargs)
+    # the backward partner is built once, and is no field
+    backward = wmap._backward
+    assert backward.direction == DUAL_TO_VERMA and wmap._backward is backward
+    assert wmap == phi(5, 1) and hash(wmap) == hash((Fraction(5), 1, VERMA_TO_DUAL, entries))

@@ -254,6 +254,8 @@ def test_elements_are_found_by_their_matrix(label):
         assert "mat" not in vars(w)
         assert w.mat == m
         assert WeylElement(rs, m) is w
+        # rows given as lists name the same element
+        assert WeylElement(rs, [list(r) for r in m]) is w
 
 
 def test_a_matrix_with_the_image_of_rho_of_an_element_is_refused():
