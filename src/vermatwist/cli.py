@@ -5,6 +5,12 @@ All output is deterministic (stable orderings everywhere).  Exit codes:
 0 on success, 1 on domain errors (the error class name is printed
 verbatim), 2 on usage errors, and 141 (128 + SIGPIPE) from the console
 script when the reader of stdout closes it early, as ``| head`` does.
+
+Each coordinate of ``--lambda``, and the ``sl2`` command's lam, is read
+by :func:`vermatwist.errors.rational`, the package's one reader of a
+rational, so the library and the flags accept and refuse the same
+values; the ``sl2`` parser takes it as its ``type=``, so a refusal there
+is a usage error.
 """
 
 from __future__ import annotations
@@ -13,18 +19,16 @@ import argparse
 import os
 import sys
 
-from .errors import VermatwistError
+from .errors import VermatwistError, rational
 
 # Each command imports the layers it runs inside its body, so that a
 # ``weyl`` run never loads the weight, character, sum-formula or rank 1
 # modules, ``sl2`` loads only the rank 1 ones, and ``sum-formula``,
-# ``layers`` and ``b2-table`` load no rank 1 module.  ``json`` and
-# ``fractions`` are imported by the functions that use them, so the
-# ``weyl`` command loads neither.
+# ``layers`` and ``b2-table`` load no rank 1 module.  ``json`` is
+# imported by the functions that use it, and ``fractions`` by
+# ``errors.rational``, so the ``weyl`` command loads neither.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .characters import CharVector
     from .jantzen import LayerTable, SumFormulaInput
     from .rootsystem import Root, RootSystem
@@ -95,23 +99,6 @@ def _resolve_system(args) -> RootSystem:
     if rank != len(matrix):
         raise ValueError("Cartan file rank does not match the matrix size")
     return build_root_system(matrix)
-
-
-def rational(text: str) -> Fraction:
-    """An integer, a fraction "a/b" or a decimal "a.b", as ``Fraction`` reads it.
-
-    Every refusal is a ``ValueError``, which the parser reports as an
-    invalid rational value.  Exponent notation is refused:
-    ``Fraction("1e10000000")`` takes seconds.
-    """
-    from fractions import Fraction
-
-    if "e" in text or "E" in text:
-        raise ValueError("exponent notation is not accepted")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _resolve_lambda(rs: RootSystem, text: str) -> Weight:

@@ -1,4 +1,5 @@
-"""Exception hierarchy for vermatwist, and the package's one freezing rule.
+"""Exception hierarchy for vermatwist, the package's one freezing rule,
+and its one reader of a rational a user gives.
 
 Every domain error raised by the library derives from ``VermatwistError``,
 so callers (in particular the command line driver) can distinguish bad
@@ -13,9 +14,23 @@ its fields once and gives them the construction, equality, hash and
 repr of a frozen dataclass.  Both stacks build on them: the local ring
 element, the rank 1 laboratory's ``WeightMap``, and the roots, weights,
 group elements and block records.
+
+:func:`rational` is the one reader of a rational a user gives, in both
+stacks: a weight coordinate, the rank 1 laboratory's lam, a local ring
+coefficient and the command line's ``--lambda``.  It reads a ``Fraction``
+or an int as it is and a whole float as an int, and refuses with
+``ValueError`` everything else ``Fraction`` cannot read, a zero
+denominator, and exponent notation in a string or a ``Decimal``:
+``Fraction("1e2000000")`` takes half a second, and each further digit of
+the exponent multiplies that by about 40.  It imports ``fractions`` in
+its body, so the ``weyl`` command, which reads no rational, loads none.
 """
 
 from __future__ import annotations
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class VermatwistError(Exception):
@@ -127,3 +142,38 @@ class _Record(_Frozen):
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
+
+
+def rational(value) -> Fraction:
+    """``value`` as a ``Fraction``, or ``ValueError``: a ``Fraction`` or an
+    int as it is, a float only when whole, as its binary value is not what
+    was meant, and no exponent notation.
+
+    >>> rational("-5/2"), rational("-2.5"), rational(2.0)
+    (Fraction(-5, 2), Fraction(-5, 2), Fraction(2, 1))
+    >>> rational("1e3")
+    Traceback (most recent call last):
+    ...
+    ValueError: exponent notation is not accepted
+    """
+    # fractions imports decimal itself, so the second import loads nothing more
+    import decimal
+    import fractions
+
+    if isinstance(value, fractions.Fraction):
+        return value
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{value!r} is not a rational or a whole float")
+        value = int(value)
+    # only text is tested for an exponent: str(None) is "None"
+    elif isinstance(value, (str, decimal.Decimal)):
+        text = str(value)
+        if "e" in text or "E" in text:
+            raise ValueError("exponent notation is not accepted")
+    try:
+        return fractions.Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"{value!r} is not a rational or a whole float") from None

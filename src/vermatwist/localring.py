@@ -16,7 +16,11 @@ costs one pass over the other list, and a scalar 1 returns the other list
 itself: stored lists are shared and never written to.  An element is
 an :class:`vermatwist.errors._Frozen`, as every record of the package
 is: ``__post_init__`` sets its stored form once, and assigning or
-deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+deleting an attribute raises ``dataclasses.FrozenInstanceError``; it
+is copied and pickled as its stored lists, through ``_make``.  The
+public constructor ``LocalRingElem(num, den)`` reads each coefficient
+by :func:`vermatwist.errors.rational`, the package's one reader of a
+rational a user gives, so a float coefficient must be whole.
 Each binary operator and equality read the other operand, an element,
 an int or a ``Fraction``, by one rule, ``_operand``; anything else is
 NotImplemented.  So ``constant(3) == 3``, and an element equal to a
@@ -48,7 +52,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import InvariantViolated, _Frozen, _set
+from .errors import InvariantViolated, _Frozen, _set, rational
 
 Poly = tuple[Fraction, ...]
 
@@ -169,12 +173,16 @@ class LocalRingElem(_Frozen):
     __slots__ = ("_n", "_d", "_reduced")
 
     def __init__(self, num, den=(1,)) -> None:
-        num = [Fraction(c) for c in num]
-        den = [Fraction(c) for c in den]
+        num = [rational(c) for c in num]
+        den = [rational(c) for c in den]
         scale = math.lcm(*(c.denominator for c in num + den))
         _set(self, "_n", [int(c * scale) for c in num])
         _set(self, "_d", [int(c * scale) for c in den])
         self.__post_init__()
+
+    def __reduce__(self):
+        # copied and pickled as its stored lists, which _make reads as they are
+        return _make, (self._n, self._d)
 
     def __post_init__(self) -> None:
         n = _z_trim(self._n)

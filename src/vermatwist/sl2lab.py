@@ -18,11 +18,14 @@ equivariant partner in the other direction divides by that binomial,
 rescaled for natural lam so that every entry stays regular at X = 0.
 Specializing X to 0 recovers the classical undeformed maps.
 
-``psi`` and the checks take either lam or the forward map that ``phi``
-returned; given the map, they use its own lam and truncation and refuse
-any other truncation with ``ValueError``, and given lam, they refuse a
-truncation by ``phi``'s rule before anything else; a truncation left out
-is the map's own, or ``DEFAULT_TRUNCATION``.  A forward map builds its
+Every lam a user gives is read by :func:`vermatwist.errors.rational`,
+the package's one reader of a rational, and every truncation by
+``_truncation``, in a hand-built ``WeightMap`` too.  ``psi`` and the
+checks take either lam or the forward map that ``phi`` returned; given
+the map, they use its own lam and truncation and refuse any other
+truncation with ``ValueError``, and given lam, they refuse a truncation
+by ``phi``'s rule before anything else; a truncation left out is the
+map's own, or ``DEFAULT_TRUNCATION``.  A forward map builds its
 backward partner once, on first use.  A map is a
 :class:`vermatwist.errors._Record`, as the records of the block stack
 are: its constructor checks the fields, and it is compared, hashed and
@@ -44,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvariantViolated, TruncationTooSmall, _Record
+from .errors import InvariantViolated, TruncationTooSmall, _Record, rational
 from .localring import LocalRingElem, _make, _z_mul, one, scaled_equal
 
 VERMA_TO_DUAL = "verma_to_dual"
@@ -72,7 +75,7 @@ class WeightMap(_Record):
     _fields = ("lam", "truncation", "direction", "entries")
 
     def __init__(self, lam, truncation: int, direction: str, entries) -> None:
-        lam = _lam(lam)
+        lam, truncation = rational(lam), _truncation(truncation)
         if direction not in (VERMA_TO_DUAL, DUAL_TO_VERMA):
             raise ValueError(f"unknown direction {direction!r}")
         if len(entries) != truncation + 1:
@@ -105,17 +108,8 @@ class WeightMap(_Record):
         return tuple(entry.valuation() for entry in self.entries)
 
 
-def _lam(lam) -> Fraction:
-    """``lam`` as a Fraction; a float must be whole, as its binary value is not what was meant."""
-    if isinstance(lam, float):
-        if not lam.is_integer():
-            raise ValueError(f"lam = {lam!r} is not a rational or a whole float")
-        lam = int(lam)
-    return Fraction(lam)
-
-
 def is_natural(lam) -> bool:
-    lam = _lam(lam)
+    lam = rational(lam)
     return lam.denominator == 1 and lam >= 0
 
 
@@ -147,7 +141,7 @@ def phi(lam, truncation: int = DEFAULT_TRUNCATION) -> WeightMap:
     Refuses, with ``ValueError`` and before building an entry, a truncation
     that is not an int from 0 to ``MAX_TRUNCATION``.
     """
-    lam, truncation = _lam(lam), _truncation(truncation)
+    lam, truncation = rational(lam), _truncation(truncation)
     p, q = lam.numerator, lam.denominator
     num, den = [1], 1
     entries = [_make(num, [den])]
@@ -173,7 +167,7 @@ def _given(lam, truncation: int | None) -> tuple[Fraction, int, WeightMap | None
     ``DEFAULT_TRUNCATION`` for a lam; a map refuses any other than its own."""
     if not isinstance(lam, WeightMap):
         given = DEFAULT_TRUNCATION if truncation is None else truncation
-        return _lam(lam), _truncation(given), None
+        return rational(lam), _truncation(given), None
     if lam.direction != VERMA_TO_DUAL:
         raise ValueError("expected the forward map, as phi returns it")
     if truncation is not None and _truncation(truncation) != lam.truncation:
@@ -218,7 +212,7 @@ def check_equivariance(wmap: WeightMap, lam=None, truncation: int | None = None)
     """
     if truncation is not None and type(truncation) is not int:
         raise ValueError(f"truncation window must be an int, got {truncation!r}")
-    lam = wmap.lam if lam is None else _lam(lam)
+    lam = wmap.lam if lam is None else rational(lam)
     n = wmap.truncation if truncation is None else min(truncation, wmap.truncation)
     p, q = lam.numerator, lam.denominator
     forward = wmap.direction == VERMA_TO_DUAL

@@ -5,7 +5,9 @@ basis, so ``lam.coords[i]`` equals the pairing of ``lam`` against the
 i-th simple coroot.  This layer sits above the integer code of
 :mod:`vermatwist.rootsystem` and :mod:`vermatwist.weyl`; only the
 rational views of ``RootSystem`` import it, in their bodies, so the
-``weyl`` command loads no ``fractions``.
+``weyl`` command loads no ``fractions``.  A coordinate that is not
+already a ``Fraction`` is read by :func:`vermatwist.errors.rational`,
+the package's one reader of a rational a user gives.
 
 The pairings of lam + rho with the positive coroots decide a weight's
 class, its integral roots, its block and R+(mu); ``_shifted_pairings``
@@ -20,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import _Record, _set
-from .rootsystem import Root, RootSystem, _coroot_of, _sequence, _whole
+from .errors import _Record, _set, rational
+from .rootsystem import Root, RootSystem, _coroot_of, _sequence
 from .weyl import WeylElement, _check_element, _walk
 
 
@@ -33,7 +35,7 @@ class Weight(_Record):
 
     def __init__(self, coords: tuple[Fraction, ...]) -> None:
         given = _sequence(coords, ValueError, "weight coordinates")
-        _set(self, "coords", tuple(c if isinstance(c, Fraction) else _fraction(c) for c in given))
+        _set(self, "coords", tuple(c if isinstance(c, Fraction) else rational(c) for c in given))
 
     @property
     def is_integral(self) -> bool:
@@ -63,14 +65,6 @@ class WeightClassification(_Record):
     regular: bool
     integral: bool
     _fields = ("antidominant", "dominant", "regular", "integral")
-
-
-def _fraction(c) -> Fraction:
-    """``c`` as a Fraction; a float must be whole, as its binary value is not what was meant."""
-    try:
-        return Fraction(_whole(c) if isinstance(c, float) else c)
-    except (ArithmeticError, TypeError, ValueError):
-        raise ValueError(f"weight coordinate {c!r} is not a rational or a whole float") from None
 
 
 def _check_rank(rs: RootSystem, lam: Weight) -> None:

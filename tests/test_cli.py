@@ -128,6 +128,22 @@ def test_negative_lambda_flag_forms():
         assert "zero top: yes" in out
 
 
+def test_lambda_defaults_to_minus_two_in_every_coordinate():
+    code, out, err = run_cli("sum-formula", "--type", "B2", "--w", "s", "--y", "e")
+    assert (code, err) == (0, "")
+    assert "block: lambda = (-2, -2)" in out.splitlines()
+
+
+def test_lambda_parentheses_are_stripped_only_in_pairs():
+    # "-3,-2)" is no weight; stripping its last character alone would read
+    # it as (3, -2), which fails later, as no antidominant weight
+    code, out, err = run_cli("sum-formula", "--type", "B2", "--w", "s", "--y", "e", "--lambda=-3,-2)")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ValueError: cannot parse weight '-3,-2)': '-2)' is not a rational or a whole float\n"
+    )
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_cli("sum-formula", "--type", "B2", "--y", "s")  # missing --w

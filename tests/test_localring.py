@@ -11,9 +11,11 @@ random expressions.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import operator
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vermatwist import LocalRingElem, constant, localring, one, variable, zero
+from vermatwist import LocalRingElem, constant, localring, one, phi, variable, zero
 from vermatwist.localring import scaled_equal
 
 Poly = tuple[Fraction, ...]
@@ -344,6 +346,18 @@ def test_elements_are_immutable():
     with pytest.raises(AttributeError):
         del x._d
     assert x == variable()
+
+
+def test_elements_are_copied_and_pickled():
+    # a frozen element is rebuilt from its stored lists, not by assignment
+    x = variable() / (1 - variable())
+    for clone in (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))):
+        y = clone(x)
+        assert type(y) is LocalRingElem and y == x and str(y) == str(x)
+        assert (y._n, y._d) == (x._n, x._d)
+    # so a weight map, whose entries are elements, is too
+    assert copy.deepcopy(phi(2, 6)) == phi(2, 6)
+    assert pickle.loads(pickle.dumps(phi(2, 6))) == phi(2, 6)
 
 
 def test_every_element_is_normalised_once(monkeypatch):

@@ -75,6 +75,10 @@ def test_a_float_lam_must_be_whole(name):
     assert call(2.0) == call(2)
 
 
+#: entries built before any test counts the elements it builds
+TWO_ONES = (one(), one())
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -85,8 +89,12 @@ def test_a_float_lam_must_be_whole(name):
         lambda: phi(1, "12"),
         lambda: psi(1, 101),
         lambda: jantzen_layers_sl2(Fraction(1, 2), 101),
+        # a hand-built map reads its truncation by the same rule
+        lambda: WeightMap(2, 1.0, VERMA_TO_DUAL, TWO_ONES),
+        lambda: WeightMap(2, True, VERMA_TO_DUAL, TWO_ONES),
+        lambda: WeightMap(2, -1, VERMA_TO_DUAL, ()),
     ],
-    ids=["101", "-1", "2.5", "True", "str", "psi", "jantzen"],
+    ids=["101", "-1", "2.5", "True", "str", "psi", "jantzen", "map-1.0", "map-True", "map-1"],
 )
 def test_truncation_outside_the_bound_is_refused_before_an_entry_is_built(monkeypatch, call):
     from vermatwist import localring
